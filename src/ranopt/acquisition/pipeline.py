@@ -3,7 +3,7 @@
 Streaming records arrive one at a time (in-process or via the socket/watch
 bindings); batch files are CSV or tab-separated TXT. A bounded buffer sits
 between ingestion and the clean/transform/load stages; producers block when
-it is full.
+it is full while a worker runs, and drain it inline when none was started.
 """
 from __future__ import annotations
 
@@ -57,8 +57,12 @@ class AcquisitionPipeline:
                 return "duplicate"
             self._seen.add(key)
             self.counters["ingested"] += 1
-        self._queue.put(record)  # blocks when the buffer is full
-        return "accepted"
+        while True:  # a worker makes room; without one, drain inline
+            try:
+                self._queue.put(record, block=self._worker is not None)
+                return "accepted"
+            except queue.Full:
+                self.drain()
 
     def next_seq(self, source_tag: str) -> int:
         with self._lock:

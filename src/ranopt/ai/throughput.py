@@ -5,14 +5,16 @@ antenna/propagation model at the config that was active when each sample was
 taken. Candidate configs are then scored by analytic model + learned residual,
 users are re-attached, and network throughput is predicted. A surrogate MLP
 trained on the candidate grid drives the final config search.
+Scoring uses the simulator's ``best_beam_rsrp_dbm`` and ``attach_and_rate``;
+over a grid only the target cell's RSRP is predicted again per point.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import InsufficientHistory
-from ..simcore.radio import best_beam_rsrp_dbm, dbm_to_mw, noise_dbm
-from ..simcore.scheduler import schedule_and_rate
+from ..simcore.radio import best_beam_rsrp_dbm
+from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
 from .gpr import GprRegressor
 from .surrogate import build_grid_axes, fit_surrogate, optimize_config
@@ -42,10 +44,6 @@ class ConfigLog:
             if t0 <= t_s and cell_id in snap:
                 best = snap[cell_id]
         return best
-
-
-def _with_fields(cell: CellConfig, fields: dict) -> CellConfig:
-    return cell.replace(**fields)
 
 
 def fit_radio_maps(measurement_rows, cells: dict[str, CellConfig],
@@ -110,35 +108,35 @@ def predict_network_throughput(cells: dict[str, CellConfig],
                                demand_mbps: float = UNCAPPED_DEMAND_MBPS
                                ) -> float:
     """Re-attach users under predicted RSRP and sum per-cell throughput."""
+    return _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
+                                  carrier_ghz, target_cell,
+                                  [candidate_fields or {}], demand_mbps)[0]
+
+
+def _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
+                           carrier_ghz, target_cell, candidates,
+                           demand_mbps) -> list[float]:
+    """Network throughput with target_cell set to each candidate's fields in
+    turn; the other cells' RSRP does not change and is predicted once."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if pos.shape[0] == 0:
-        return 0.0
-    eval_cells = dict(cells)
-    if target_cell is not None and candidate_fields:
-        eval_cells[target_cell] = _with_fields(cells[target_cell],
-                                               candidate_fields)
-    ids = sorted(eval_cells)
-    rsrp = np.stack([predicted_rsrp(eval_cells[cid], radio_maps[cid], pos,
-                                    carrier_ghz) for cid in ids])
-    bias = np.array([eval_cells[cid].cio_db if eval_cells[cid].carrier_on
-                     else -np.inf for cid in ids])
-    serving = (rsrp + bias[:, None]).argmax(axis=0)
-    noise_mw = dbm_to_mw(noise_dbm(bandwidth_mhz))
-    total = 0.0
+    ids = sorted(cells)
+    eval_cells = [cells[cid] for cid in ids]
+    rsrp = np.empty((len(ids), pos.shape[0]))
     for i, cid in enumerate(ids):
-        idx = np.flatnonzero(serving == i)
-        if idx.size == 0 or not eval_cells[cid].carrier_on:
-            continue
-        s_mw = dbm_to_mw(rsrp[i, idx])
-        others = [dbm_to_mw(rsrp[j, idx]) for j, cj in enumerate(ids)
-                  if j != i and eval_cells[cj].carrier_on]
-        i_tot = np.sum(np.stack(others), axis=0) if others else 0.0
-        sinr = np.clip(10.0 * np.log10(s_mw / (i_tot + noise_mw)), -23.0, 40.0)
-        demand = np.full(idx.size, demand_mbps)
-        _, thr, _ = schedule_and_rate(
-            bandwidth_mhz * eval_cells[cid].channel_fraction, sinr, demand)
-        total += thr
-    return float(total)
+        if cid != target_cell:
+            rsrp[i] = predicted_rsrp(cells[cid], radio_maps[cid], pos,
+                                     carrier_ghz)
+    out = []
+    for fields in candidates:
+        if target_cell is not None:
+            t = ids.index(target_cell)
+            eval_cells[t] = cells[target_cell].replace(**fields)
+            rsrp[t] = predicted_rsrp(eval_cells[t], radio_maps[target_cell],
+                                     pos, carrier_ghz)
+        throughput = attach_and_rate(rsrp, eval_cells, bandwidth_mhz,
+                                     demand_mbps)[4]
+        out.append(float(sum(throughput.tolist())))  # added in cell order
+    return out
 
 
 def estimate_demand_cap(measurement_rows) -> float:
@@ -158,16 +156,12 @@ def build_surrogate_dataset(cells, radio_maps, positions, bandwidth_mhz,
     """Predicted throughput over the whole candidate grid of one cell."""
     axes = build_grid_axes(bounds, steps)
     names = list(axes)
-    X, y = [], []
-    for idx in np.ndindex(*[len(axes[n]) for n in names]):
-        fields = {n: float(axes[n][i]) for n, i in zip(names, idx)}
-        X.append([fields.get("azimuth_deg", 0.0),
-                  fields.get("tilt_deg", 0.0),
-                  fields.get("tx_power_dbm", 0.0)][:len(names)])
-        y.append(predict_network_throughput(
-            cells, radio_maps, positions, bandwidth_mhz, carrier_ghz,
-            target_cell=target_cell, candidate_fields=fields,
-            demand_mbps=demand_mbps))
+    grid = [{n: float(axes[n][i]) for n, i in zip(names, idx)}
+            for idx in np.ndindex(*[len(axes[n]) for n in names])]
+    X = [[f.get("azimuth_deg", 0.0), f.get("tilt_deg", 0.0),
+          f.get("tx_power_dbm", 0.0)][:len(names)] for f in grid]
+    y = _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
+                               carrier_ghz, target_cell, grid, demand_mbps)
     return np.array(X), np.array(y), names
 
 

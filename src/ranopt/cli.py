@@ -115,6 +115,7 @@ def cmd_ingest(args) -> int:
         from .acquisition.sources import StreamServer
         host, port = args.socket.rsplit(":", 1)
         server = StreamServer((host, int(port)), pipeline)
+        pipeline.start()
         print(f"listening on {args.socket}; Ctrl-C to stop")
         try:
             server.serve_forever()
@@ -122,7 +123,7 @@ def cmd_ingest(args) -> int:
             pass
         finally:
             server.shutdown()
-            pipeline.quiesce()
+            pipeline.stop()
     print(json.dumps(pipeline.counters, sort_keys=True))
     if args.export:
         out = Path(args.export)
@@ -192,11 +193,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_loop(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
-    try:
-        report = run_closed_loop(scenario, args.usecase, args.epochs,
-                                 seed=args.seed)
-    except RanOptError:
-        raise
+    report = run_closed_loop(scenario, args.usecase, args.epochs,
+                             seed=args.seed)
     report.save(args.report)
     accepted = sum(1 for e in report.entries if e["decision"] == "accepted")
     print(f"{len(report.entries)} epochs, {accepted} accepted; "

@@ -110,8 +110,9 @@ class ClosedLoop:
         self.scenario = copy.deepcopy(scenario)
         self.models = models or {}
         self.optimizer_override = optimizer_override
-        self.workdir = Path(workdir) if workdir \
-            else Path(tempfile.mkdtemp(prefix="ranopt-loop-"))
+        self._tmp = None if workdir \
+            else tempfile.TemporaryDirectory(prefix="ranopt-loop-")
+        self.workdir = Path(workdir) if workdir else Path(self._tmp.name)
         self.warehouse = Warehouse()
         create_bundled_subjects(self.warehouse)
         self.pipeline = AcquisitionPipeline(
@@ -123,6 +124,11 @@ class ClosedLoop:
         self.config_log.record(0.0, self._cells())
         self.command_log = CommandLog()
         self.entries: list[dict] = []
+
+    def close(self) -> None:
+        """Remove the temp dir the loop created, if any."""
+        if self._tmp is not None:
+            self._tmp.cleanup()
 
     # -- plumbing -------------------------------------------------------
     def _cells(self) -> dict:
@@ -395,5 +401,8 @@ def run_closed_loop(scenario: Scenario, use_case: str, epochs: int,
                       workdir=workdir)
     if warm_up_windows is None:
         warm_up_windows = MIN_HISTORY if use_case == "energy" else 0
-    loop.warm_up(warm_up_windows)
-    return loop.run(epochs)
+    try:
+        loop.warm_up(warm_up_windows)
+        return loop.run(epochs)
+    finally:
+        loop.close()

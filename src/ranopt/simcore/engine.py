@@ -10,10 +10,9 @@ import numpy as np
 
 from ..errors import NotFoundError
 from . import energy as energy_model
-from .radio import ShadowField, best_beam_rsrp_dbm, dbm_to_mw, noise_dbm
-from .scheduler import collision_ratio, schedule_and_rate
-from .types import (CellConfig, KpiRecord, MeasurementRecord, NO_SIGNAL_DBM,
-                    Scenario, UserState)
+from .radio import ShadowField, best_beam_rsrp_dbm
+from .scheduler import attach_and_rate, collision_ratio
+from .types import KpiRecord, MeasurementRecord, Scenario, UserState
 
 
 def load_scenario(path) -> Scenario:
@@ -31,7 +30,7 @@ def hour_bucket(t_s: float) -> int:
 
 
 def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
-    """Seeded hotspot draw for the window starting at t_s; serving unset."""
+    """Seeded hotspot draw for the window starting at t_s."""
     rng = np.random.default_rng(
         np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, int(t_s) & 0xFFFFFFFF]))
     mult = scenario.traffic_profile[hour_bucket(t_s)]
@@ -44,7 +43,6 @@ def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
                 user_id=f"u{ci}-{i:03d}",
                 pos=(float(cl.center[0] + offsets[i, 0]),
                      float(cl.center[1] + offsets[i, 1])),
-                serving_cell="",
                 demand_mbps=cl.demand_mbps))
     return users
 
@@ -66,67 +64,34 @@ def step(scenario: Scenario, window_len_s: float, t_s: float
     users = draw_users(scenario, t_s)
     shadows = shadow_fields(scenario)
     cells = scenario.cells
-    noise_mw = dbm_to_mw(noise_dbm(scenario.bandwidth_mhz))
-
-    if users:
-        pos = np.array([u.pos for u in users])
-        rsrp = np.full((len(cells), len(users)), NO_SIGNAL_DBM)
-        beam_idx = np.zeros((len(cells), len(users)), dtype=int)
-        for i, c in enumerate(cells):
-            rsrp[i], beam_idx[i] = best_beam_rsrp_dbm(
-                c, pos, scenario.carrier_ghz, shadows[c.cell_id])
-        bias = np.array([c.cio_db if c.carrier_on else -np.inf for c in cells])
-        active = np.array([c.carrier_on for c in cells])
-        biased = np.where(active[:, None], rsrp + bias[:, None], -np.inf)
-        serving = biased.argmax(axis=0) if active.any() else None
-    else:
-        serving = None
+    pos = np.array([u.pos for u in users]).reshape(-1, 2)
+    rsrp = np.empty((len(cells), len(users)))
+    beam_idx = np.empty((len(cells), len(users)), dtype=int)
+    for i, c in enumerate(cells):
+        rsrp[i], beam_idx[i] = best_beam_rsrp_dbm(
+            c, pos, scenario.carrier_ghz, shadows[c.cell_id])
+    serving, sinr, rate, best_int, throughput, rbur = attach_and_rate(
+        rsrp, cells, scenario.bandwidth_mhz, [u.demand_mbps for u in users])
 
     measurements: list[MeasurementRecord] = []
     kpis: list[KpiRecord] = []
-    per_cell_users: dict[int, list[int]] = {i: [] for i in range(len(cells))}
-    if serving is not None:
-        for k, u in enumerate(users):
-            u.serving_cell = cells[serving[k]].cell_id
-            per_cell_users[int(serving[k])].append(k)
-
     for i, c in enumerate(cells):
-        idx = per_cell_users.get(i, [])
-        if idx and c.carrier_on:
-            idx_a = np.array(idx)
-            s_mw = dbm_to_mw(rsrp[i, idx_a])
-            interferers = [dbm_to_mw(rsrp[j, idx_a])
-                           for j, cj in enumerate(cells)
-                           if j != i and cj.carrier_on]
-            if interferers:
-                i_tot = np.sum(np.stack(interferers), axis=0)
-                best_int = np.max(np.stack(
-                    [rsrp[j, idx_a] for j, cj in enumerate(cells)
-                     if j != i and cj.carrier_on]), axis=0)
-            else:
-                i_tot = np.zeros_like(s_mw)
-                best_int = np.full(len(idx), -np.inf)
-            sinr = np.clip(10.0 * np.log10(s_mw / (i_tot + noise_mw)), -23.0, 40.0)
-            demand = np.array([users[k].demand_mbps for k in idx])
-            # channel shutdown halves the usable bandwidth
-            rates, throughput, rbur = schedule_and_rate(
-                scenario.bandwidth_mhz * c.channel_fraction, sinr, demand)
-            coll = collision_ratio(rsrp[i, idx_a], best_int)
-            for m, k in enumerate(idx):
-                u = users[k]
-                measurements.append(MeasurementRecord(
-                    timestamp_s=float(t_s), user_id=u.user_id, cell_id=c.cell_id,
-                    beam_id=int(beam_idx[i, k]), signal_type="SSB",
-                    rsrp_dbm=float(rsrp[i, k]), sinr_db=float(sinr[m]),
-                    rate_mbps=float(rates[m]), pos=u.pos))
-        else:
-            throughput, rbur, coll = 0.0, 0.0, 0.0
-        power_w, _ = energy_model.energy_step(c, rbur, window_len_s)
+        idx = np.flatnonzero(serving == i)
+        for k in idx:
+            u = users[k]
+            measurements.append(MeasurementRecord(
+                timestamp_s=float(t_s), user_id=u.user_id, cell_id=c.cell_id,
+                beam_id=int(beam_idx[i, k]), signal_type="SSB",
+                rsrp_dbm=float(rsrp[i, k]), sinr_db=float(sinr[k]),
+                rate_mbps=float(rate[k]), pos=u.pos))
+        coll = collision_ratio(rsrp[i, idx], best_int[idx])
+        power_w, _ = energy_model.energy_step(c, float(rbur[i]), window_len_s)
         kpis.append(KpiRecord(
             cell_id=c.cell_id, window_start_s=float(t_s),
-            window_len_s=float(window_len_s), throughput_mbps=float(throughput),
-            rbur=float(rbur), num_users=len(idx) if c.carrier_on else 0,
-            power_w=float(power_w), collision_ratio=float(coll)))
+            window_len_s=float(window_len_s),
+            throughput_mbps=float(throughput[i]), rbur=float(rbur[i]),
+            num_users=int(idx.size), power_w=float(power_w),
+            collision_ratio=float(coll)))
     return measurements, kpis
 
 

@@ -1,6 +1,7 @@
 """Propagation, antenna gain, RSRP and SINR models.
 
-All functions accept scalars or numpy arrays and are deterministic.
+All functions accept scalars or numpy arrays and are deterministic.  One
+RSRP kernel serves one beam or all of a cell's beams at once.
 """
 from __future__ import annotations
 
@@ -93,31 +94,35 @@ def user_geometry(cell: CellConfig, pos_xy):
 def compute_rsrp_dbm(cell: CellConfig, beam: Beam, pos_xy, carrier_ghz: float,
                      shadow: ShadowField | None = None):
     """Per-RE received power of one SSB beam at the given positions."""
-    p = np.atleast_2d(np.asarray(pos_xy, dtype=float))
-    if not cell.carrier_on:
-        out = np.full(p.shape[0], NO_SIGNAL_DBM)
-        return out if np.ndim(pos_xy) > 1 else float(out[0])
-    dist, az, el = user_geometry(cell, p)
-    tx_re = cell.tx_power_dbm - 10.0 * np.log10(N_RE)
-    rsrp = (tx_re + antenna_gain_dbi(cell, beam, az, el)
-            - path_loss_db(dist, carrier_ghz))
-    if shadow is not None:
-        rsrp = rsrp + shadow.at(p)
-    rsrp = np.clip(rsrp, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    rsrp = _rsrp_dbm(cell, [beam], pos_xy, carrier_ghz, shadow)[0]
     return rsrp if np.ndim(pos_xy) > 1 else float(rsrp[0])
 
 
 def best_beam_rsrp_dbm(cell: CellConfig, pos_xy, carrier_ghz: float,
                        shadow: ShadowField | None = None):
     """(best rsrp dBm, best beam index) over the cell's 8 SSB beams."""
+    per_beam = _rsrp_dbm(cell, cell.beams, pos_xy, carrier_ghz, shadow)
+    best, idx = per_beam.max(axis=0), per_beam.argmax(axis=0)
+    return (best, idx) if np.ndim(pos_xy) > 1 else (best[0], idx[0])
+
+
+def _rsrp_dbm(cell: CellConfig, beams, pos_xy, carrier_ghz: float,
+              shadow: ShadowField | None):
+    """(beams, users) RSRP; geometry, loss and shadowing computed once."""
     p = np.atleast_2d(np.asarray(pos_xy, dtype=float))
     if not cell.carrier_on:
-        return (np.full(p.shape[0], NO_SIGNAL_DBM),
-                np.zeros(p.shape[0], dtype=int))
-    per_beam = np.stack(
-        [compute_rsrp_dbm(cell, b, p, carrier_ghz, shadow) for b in cell.beams])
-    idx = per_beam.argmax(axis=0)
-    return per_beam.max(axis=0), idx
+        return np.full((len(beams), p.shape[0]), NO_SIGNAL_DBM)
+    dist, az, el = user_geometry(cell, p)
+    # one Beam of (beams, 1) columns broadcasts the gain over every beam
+    stacked = Beam(-1, *np.array([[b.az_offset_deg, b.el_offset_deg,
+                                   b.az_bw_deg, b.el_bw_deg]
+                                  for b in beams]).T[:, :, None])
+    gain = antenna_gain_dbi(cell, stacked, az, el)
+    tx_re = cell.tx_power_dbm - 10.0 * np.log10(N_RE)
+    rsrp = (tx_re + gain) - path_loss_db(dist, carrier_ghz)
+    if shadow is not None:
+        rsrp = rsrp + shadow.at(p)
+    return np.clip(rsrp, RSRP_MIN_DBM, RSRP_MAX_DBM)
 
 
 def noise_dbm(bandwidth_mhz: float) -> float:
@@ -132,11 +137,8 @@ def dbm_to_mw(dbm):
 def compute_sinr_db(serving_rsrp_mw, interferer_rsrp_mw_list, noise_mw):
     """10*log10(S / (sum I + N)), clamped to the reporting range."""
     s = np.asarray(serving_rsrp_mw, dtype=float)
-    if len(interferer_rsrp_mw_list):
-        i_tot = np.sum(np.stack([np.asarray(x, dtype=float)
-                                 for x in interferer_rsrp_mw_list]), axis=0)
-    else:
-        i_tot = np.zeros_like(s)
-    sinr = 10.0 * np.log10(s / (i_tot + noise_mw))
-    return float(np.clip(sinr, SINR_MIN_DB, SINR_MAX_DB)) if np.ndim(sinr) == 0 \
-        else np.clip(sinr, SINR_MIN_DB, SINR_MAX_DB)
+    i_tot = np.sum([np.asarray(x, dtype=float) for x in interferer_rsrp_mw_list],
+                   axis=0) if len(interferer_rsrp_mw_list) else 0.0
+    sinr = np.clip(10.0 * np.log10(s / (i_tot + noise_mw)), SINR_MIN_DB,
+                   SINR_MAX_DB)
+    return float(sinr) if np.ndim(sinr) == 0 else sinr

@@ -1,8 +1,9 @@
-"""Round-robin scheduler, rate model and beam-collision statistic."""
+"""Attachment, round-robin scheduler, rate model and beam-collision statistic."""
 from __future__ import annotations
 
 import numpy as np
 
+from .radio import compute_sinr_db, dbm_to_mw, noise_dbm
 from .types import RATE_CAP_MBPS
 
 SPECTRAL_EFFICIENCY_FACTOR = 0.75
@@ -30,11 +31,38 @@ def schedule_and_rate(bandwidth_mhz: float, sinr_db, demand_mbps):
     return rate, float(np.sum(rate)), rbur
 
 
-def collision_flags(serving_rsrp_dbm, best_interferer_rsrp_dbm):
-    """True where the strongest interferer is within the collision gap."""
-    s = np.asarray(serving_rsrp_dbm, dtype=float)
-    i = np.asarray(best_interferer_rsrp_dbm, dtype=float)
-    return (s - i) <= COLLISION_GAP_DB
+def attach_and_rate(rsrp_dbm, cells, bandwidth_mhz: float, demand_mbps):
+    """The one attachment/SINR/rate path of simulator and predictor.
+
+    Users attach to the active cell with the best RSRP + CIO (rsrp_dbm is
+    (cells, users)); every other active cell interferes.  Returns per user
+    (serving cell, -1 with every carrier off; SINR, NaN if unattached;
+    rate; strongest interferer RSRP, -inf if none) and per cell
+    (throughput, rbur)."""
+    rsrp = np.asarray(rsrp_dbm, dtype=float)
+    n_users = rsrp.shape[1]
+    on = np.flatnonzero([c.carrier_on for c in cells])
+    bias = np.array([c.cio_db if c.carrier_on else -np.inf for c in cells])
+    serving = (rsrp + bias[:, None]).argmax(axis=0) if on.size \
+        else np.full(n_users, -1)
+    demand = np.broadcast_to(np.asarray(demand_mbps, dtype=float), n_users)
+    noise_mw = dbm_to_mw(noise_dbm(bandwidth_mhz))  # over the whole carrier
+    sinr, rate = np.full(n_users, np.nan), np.zeros(n_users)
+    best_int = np.full(n_users, -np.inf)
+    throughput, rbur = np.zeros(len(cells)), np.zeros(len(cells))
+    for i in on:
+        idx = np.flatnonzero(serving == i)
+        if idx.size == 0:
+            continue
+        others = on[on != i]
+        sinr[idx] = compute_sinr_db(dbm_to_mw(rsrp[i, idx]),
+                                    [dbm_to_mw(rsrp[j, idx]) for j in others],
+                                    noise_mw)
+        best_int[idx] = rsrp[others][:, idx].max(axis=0, initial=-np.inf)
+        # channel shutdown halves the bandwidth a cell can schedule
+        rate[idx], throughput[i], rbur[i] = schedule_and_rate(
+            bandwidth_mhz * cells[i].channel_fraction, sinr[idx], demand[idx])
+    return serving, sinr, rate, best_int, throughput, rbur
 
 
 def collision_ratio(serving_rsrp_dbm, best_interferer_rsrp_dbm) -> float:
@@ -42,4 +70,5 @@ def collision_ratio(serving_rsrp_dbm, best_interferer_rsrp_dbm) -> float:
     s = np.asarray(serving_rsrp_dbm, dtype=float)
     if s.size == 0:
         return 0.0
-    return float(np.mean(collision_flags(s, best_interferer_rsrp_dbm)))
+    i = np.asarray(best_interferer_rsrp_dbm, dtype=float)
+    return float(np.mean((s - i) <= COLLISION_GAP_DB))

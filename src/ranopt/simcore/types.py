@@ -118,7 +118,6 @@ class CellConfig:
 class UserState:
     user_id: str
     pos: tuple[float, float]
-    serving_cell: str
     demand_mbps: float
 
 

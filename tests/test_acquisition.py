@@ -283,6 +283,29 @@ class TestConservationAndDeidentification:
                 assert not any("secret-user" in str(v) for v in row)
 
 
+class TestNoWorker:
+    def test_batch_larger_than_buffer_completes(self, tmp_path):
+        pipe, wh = fresh_pipeline()
+        f = tmp_path / "m.csv"
+        rows = [",".join(meas_payload(timestamp_s=float(i), user_id=f"u{i}",
+                                      rsrp_dbm=-10.0 if i % 100 == 0
+                                      else -80.0).values())
+                for i in range(1500)]
+        f.write_text(",".join(meas_payload()) + "\n" + "\n".join(rows) + "\n")
+        result = []
+        t = threading.Thread(target=lambda: result.append(pipe.ingest_batch(f)),
+                             daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "ingest_batch blocked on a full buffer"
+        pipe.quiesce()
+        assert result[0] == (1500, [])
+        c = pipe.counters
+        assert c["ingested"] == 1500 == c["kept"] + c["rejected"]
+        assert c["rejected"] == 15
+        assert wh.row_count("beam-management") == 1485
+
+
 class TestSocketBinding:
     def test_stream_over_tcp(self):
         pipe, wh = fresh_pipeline()

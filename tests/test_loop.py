@@ -1,4 +1,5 @@
 import copy
+import tempfile
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ class TestUseCases:
         for e in report.entries:
             f = e["command"]["fields"]
             assert set(f) == {"pattern_id", "cio_db"}
+
+
+class TestTempDir:
+    def test_run_without_workdir_leaves_no_temp_dir(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_closed_loop(make_scenario(), "mimo", epochs=1, workdir=None)
+        few_users = make_scenario(clusters=[HotspotCluster(
+            center=(250.0, 0.0), std_m=40.0, mean_users=2.0)])
+        with pytest.raises(InsufficientHistory):
+            run_closed_loop(few_users, "throughput", epochs=1, workdir=None)
+        assert not list(tmp_path.glob("ranopt-loop-*"))
 
 
 class TestDeterminism:

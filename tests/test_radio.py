@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranopt.simcore import (BORESIGHT_GAIN_DBI, NO_SIGNAL_DBM, ShadowField,
-                            antenna_gain_dbi, compute_rsrp_dbm, compute_sinr_db,
-                            dbm_to_mw, noise_dbm, path_loss_db)
-from ranopt.simcore.types import Beam
+                            antenna_gain_dbi, best_beam_rsrp_dbm,
+                            compute_rsrp_dbm, compute_sinr_db, dbm_to_mw,
+                            noise_dbm, path_loss_db)
+from ranopt.simcore.radio import user_geometry
+from ranopt.simcore.types import (Beam, N_PATTERNS, N_RE, RSRP_MAX_DBM,
+                                  RSRP_MIN_DBM)
 
 from conftest import make_cell
 
@@ -93,6 +97,50 @@ class TestRsrp:
         far = compute_rsrp_dbm(cell, centered_beam(), (1e9, 0.0), 3.55)
         assert near == -31.0
         assert far == -156.0
+
+
+def naive_rsrp(cell, beam, pos, carrier_ghz, shadow):
+    """One beam's RSRP written out term by term, as a reference."""
+    if not cell.carrier_on:
+        return np.full(len(pos), NO_SIGNAL_DBM)
+    dist, az, el = user_geometry(cell, pos)
+    tx_re = cell.tx_power_dbm - 10.0 * np.log10(N_RE)
+    rsrp = (tx_re + antenna_gain_dbi(cell, beam, az, el)
+            - path_loss_db(dist, carrier_ghz))
+    if shadow is not None:
+        rsrp = rsrp + shadow.at(pos)
+    return np.clip(rsrp, RSRP_MIN_DBM, RSRP_MAX_DBM)
+
+
+class TestBestBeam:
+    @settings(max_examples=120, deadline=None)
+    @given(pattern_id=st.integers(0, N_PATTERNS - 1),
+           carrier_on=st.booleans(), shadowed=st.booleans(),
+           n_users=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_beam_stack_bit_for_bit(self, pattern_id, carrier_on,
+                                               shadowed, n_users, seed):
+        rng = np.random.default_rng(seed)
+        cell = make_cell(site_pos=(*rng.uniform(-300.0, 300.0, 2),
+                                   rng.uniform(0.0, 60.0)),
+                         azimuth_deg=rng.uniform(0.0, 360.0),
+                         tilt_deg=rng.uniform(0.0, 15.0),
+                         tx_power_dbm=rng.uniform(30.0, 53.0),
+                         pattern_id=pattern_id, carrier_on=carrier_on)
+        pos = rng.uniform(-1500.0, 1500.0, (n_users, 2))
+        shadow = ShadowField(seed, "c1", 4.0, 50.0) if shadowed else None
+        best, idx = best_beam_rsrp_dbm(cell, pos, 3.55, shadow)
+        per_beam = np.stack([compute_rsrp_dbm(cell, b, pos, 3.55, shadow)
+                             for b in cell.beams])
+        assert np.array_equal(best, per_beam.max(axis=0))
+        assert np.array_equal(idx, per_beam.argmax(axis=0))
+        naive = np.stack([naive_rsrp(cell, b, pos, 3.55, shadow)
+                          for b in cell.beams])
+        assert np.array_equal(per_beam, naive)
+
+    def test_carrier_off_reports_no_signal_on_beam_zero(self):
+        pos = np.array([[100.0, 0.0], [0.0, 100.0]])
+        best, idx = best_beam_rsrp_dbm(make_cell(carrier_on=False), pos, 3.55)
+        assert np.all(best == NO_SIGNAL_DBM) and np.all(idx == 0)
 
 
 class TestShadowField:

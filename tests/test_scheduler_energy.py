@@ -1,9 +1,71 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ranopt.simcore import aau_power_w, collision_ratio, energy_step, schedule_and_rate
+from ranopt.simcore import (aau_power_w, collision_ratio, compute_sinr_db,
+                            dbm_to_mw, energy_step, noise_dbm,
+                            schedule_and_rate)
+from ranopt.simcore.scheduler import attach_and_rate
 
 from conftest import make_cell
+
+
+def naive_attach_and_rate(rsrp, cells, bandwidth_mhz, demand):
+    """Per-user attachment and per-cell SINR/rate loop, as a reference."""
+    n_cells, n_users = rsrp.shape
+    serving = np.full(n_users, -1)
+    for k in range(n_users):
+        for i, c in enumerate(cells):
+            s = serving[k]
+            if c.carrier_on and (s < 0 or rsrp[i, k] + c.cio_db
+                                 > rsrp[s, k] + cells[s].cio_db):
+                serving[k] = i
+    sinr = np.full(n_users, np.nan)
+    rate = np.zeros(n_users)
+    best_int = np.full(n_users, -np.inf)
+    throughput = np.zeros(n_cells)
+    rbur = np.zeros(n_cells)
+    noise_mw = dbm_to_mw(noise_dbm(bandwidth_mhz))
+    for i, c in enumerate(cells):
+        idx = [k for k in range(n_users) if serving[k] == i]
+        if not idx:
+            continue
+        others = [j for j in range(n_cells) if j != i and cells[j].carrier_on]
+        sinr[idx] = compute_sinr_db(dbm_to_mw(rsrp[i, idx]),
+                                    [dbm_to_mw(rsrp[j, idx]) for j in others],
+                                    noise_mw)
+        for k in idx:
+            best_int[k] = max((rsrp[j, k] for j in others), default=-np.inf)
+        rate[idx], throughput[i], rbur[i] = schedule_and_rate(
+            bandwidth_mhz * c.channel_fraction, sinr[idx], demand[idx])
+    return serving, sinr, rate, best_int, throughput, rbur
+
+
+class TestAttachAndRate:
+    @settings(max_examples=200, deadline=None)
+    @given(n_cells=st.integers(1, 5), n_users=st.integers(0, 40),
+           on_bits=st.integers(0, 31), per_user_demand=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_cells=3, n_users=2, on_bits=7, per_user_demand=False, seed=0)
+    @example(n_cells=3, n_users=10, on_bits=2, per_user_demand=True, seed=1)
+    @example(n_cells=2, n_users=10, on_bits=0, per_user_demand=True, seed=2)
+    def test_equals_naive_loop_bit_for_bit(self, n_cells, n_users, on_bits,
+                                           per_user_demand, seed):
+        rng = np.random.default_rng(seed)
+        cells = [make_cell(f"c{i}", carrier_on=bool(on_bits >> i & 1),
+                           cio_db=float(rng.choice([-3.0, 0.0, 3.0])),
+                           channel_fraction=float(rng.choice([1.0, 0.5])))
+                 for i in range(n_cells)]
+        # integer dBm values make ties in the attachment rule likely
+        rsrp = rng.integers(-156, -31, (n_cells, n_users)).astype(float)
+        rsrp[[not c.carrier_on for c in cells]] = -200.0
+        demand = rng.uniform(1.0, 300.0, n_users) if per_user_demand \
+            else np.full(n_users, 150.0)
+        got = attach_and_rate(rsrp, cells, 100.0,
+                              demand if per_user_demand else 150.0)
+        want = naive_attach_and_rate(rsrp, cells, 100.0, demand)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestScheduler:
