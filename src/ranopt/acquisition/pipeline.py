@@ -1,15 +1,19 @@
 """Ingest -> clean -> transform -> load pipeline feeding the warehouse.
 
-Streaming records arrive one at a time (in-process or via the socket/watch
-bindings); batch files are CSV or tab-separated TXT. A bounded buffer sits
-between ingestion and the clean/transform/load stages; producers block when
-it is full while a worker runs, and drain it inline when none was started.
+Every input goes through one row parser (`parse_header`, `parse_row`): CSV
+and TXT files via `ingest_batch` and the socket via `sources`, both read by
+`read_rows`, and the closed loop's in-memory simulator rows via `ingest_rows`.
+A bounded buffer sits between ingestion and the clean/transform/load stages;
+producers block when it is full while a worker runs, and drain it inline
+when none was started.
 """
 from __future__ import annotations
 
+import csv
 import queue
 import re
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import FileRejected, UnknownSource
@@ -26,29 +30,70 @@ MEASUREMENT_HEADER_KBPS = tuple(
     "rate_kbps" if c == "rate_mbps" else c for c in MEASUREMENT_HEADER)
 KPI_HEADER = KpiRecord.CSV_HEADER
 
+ENVELOPE = ("source_tag", "seq_no")
+
 _HASHED_ID = re.compile(r"^h[0-9a-f]{16}$")
+
+
+@dataclass(frozen=True)
+class Header:
+    columns: tuple[str, ...]
+    payload: tuple[str, ...]  # one of the three payload schemas
+    enveloped: bool  # starts with ENVELOPE
+    default_source: str  # the source of rows without the envelope
+
+
+def parse_header(cells) -> Header | None:
+    """The header these cells name, or None if no known schema matches."""
+    columns = tuple(cells)
+    enveloped = columns[:2] == ENVELOPE
+    payload = columns[2:] if enveloped else columns
+    if payload not in (MEASUREMENT_HEADER, MEASUREMENT_HEADER_KBPS,
+                       KPI_HEADER):
+        return None
+    return Header(columns, payload, enveloped, "drive-test"
+                  if payload[0] == "timestamp_s" else "network-management")
+
+
+def _reject(code: RejectCode, field, values, line_no=None) -> RejectReason:
+    """A reject whose raw text is the record's values, comma-joined."""
+    return RejectReason(code, field, ",".join(map(str, values)), line_no)
+
+
+def read_rows(lines, delimiter: str = ","):
+    """Yield (line_no, cells) for each non-blank row of CSV text; a quoted
+    row may span lines and is numbered by the line it starts on."""
+    reader = csv.reader(lines, delimiter=delimiter)
+    line_no = 1
+    try:
+        for cells in reader:
+            if any(map(str.strip, cells)):
+                yield line_no, cells
+            line_no = reader.line_num + 1
+    except csv.Error:  # a quote left open ran past the field limit
+        yield line_no, []  # the rest of the text is that one bad row
 
 
 class AcquisitionPipeline:
     def __init__(self, warehouse, known_cells, hash_key: bytes = b"ranopt-default",
-                 sources=SOURCE_TAGS, buffer_size: int = 1024):
+                 buffer_size: int = 1024):
         self.warehouse = warehouse
         self.known_cells = set(known_cells)
         self.hash_key = hash_key
-        self.sources = set(sources)
         self._queue: queue.Queue = queue.Queue(maxsize=buffer_size)
         self._seen: set[tuple[str, int]] = set()
         self._auto_seq: dict[str, int] = {}
         self._worker: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
-        self.counters = {"ingested": 0, "duplicates": 0, "kept": 0, "rejected": 0}
+        self.counters = {"ingested": 0, "duplicates": 0, "kept": 0,
+                         "rejected": 0, "files_rejected": 0}
         self.rejects: list[tuple[RawRecord, RejectReason]] = []
 
     # -- stream ingestion ----------------------------------------------
     def ingest_stream(self, record: RawRecord) -> str:
         """Returns "accepted" or "duplicate"; duplicates never reach the pipeline."""
-        if record.source_tag not in self.sources:
+        if record.source_tag not in SOURCE_TAGS:
             raise UnknownSource(f"source {record.source_tag!r} not registered")
         with self._lock:
             key = (record.source_tag, record.seq_no)
@@ -64,71 +109,70 @@ class AcquisitionPipeline:
             except queue.Full:
                 self.drain()
 
-    def next_seq(self, source_tag: str) -> int:
-        with self._lock:
-            n = self._auto_seq.get(source_tag, 0)
-            self._auto_seq[source_tag] = n + 1
-            return n
+    # -- row parsing and batch ingestion ---------------------------------
+    def parse_row(self, header: Header, cells, line_no: int | None = None
+                  ) -> RawRecord | RejectReason:
+        """A row of cells as a record, or a line-level reject.  A row without
+        the envelope gets the next sequence number of the default source."""
+        if len(cells) != len(header.columns):
+            return _reject(RejectCode.UNPARSABLE_VALUE, None, cells, line_no)
+        if not header.enveloped:
+            source = header.default_source
+            with self._lock:
+                seq = self._auto_seq.get(source, 0)
+                self._auto_seq[source] = seq + 1
+            return RawRecord(source, seq, dict(zip(header.payload, cells)))
+        try:
+            seq = int(cells[1])
+        except ValueError:
+            return _reject(RejectCode.UNPARSABLE_VALUE, "seq_no", cells, line_no)
+        return RawRecord(cells[0], seq, dict(zip(header.payload, cells[2:])))
 
-    # -- batch ingestion ------------------------------------------------
+    def ingest_rows(self, header: Header, rows
+                    ) -> tuple[int, list[RejectReason]]:
+        """Ingest (line_no, cells) pairs; returns (accepted, line rejects)."""
+        accepted = 0
+        rejects: list[RejectReason] = []
+        for line_no, cells in rows:
+            record = self.parse_row(header, cells, line_no)
+            if isinstance(record, RejectReason):
+                rejects.append(record)
+            elif self.ingest_stream(record) == "accepted":
+                accepted += 1
+        return accepted, rejects
+
     def ingest_batch(self, file_path) -> tuple[int, list[RejectReason]]:
         """Ingest a CSV (comma) or TXT (tab) file; header mismatch rejects
         the whole file, unreadable lines reject individually."""
         path = Path(file_path)
         delim = "\t" if path.suffix.lower() == ".txt" else ","
         with open(path, newline="") as f:
-            lines = f.read().splitlines()
-        if not lines or not lines[0].strip():
-            raise FileRejected(f"{path}: missing header")
-        header = tuple(lines[0].split(delim))
-        has_envelope = header[:2] == ("source_tag", "seq_no")
-        payload_header = header[2:] if has_envelope else header
-        if payload_header not in (MEASUREMENT_HEADER, MEASUREMENT_HEADER_KBPS,
-                                  KPI_HEADER):
-            raise FileRejected(f"{path}: unrecognized header {payload_header}")
-        default_source = ("drive-test"
-                          if payload_header[0] == "timestamp_s" else
-                          "network-management")
-        accepted = 0
-        rejects: list[RejectReason] = []
-        for line_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(delim)
-            if len(parts) != len(header):
-                rejects.append(RejectReason(RejectCode.UNPARSABLE_VALUE, None,
-                                            line, line_no))
-                continue
-            if has_envelope:
-                source = parts[0]
-                try:
-                    seq = int(parts[1])
-                except ValueError:
-                    rejects.append(RejectReason(RejectCode.UNPARSABLE_VALUE,
-                                                "seq_no", line, line_no))
-                    continue
-                payload = dict(zip(payload_header, parts[2:]))
-            else:
-                source = default_source
-                seq = self.next_seq(source)
-                payload = dict(zip(payload_header, parts))
-            ack = self.ingest_stream(RawRecord(source, seq, payload))
-            if ack == "accepted":
-                accepted += 1
-        return accepted, rejects
+            rows = read_rows(f, delim)
+            _, cells = next(rows, (None, ()))
+            header = parse_header(cells)
+            if header is None:
+                raise FileRejected(f"{path}: unrecognized header {cells}")
+            return self.ingest_rows(header, rows)
+
+    def reject_file(self, message: str) -> None:
+        """Record a file refused as a whole, e.g. for its header."""
+        with self._lock:
+            self.counters["files_rejected"] += 1
+            self.rejects.append((
+                RawRecord("drive-test", -1, {}),
+                RejectReason(RejectCode.UNPARSABLE_VALUE, None, message)))
 
     # -- clean ----------------------------------------------------------
     def clean_one(self, record: RawRecord) -> RejectReason | None:
         payload = record.payload
-        raw = ",".join(str(v) for v in payload.values())
         if "timestamp_s" in payload or "rsrp_dbm" in payload:
             mandatory = MEASUREMENT_HEADER_KBPS if "rate_kbps" in payload \
                 else MEASUREMENT_HEADER
         else:
             mandatory = KPI_HEADER
         for f in mandatory:
-            if f not in payload or str(payload[f]) == "":
-                return RejectReason(RejectCode.MISSING_FIELD, f, raw)
+            if f not in payload or payload[f] == "":
+                return _reject(RejectCode.MISSING_FIELD, f, payload.values())
         numeric = [f for f in mandatory
                    if f not in ("user_id", "cell_id", "signal_type")]
         vals = {}
@@ -136,16 +180,16 @@ class AcquisitionPipeline:
             try:
                 vals[f] = float(payload[f])
             except (TypeError, ValueError):
-                return RejectReason(RejectCode.UNPARSABLE_VALUE, f, raw)
+                return _reject(RejectCode.UNPARSABLE_VALUE, f, payload.values())
         if "rsrp_dbm" in vals and not (RSRP_MIN_DBM <= vals["rsrp_dbm"] <= RSRP_MAX_DBM):
-            return RejectReason(RejectCode.OUT_OF_RANGE, "rsrp_dbm", raw)
+            return _reject(RejectCode.OUT_OF_RANGE, "rsrp_dbm", payload.values())
         if "sinr_db" in vals and not (SINR_MIN_DB <= vals["sinr_db"] <= SINR_MAX_DB):
-            return RejectReason(RejectCode.OUT_OF_RANGE, "sinr_db", raw)
+            return _reject(RejectCode.OUT_OF_RANGE, "sinr_db", payload.values())
         for rate_field in ("rate_mbps", "rate_kbps", "throughput_mbps"):
             if rate_field in vals and vals[rate_field] < 0.0:
-                return RejectReason(RejectCode.OUT_OF_RANGE, rate_field, raw)
+                return _reject(RejectCode.OUT_OF_RANGE, rate_field, payload.values())
         if payload.get("cell_id") not in self.known_cells:
-            return RejectReason(RejectCode.INCONSISTENT_IDS, "cell_id", raw)
+            return _reject(RejectCode.INCONSISTENT_IDS, "cell_id", payload.values())
         return None
 
     def clean(self, records) -> tuple[list[RawRecord],
@@ -156,9 +200,8 @@ class AcquisitionPipeline:
         for r in records:
             key = (r.source_tag, r.seq_no)
             if key in seen:
-                rejected.append((r, RejectReason(
-                    RejectCode.DUPLICATE_SEQ, "seq_no",
-                    ",".join(str(v) for v in r.payload.values()))))
+                rejected.append((r, _reject(RejectCode.DUPLICATE_SEQ, "seq_no",
+                                            r.payload.values())))
                 continue
             seen.add(key)
             reason = self.clean_one(r)
@@ -261,16 +304,19 @@ class AcquisitionPipeline:
 
     # -- pipeline driving ----------------------------------------------
     def _process_one(self, record: RawRecord) -> None:
-        reason = self.clean_one(record)
-        if reason is not None:
+        """Clean, transform and load one record taken from the buffer."""
+        try:
+            reason = self.clean_one(record)
+            if reason is not None:
+                with self._lock:
+                    self.counters["rejected"] += 1
+                    self.rejects.append((record, reason))
+                return
+            self.load([self.transform(record)])
             with self._lock:
-                self.counters["rejected"] += 1
-                self.rejects.append((record, reason))
-            return
-        canonical = self.transform(record)
-        self.load([canonical])
-        with self._lock:
-            self.counters["kept"] += 1
+                self.counters["kept"] += 1
+        finally:
+            self._queue.task_done()
 
     def drain(self) -> None:
         """Synchronously process everything currently buffered."""
@@ -279,10 +325,7 @@ class AcquisitionPipeline:
                 record = self._queue.get_nowait()
             except queue.Empty:
                 return
-            try:
-                self._process_one(record)
-            finally:
-                self._queue.task_done()
+            self._process_one(record)
 
     def start(self) -> None:
         if self._worker is not None:
@@ -297,10 +340,7 @@ class AcquisitionPipeline:
                 record = self._queue.get(timeout=0.05)
             except queue.Empty:
                 continue
-            try:
-                self._process_one(record)
-            finally:
-                self._queue.task_done()
+            self._process_one(record)
 
     def quiesce(self) -> None:
         """Block until the buffer is fully processed."""

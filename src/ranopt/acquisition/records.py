@@ -31,7 +31,7 @@ class RejectReason:
 class RawRecord:
     source_tag: str
     seq_no: int
-    payload: dict[str, str]  # ordered field map of text values
+    payload: dict[str, object]  # text (files, socket) or native values (loop)
 
 
 # Canonical field orders per record kind; the pipeline emits exactly these.

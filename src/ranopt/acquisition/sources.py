@@ -1,47 +1,39 @@
 """Stream bindings: newline-delimited CSV over TCP, and a watched directory.
 
-Socket wire format: first line is a header whose leading columns are
-source_tag and seq_no, remaining columns one of the known payload schemas;
-every following line is one record.
+Socket wire format: the first row is a header whose leading columns are
+source_tag and seq_no, the remaining columns one of the known payload
+schemas; every following row is one record, parsed by the pipeline's row
+parser and answered with one ack line (``accepted``, ``duplicate``,
+``rejected bad-line`` or ``rejected bad-seq``).
 """
 from __future__ import annotations
 
+import io
 import socketserver
 import threading
-import time
 from pathlib import Path
 
 from ..errors import FileRejected
-from .pipeline import (AcquisitionPipeline, KPI_HEADER, MEASUREMENT_HEADER,
-                       MEASUREMENT_HEADER_KBPS)
-from .records import RawRecord, RejectCode, RejectReason
+from .pipeline import AcquisitionPipeline, parse_header, read_rows
+from .records import RejectReason
 
 
 class _StreamHandler(socketserver.StreamRequestHandler):
     def handle(self):
         pipeline: AcquisitionPipeline = self.server.pipeline  # type: ignore
-        header_line = self.rfile.readline().decode().rstrip("\r\n")
-        header = tuple(header_line.split(","))
-        if header[:2] != ("source_tag", "seq_no") or header[2:] not in (
-                MEASUREMENT_HEADER, MEASUREMENT_HEADER_KBPS, KPI_HEADER):
+        rows = read_rows(io.TextIOWrapper(self.rfile, encoding="utf-8",
+                                          newline=""))
+        header = parse_header(next(rows, (None, ()))[1])
+        if header is None or not header.enveloped:
             self.wfile.write(b"rejected bad-header\n")
             return
-        payload_header = header[2:]
-        for raw_line in self.rfile:
-            line = raw_line.decode().rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                self.wfile.write(b"rejected bad-line\n")
-                continue
-            try:
-                seq = int(parts[1])
-            except ValueError:
-                self.wfile.write(b"rejected bad-seq\n")
-                continue
-            ack = pipeline.ingest_stream(
-                RawRecord(parts[0], seq, dict(zip(payload_header, parts[2:]))))
+        for line_no, cells in rows:
+            record = pipeline.parse_row(header, cells, line_no)
+            if isinstance(record, RejectReason):
+                ack = ("rejected bad-seq" if record.field == "seq_no"
+                       else "rejected bad-line")
+            else:
+                ack = pipeline.ingest_stream(record)
             self.wfile.write(ack.encode() + b"\n")
 
 
@@ -59,29 +51,16 @@ class StreamServer(socketserver.ThreadingTCPServer):
         return t
 
 
-def watch_directory(directory, pipeline: AcquisitionPipeline,
-                    poll_s: float = 0.2, stop_event: threading.Event | None = None,
-                    max_batches: int | None = None) -> int:
-    """Poll a directory for new CSV/TXT files and ingest them once each."""
-    seen: set[str] = set()
+def watch_directory(directory, pipeline: AcquisitionPipeline) -> int:
+    """Ingest every CSV/TXT file of a directory, in name order; a file
+    refused as a whole is recorded with `reject_file`."""
     processed = 0
-    directory = Path(directory)
-    while True:
-        for path in sorted(directory.glob("*")):
-            if path.suffix.lower() not in (".csv", ".txt") or path.name in seen:
-                continue
-            seen.add(path.name)
-            try:
-                pipeline.ingest_batch(path)
-            except FileRejected:
-                pipeline.rejects.append((
-                    RawRecord("drive-test", -1, {}),
-                    RejectReason(RejectCode.UNPARSABLE_VALUE, None, str(path))))
-            processed += 1
-            if max_batches is not None and processed >= max_batches:
-                return processed
-        if stop_event is not None and stop_event.is_set():
-            return processed
-        if max_batches is None and stop_event is None:
-            return processed
-        time.sleep(poll_s)
+    for path in sorted(Path(directory).glob("*")):
+        if path.suffix.lower() not in (".csv", ".txt"):
+            continue
+        try:
+            pipeline.ingest_batch(path)
+        except FileRejected as e:
+            pipeline.reject_file(str(e))
+        processed += 1
+    return processed

@@ -4,20 +4,20 @@ Each epoch simulates one sense window, ingests it through the acquisition
 pipeline into the warehouse, computes a baseline KPI snapshot from warehouse
 queries alone, asks the use case's optimizer for one command, applies it,
 then verifies over one more window and rolls the command back if the
-objective regressed by more than 1%.
+objective regressed by more than 1%.  Sensing stays in memory: the
+simulator's rows go straight to the pipeline's row parser, with no file.
 """
 from __future__ import annotations
 
 import copy
 import json
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from ..acquisition.pipeline import AcquisitionPipeline
+from ..acquisition.pipeline import AcquisitionPipeline, parse_header
 from ..ai import dqn as dqn_mod
 from ..ai import mimo as mimo_mod
 from ..ai.forecast import MIN_HISTORY, TrafficForecaster
@@ -27,7 +27,7 @@ from ..errors import InsufficientHistory, ValidationError
 from ..simcore import engine
 from ..simcore.energy import energy_step
 from ..simcore.radio import best_beam_rsrp_dbm, dbm_to_mw
-from ..simcore.types import Scenario
+from ..simcore.types import KpiRecord, MeasurementRecord, Scenario
 from ..warehouse.store import Warehouse
 from ..warehouse.subjects import (SUBJECT_BEAM, SUBJECT_ENERGY,
                                   SUBJECT_INTERFERENCE, SUBJECT_THROUGHPUT,
@@ -39,6 +39,8 @@ ROLLBACK_TOLERANCE = 0.01
 WINDOW_LEN_S = 3600.0
 QOS_SERVED_FLOOR = 0.99
 ENERGY_FORECAST_HORIZON = 4
+_SENSE_HEADERS = (parse_header(MeasurementRecord.CSV_HEADER),
+                  parse_header(KpiRecord.CSV_HEADER))
 
 
 @dataclass
@@ -110,9 +112,7 @@ class ClosedLoop:
         self.scenario = copy.deepcopy(scenario)
         self.models = models or {}
         self.optimizer_override = optimizer_override
-        self._tmp = None if workdir \
-            else tempfile.TemporaryDirectory(prefix="ranopt-loop-")
-        self.workdir = Path(workdir) if workdir else Path(self._tmp.name)
+        # workdir is ignored, sensing writes no file; bench/workloads.py passes it
         self.warehouse = Warehouse()
         create_bundled_subjects(self.warehouse)
         self.pipeline = AcquisitionPipeline(
@@ -125,11 +125,6 @@ class ClosedLoop:
         self.command_log = CommandLog()
         self.entries: list[dict] = []
 
-    def close(self) -> None:
-        """Remove the temp dir the loop created, if any."""
-        if self._tmp is not None:
-            self._tmp.cleanup()
-
     # -- plumbing -------------------------------------------------------
     def _cells(self) -> dict:
         return {c.cell_id: c for c in self.scenario.cells}
@@ -137,10 +132,10 @@ class ClosedLoop:
     def _sense_window(self) -> tuple[float, float]:
         """Stage 1/5: simulate one window and ingest it into the warehouse."""
         meas, kpis = engine.step(self.scenario, self.window_len_s, self.t)
-        mpath, kpath = engine.emit_window_csvs(
-            self.workdir, meas, kpis, suffix=f"-{int(self.t)}")
-        self.pipeline.ingest_batch(mpath)
-        self.pipeline.ingest_batch(kpath)
+        for header, records in zip(_SENSE_HEADERS, (meas, kpis)):
+            # rows are numbered as the lines of the simulator's CSV file
+            self.pipeline.ingest_rows(
+                header, enumerate((r.csv_row() for r in records), start=2))
         self.pipeline.quiesce()
         t0 = self.t
         self.t += self.window_len_s
@@ -393,16 +388,11 @@ def prepare_models(scenario: Scenario, use_case: str, seed: int,
 
 def run_closed_loop(scenario: Scenario, use_case: str, epochs: int,
                     seed: int = 0, models: dict | None = None,
-                    warm_up_windows: int | None = None,
-                    workdir=None) -> LoopReport:
+                    warm_up_windows: int | None = None) -> LoopReport:
     if use_case == "interference":
         models = prepare_models(scenario, use_case, seed, models=models)
-    loop = ClosedLoop(scenario, use_case, seed=seed, models=models,
-                      workdir=workdir)
+    loop = ClosedLoop(scenario, use_case, seed=seed, models=models)
     if warm_up_windows is None:
         warm_up_windows = MIN_HISTORY if use_case == "energy" else 0
-    try:
-        loop.warm_up(warm_up_windows)
-        return loop.run(epochs)
-    finally:
-        loop.close()
+    loop.warm_up(warm_up_windows)
+    return loop.run(epochs)

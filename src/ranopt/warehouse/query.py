@@ -114,7 +114,7 @@ def run_aggregates(task: QueryTask, spec, rows: list[tuple]) -> ResultTable:
         groups[()] = []
     header = list(task.group_by) + [f"{agg}({col})" for agg, col in task.aggregates]
     out = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+    for key in sorted(groups):  # each column has one dtype
         grp = groups[key]
         vals = []
         for agg, col in task.aggregates:

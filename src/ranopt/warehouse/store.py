@@ -245,7 +245,7 @@ class Warehouse:
         return {"appended": sub.appended_total, "expired": sub.expired_total,
                 "retained": self.row_count(subject)}
 
-    # -- export / import ------------------------------------------------
+    # -- export ---------------------------------------------------------
     def export_subject(self, subject: str, csv_path, sidecar_path) -> None:
         import csv as _csv
         sub = self._get(subject)
@@ -256,16 +256,3 @@ class Warehouse:
             w.writerow([c.name for c in sub.spec.columns])
             for row in self.scan(subject):
                 w.writerow(row)
-
-    def import_subject(self, csv_path, sidecar_path) -> int:
-        import csv as _csv
-        with open(sidecar_path) as f:
-            spec = SubjectSpec.from_dict(json.load(f))
-        self.create_subject(spec)
-        with open(csv_path, newline="") as f:
-            r = _csv.reader(f)
-            header = next(r, None)
-            if header != [c.name for c in spec.columns]:
-                raise SchemaError("csv header does not match sidecar schema")
-            rows = [tuple(line) for line in r]
-        return self.append(spec.name, rows)

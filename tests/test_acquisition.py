@@ -1,10 +1,14 @@
+import csv
+import io
 import socket
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ranopt.acquisition import (AcquisitionPipeline, RawRecord, RejectCode,
-                                StreamServer, watch_directory)
+                                StreamServer, hash_user_id, watch_directory)
+from ranopt.acquisition.pipeline import ENVELOPE, parse_header
 from ranopt.errors import FileRejected, UnknownSource
 from ranopt.simcore import emit_window_csvs, step
 from ranopt.warehouse import QueryTask, Warehouse, create_bundled_subjects
@@ -35,6 +39,25 @@ def fresh_pipeline():
     wh = Warehouse()
     create_bundled_subjects(wh)
     return AcquisitionPipeline(wh, KNOWN_CELLS, hash_key=b"test-key"), wh
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def send_over_tcp(pipe, text) -> list[str]:
+    """Send text to a stream server; returns its acks."""
+    server = StreamServer(("127.0.0.1", 0), pipe)
+    server.serve_in_background()
+    try:
+        with socket.create_connection(server.server_address) as s:
+            s.sendall(text.encode())
+            s.shutdown(socket.SHUT_WR)
+            return s.makefile("r").read().splitlines()
+    finally:
+        server.shutdown()
 
 
 class TestIngestStream:
@@ -253,6 +276,174 @@ class TestBatchFiles:
         assert wh.row_count("throughput") == len(k)
 
 
+class TestQuotedCsv:
+    def test_quoted_comma_kept_in_one_field(self, tmp_path):
+        pipe, wh = fresh_pipeline()
+        f = tmp_path / "m.csv"
+        with open(f, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(tuple(meas_payload()))
+            w.writerow(tuple(meas_payload(user_id="a,b").values()))
+        assert pipe.ingest_batch(f) == (1, [])
+        pipe.quiesce()
+        assert [r[1] for r in wh.scan("beam-management")] == [
+            hash_user_id("a,b", b"test-key")]
+
+    def test_line_numbers_of_mixed_file(self, tmp_path):
+        pipe, _ = fresh_pipeline()
+        cols = ENVELOPE + tuple(meas_payload())
+        good = ("drive-test", "{}") + tuple(meas_payload().values())
+        quoted = ("drive-test", "7") + tuple(
+            meas_payload(user_id="x,y").values())
+        f = tmp_path / "m.csv"
+        f.write_text("\n".join([
+            ",".join(cols),                                  # line 1
+            ",".join(good).format(0),                        # 2
+            "",                                              # 3 blank
+            "drive-test,1,short",                            # 4 bad-line
+            ",".join(good).format("one"),                    # 5 bad-seq
+            ",".join(f'"{c}"' if "," in c else c for c in quoted),  # 6
+            'drive-test,9,"two\nlines"',                     # 7-8 bad-line
+            ",".join(good).format(8),                        # 9
+            "drive-test,10",                                 # 10 bad-line
+        ]) + "\n")
+        accepted, rejects = pipe.ingest_batch(f)
+        assert accepted == 3
+        assert [(r.line_no, r.code, r.field) for r in rejects] == [
+            (4, RejectCode.UNPARSABLE_VALUE, None),
+            (5, RejectCode.UNPARSABLE_VALUE, "seq_no"),
+            (7, RejectCode.UNPARSABLE_VALUE, None),
+            (10, RejectCode.UNPARSABLE_VALUE, None)]
+
+    def test_unclosed_quote_is_one_bad_line(self, tmp_path):
+        # past the csv field limit the open quote raises inside the reader
+        good = ",".join(meas_payload().values())
+        for n_after in (3, 4000):
+            pipe, _ = fresh_pipeline()
+            f = tmp_path / "m.csv"
+            f.write_text("\n".join([",".join(meas_payload()), good,
+                                    '"unclosed' + good] + [good] * n_after))
+            accepted, rejects = pipe.ingest_batch(f)
+            assert (accepted, [r.line_no for r in rejects]) == (1, [3])
+
+
+# -- ingest equivalence: files, socket and in-memory rows share one parser --
+
+MEAS_COLS = tuple(meas_payload())
+KPI_COLS = tuple(kpi_payload())
+# (column to corrupt, bad value) per clean-stage reject kind
+CLEAN_FAULTS = {
+    "MissingField": {"m": ("rate_mbps", ""), "k": ("power_w", "")},
+    "OutOfRange": {"m": ("rsrp_dbm", "-400.0"), "k": ("throughput_mbps", "-5.0")},
+    "InconsistentIds": {"m": ("cell_id", "ghost"), "k": ("cell_id", "ghost")},
+    "UnparsableValue": {"m": ("sinr_db", "loud"), "k": ("rbur", "loud")},
+}
+ROW_KINDS = ("ok", "resend", "short", "bad-seq") + tuple(CLEAN_FAULTS)
+
+
+def corpus_rows(kind_of_batch, kinds, enveloped, users):
+    """Text rows (header first) of one batch with the given row kinds."""
+    cols = MEAS_COLS if kind_of_batch == "m" else KPI_COLS
+    source = "drive-test" if kind_of_batch == "m" else "network-management"
+    rows = [list(ENVELOPE + cols) if enveloped else list(cols)]
+    sent = []
+    for i, kind in enumerate(kinds):
+        if kind_of_batch == "m":
+            payload = meas_payload(timestamp_s=float(i), user_id=users[i],
+                                   cell_id=("c1", "c2")[i % 2],
+                                   rsrp_dbm=-60.0 - i)
+        else:
+            payload = kpi_payload(window_start_s=3600.0 * i,
+                                  num_users=i, rbur=i / 100)
+        if kind in CLEAN_FAULTS:
+            col, bad = CLEAN_FAULTS[kind][kind_of_batch]
+            payload[col] = bad
+        cells = list(payload.values())
+        if enveloped:
+            cells = [source, "x" if kind == "bad-seq" else str(i)] + cells
+        if kind == "resend" and sent:
+            cells = sent[i % len(sent)]
+        elif kind == "short":
+            cells = cells[:-1]
+        else:
+            sent.append(cells)
+        rows.append(cells)
+    return rows
+
+
+def write_rows(path, rows, delimiter):
+    with open(path, "w", newline="") as f:
+        csv.writer(f, delimiter=delimiter).writerows(rows)
+
+
+def outcome(pipe, wh, line_rejects):
+    """Everything an ingest path decides, in comparable form."""
+    return (dict(pipe.counters),
+            [(r.source_tag, r.seq_no, reason.code)
+             for r, reason in pipe.rejects],
+            [(r.line_no, r.code, r.field) for r in line_rejects],
+            {subject: wh.scan(subject) for subject in wh.list_subjects()})
+
+
+def ingest_files(tmp_path, batches, suffix, delimiter):
+    pipe, wh = fresh_pipeline()
+    line_rejects = []
+    for name, rows in batches:
+        path = tmp_path / f"{name}{suffix}"
+        write_rows(path, rows, delimiter)
+        line_rejects += pipe.ingest_batch(path)[1]
+    pipe.quiesce()
+    return outcome(pipe, wh, line_rejects)
+
+
+def ingest_in_memory(batches):
+    pipe, wh = fresh_pipeline()
+    line_rejects = []
+    for _, rows in batches:
+        line_rejects += pipe.ingest_rows(parse_header(rows[0]),
+                                         enumerate(rows[1:], start=2))[1]
+    pipe.quiesce()
+    return outcome(pipe, wh, line_rejects)
+
+
+class TestIngestEquivalence:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(meas_kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=25),
+           kpi_kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=10),
+           enveloped=st.tuples(st.booleans(), st.booleans()),
+           users=st.lists(st.text(alphabet='ab ,;"\'', min_size=1,
+                                  max_size=4), min_size=25, max_size=25))
+    def test_csv_txt_and_memory_agree(self, tmp_path, meas_kinds, kpi_kinds,
+                                      enveloped, users):
+        batches = [("m", corpus_rows("m", meas_kinds, enveloped[0], users)),
+                   ("k", corpus_rows("k", kpi_kinds, enveloped[1], users))]
+        from_csv = ingest_files(tmp_path, batches, ".csv", ",")
+        assert ingest_files(tmp_path, batches, ".txt", "\t") == from_csv
+        assert ingest_in_memory(batches) == from_csv
+        counters = from_csv[0]
+        assert counters["ingested"] == counters["kept"] + counters["rejected"]
+
+    def test_socket_matches_batch(self, tmp_path):
+        kinds = list(ROW_KINDS) * 3
+        users = ["a,b", 'say "hi"', "plain", " padded "] * 10
+        rows = corpus_rows("m", kinds, True, users)
+        batch = ingest_files(tmp_path, [("m", rows)], ".csv", ",")
+        pipe, wh = fresh_pipeline()
+        pipe.start()
+        try:
+            acks = send_over_tcp(pipe, csv_text(rows))
+        finally:
+            pipe.stop()
+        counters, rejects, line_rejects, scans = batch
+        assert outcome(pipe, wh, []) == (counters, rejects, [], scans)
+        assert acks.count("rejected bad-line") == kinds.count("short")
+        assert acks.count("rejected bad-seq") == kinds.count("bad-seq")
+        assert len(line_rejects) == kinds.count("short") + kinds.count("bad-seq")
+        assert acks.count("duplicate") == counters["duplicates"] > 0
+        assert len(acks) == len(kinds)
+
+
 class TestConservationAndDeidentification:
     def test_pipeline_conservation(self):
         pipe, _ = fresh_pipeline()
@@ -306,6 +497,23 @@ class TestNoWorker:
         assert wh.row_count("beam-management") == 1485
 
 
+class TestWatchDirectory:
+    def test_bad_header_file_among_good_ones(self, tmp_path):
+        pipe, wh = fresh_pipeline()
+        for name, user in (("a.csv", "u1"), ("c.csv", "u2")):
+            write_rows(tmp_path / name, [MEAS_COLS, tuple(
+                meas_payload(user_id=user).values())], ",")
+        (tmp_path / "b.csv").write_text("a,b,c\n1,2,3\n")
+        assert watch_directory(tmp_path, pipe) == 3
+        pipe.quiesce()
+        c = pipe.counters
+        assert c["files_rejected"] == 1
+        assert c["ingested"] == c["kept"] + c["rejected"] == 2
+        assert wh.row_count("beam-management") == 2
+        [(_, reason)] = pipe.rejects
+        assert "b.csv: unrecognized header" in reason.raw
+
+
 class TestSocketBinding:
     def test_stream_over_tcp(self):
         pipe, wh = fresh_pipeline()
@@ -331,3 +539,27 @@ class TestSocketBinding:
         finally:
             server.shutdown()
             pipe.stop()
+
+    def test_quoted_comma_over_tcp(self):
+        pipe, wh = fresh_pipeline()
+        acks = send_over_tcp(pipe, csv_text([
+            ENVELOPE + tuple(meas_payload()),
+            ("drive-test", "0") + tuple(meas_payload(user_id="a,b").values())]))
+        assert acks == ["accepted"]
+        pipe.quiesce()
+        assert [r[1] for r in wh.scan("beam-management")] == [
+            hash_user_id("a,b", b"test-key")]
+
+    def test_unclosed_quote_over_tcp(self):
+        pipe, _ = fresh_pipeline()
+        rows = [ENVELOPE + tuple(meas_payload())] + [
+            ("drive-test", str(i)) + tuple(meas_payload().values())
+            for i in range(3000)]
+        text = csv_text(rows[:3]) + '"open' + csv_text(rows[3:])
+        assert send_over_tcp(pipe, text) == ["accepted", "accepted",
+                                             "rejected bad-line"]
+
+    def test_header_without_envelope_rejected(self):
+        pipe, _ = fresh_pipeline()
+        assert send_over_tcp(pipe, csv_text([tuple(meas_payload())])) == [
+            "rejected bad-header"]

@@ -191,13 +191,18 @@ class TestUseCases:
 class TestTempDir:
     def test_run_without_workdir_leaves_no_temp_dir(self, tmp_path,
                                                     monkeypatch):
+        """Sensing stays in memory: a loop creates no file or directory."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        run_closed_loop(make_scenario(), "mimo", epochs=1, workdir=None)
+        monkeypatch.chdir(tmp_path)
+        loop = ClosedLoop(make_scenario(), "mimo")
+        loop.run_epoch()
+        assert list(tmp_path.iterdir()) == []  # not even while it runs
+        run_closed_loop(make_scenario(), "mimo", epochs=1)
         few_users = make_scenario(clusters=[HotspotCluster(
             center=(250.0, 0.0), std_m=40.0, mean_users=2.0)])
         with pytest.raises(InsufficientHistory):
-            run_closed_loop(few_users, "throughput", epochs=1, workdir=None)
-        assert not list(tmp_path.glob("ranopt-loop-*"))
+            run_closed_loop(few_users, "throughput", epochs=1)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -99,6 +99,20 @@ class TestQuery:
                               "max(rbur)"]
         assert res.rows == [("c1", 2, 40.0, 0.3), ("c2", 1, 99.0, 0.5)]
 
+    def test_numeric_group_keys_sort_by_value(self):
+        wh = Warehouse()
+        wh.create_subject(SubjectSpec("g", [Column("t_s", "float", "s"),
+                                            Column("n", "int"),
+                                            Column("x", "float")]))
+        wh.append("g", [(0.0, n, x) for n, x in
+                        ((10, -1.0), (9, -2.0), (10, -10.0), (100, -1.0))])
+        by_n = wh.query(QueryTask(subject="g", group_by=["n"],
+                                  aggregates=[("count", "*")]))
+        assert by_n.rows == [(9, 1), (10, 2), (100, 1)]
+        by_x = wh.query(QueryTask(subject="g", group_by=["x"],
+                                  aggregates=[("count", "*")]))
+        assert by_x.rows == [(-10.0, 1), (-2.0, 1), (-1.0, 2)]
+
     def test_filters_and_time_range(self):
         wh = fresh()
         wh.append("kpi", [(t, "c1", float(t), 0.1) for t in
