@@ -10,13 +10,14 @@ when none was started.
 from __future__ import annotations
 
 import csv
+import io
 import queue
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import FileRejected, UnknownSource
+from ..errors import FileRejected, RetentionError, UnknownSource
 from ..simcore.types import (KpiRecord, MeasurementRecord, RSRP_MAX_DBM,
                              RSRP_MIN_DBM, SINR_MAX_DB, SINR_MIN_DB)
 from ..warehouse.subjects import (SUBJECT_BEAM, SUBJECT_ENERGY,
@@ -33,6 +34,7 @@ KPI_HEADER = KpiRecord.CSV_HEADER
 ENVELOPE = ("source_tag", "seq_no")
 
 _HASHED_ID = re.compile(r"^h[0-9a-f]{16}$")
+_INT64 = float(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,7 @@ class AcquisitionPipeline:
         self.counters = {"ingested": 0, "duplicates": 0, "kept": 0,
                          "rejected": 0, "files_rejected": 0}
         self.rejects: list[tuple[RawRecord, RejectReason]] = []
+        self.file_rejects: list[tuple[str, str]] = []  # (path, message)
 
     # -- stream ingestion ----------------------------------------------
     def ingest_stream(self, record: RawRecord) -> str:
@@ -142,25 +145,28 @@ class AcquisitionPipeline:
         return accepted, rejects
 
     def ingest_batch(self, file_path) -> tuple[int, list[RejectReason]]:
-        """Ingest a CSV (comma) or TXT (tab) file; header mismatch rejects
-        the whole file, unreadable lines reject individually."""
+        """Ingest a CSV (comma) or TXT (tab) file; a header mismatch or text
+        that is not UTF-8 rejects the whole file, unreadable lines reject
+        individually."""
         path = Path(file_path)
         delim = "\t" if path.suffix.lower() == ".txt" else ","
-        with open(path, newline="") as f:
-            rows = read_rows(f, delim)
-            _, cells = next(rows, (None, ()))
-            header = parse_header(cells)
-            if header is None:
-                raise FileRejected(f"{path}: unrecognized header {cells}")
-            return self.ingest_rows(header, rows)
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FileRejected(f"{path}: not UTF-8 text ({e.reason} at "
+                               f"byte {e.start})") from None
+        rows = read_rows(io.StringIO(text, newline=""), delim)
+        _, cells = next(rows, (None, ()))
+        header = parse_header(cells)
+        if header is None:
+            raise FileRejected(f"{path}: unrecognized header {cells}")
+        return self.ingest_rows(header, rows)
 
-    def reject_file(self, message: str) -> None:
+    def reject_file(self, path, message: str) -> None:
         """Record a file refused as a whole, e.g. for its header."""
         with self._lock:
             self.counters["files_rejected"] += 1
-            self.rejects.append((
-                RawRecord("drive-test", -1, {}),
-                RejectReason(RejectCode.UNPARSABLE_VALUE, None, message)))
+            self.file_rejects.append((str(path), message))
 
     # -- clean ----------------------------------------------------------
     def clean_one(self, record: RawRecord) -> RejectReason | None:
@@ -168,8 +174,10 @@ class AcquisitionPipeline:
         if "timestamp_s" in payload or "rsrp_dbm" in payload:
             mandatory = MEASUREMENT_HEADER_KBPS if "rate_kbps" in payload \
                 else MEASUREMENT_HEADER
+            integral = ("timestamp_s", "beam_id")
         else:
             mandatory = KPI_HEADER
+            integral = ("window_start_s", "num_users")
         for f in mandatory:
             if f not in payload or payload[f] == "":
                 return _reject(RejectCode.MISSING_FIELD, f, payload.values())
@@ -181,6 +189,9 @@ class AcquisitionPipeline:
                 vals[f] = float(payload[f])
             except (TypeError, ValueError):
                 return _reject(RejectCode.UNPARSABLE_VALUE, f, payload.values())
+        for f in integral:  # stored as int64, or bucketed by the hour
+            if not -_INT64 <= vals[f] < _INT64:  # also false for NaN
+                return _reject(RejectCode.OUT_OF_RANGE, f, payload.values())
         if "rsrp_dbm" in vals and not (RSRP_MIN_DBM <= vals["rsrp_dbm"] <= RSRP_MAX_DBM):
             return _reject(RejectCode.OUT_OF_RANGE, "rsrp_dbm", payload.values())
         if "sinr_db" in vals and not (SINR_MIN_DB <= vals["sinr_db"] <= SINR_MAX_DB):
@@ -307,14 +318,18 @@ class AcquisitionPipeline:
         """Clean, transform and load one record taken from the buffer."""
         try:
             reason = self.clean_one(record)
-            if reason is not None:
-                with self._lock:
+            if reason is None:
+                try:
+                    self.load([self.transform(record)])
+                except RetentionError:  # older than the warehouse keeps
+                    reason = _reject(RejectCode.OUT_OF_RANGE, "t_s",
+                                     record.payload.values())
+            with self._lock:
+                if reason is None:
+                    self.counters["kept"] += 1
+                else:
                     self.counters["rejected"] += 1
                     self.rejects.append((record, reason))
-                return
-            self.load([self.transform(record)])
-            with self._lock:
-                self.counters["kept"] += 1
         finally:
             self._queue.task_done()
 

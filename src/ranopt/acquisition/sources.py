@@ -4,7 +4,8 @@ Socket wire format: the first row is a header whose leading columns are
 source_tag and seq_no, the remaining columns one of the known payload
 schemas; every following row is one record, parsed by the pipeline's row
 parser and answered with one ack line (``accepted``, ``duplicate``,
-``rejected bad-line`` or ``rejected bad-seq``).
+``rejected bad-line`` or ``rejected bad-seq``).  A row that is not UTF-8
+text is a bad line.
 """
 from __future__ import annotations
 
@@ -18,18 +19,32 @@ from .pipeline import AcquisitionPipeline, parse_header, read_rows
 from .records import RejectReason
 
 
+def _is_utf8(cells) -> bool:
+    """False for cells holding bytes that were not UTF-8 (read as lone
+    surrogates with the surrogateescape error handler)."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class _StreamHandler(socketserver.StreamRequestHandler):
     def handle(self):
         pipeline: AcquisitionPipeline = self.server.pipeline  # type: ignore
         rows = read_rows(io.TextIOWrapper(self.rfile, encoding="utf-8",
+                                          errors="surrogateescape",
                                           newline=""))
         header = parse_header(next(rows, (None, ()))[1])
         if header is None or not header.enveloped:
             self.wfile.write(b"rejected bad-header\n")
             return
         for line_no, cells in rows:
-            record = pipeline.parse_row(header, cells, line_no)
-            if isinstance(record, RejectReason):
+            record = (pipeline.parse_row(header, cells, line_no)
+                      if _is_utf8(cells) else None)
+            if record is None:
+                ack = "rejected bad-line"
+            elif isinstance(record, RejectReason):
                 ack = ("rejected bad-seq" if record.field == "seq_no"
                        else "rejected bad-line")
             else:
@@ -61,6 +76,6 @@ def watch_directory(directory, pipeline: AcquisitionPipeline) -> int:
         try:
             pipeline.ingest_batch(path)
         except FileRejected as e:
-            pipeline.reject_file(str(e))
+            pipeline.reject_file(path, str(e))
         processed += 1
     return processed

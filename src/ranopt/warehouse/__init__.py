@@ -1,4 +1,4 @@
-from .query import AGGREGATES, QueryTask, ResultTable, run_aggregates
+from .query import AGGREGATES, QueryTask, ResultTable
 from .store import Column, Partition, SubjectSpec, Warehouse
 from .subjects import (SUBJECT_BEAM, SUBJECT_ENERGY, SUBJECT_INTERFERENCE,
                        SUBJECT_THROUGHPUT, bundled_subjects,

@@ -28,9 +28,11 @@ class QueryTask:
         for _, op, _lit in self.filters:
             if op not in OPS:
                 raise SchemaError(f"unknown filter operator {op!r}")
-        for agg, _col in self.aggregates:
+        for agg, col in self.aggregates:
             if agg not in AGGREGATES:
                 raise SchemaError(f"unknown aggregate {agg!r}")
+            if col == "*" and agg != "count":
+                raise SchemaError(f"{agg}(*) is not defined; only count(*)")
 
     def referenced_columns(self):
         cols = [c for c, _, _ in self.filters] + list(self.group_by)
@@ -79,14 +81,16 @@ def aggregate_values(agg: str, values: list) -> float | int:
     if not len(values):
         return float("nan")
     a = np.asarray(values, dtype=float)
+    # the ufunc reductions behind ndarray.sum, .mean, .min and .max,
+    # without their Python-level wrappers
     if agg == "sum":
-        return float(a.sum())
+        return float(np.add.reduce(a))
     if agg == "mean":
-        return float(a.mean())
+        return float(np.add.reduce(a)) / len(a)
     if agg == "min":
-        return float(a.min())
+        return float(np.minimum.reduce(a))
     if agg == "max":
-        return float(a.max())
+        return float(np.maximum.reduce(a))
     if agg == "p50":
         return float(np.percentile(a, 50))
     if agg == "p95":
@@ -94,31 +98,49 @@ def aggregate_values(agg: str, values: list) -> float | int:
     raise SchemaError(f"unknown aggregate {agg!r}")
 
 
-def run_aggregates(task: QueryTask, spec, rows: list[tuple]) -> ResultTable:
-    """Filter/group/aggregate over raw row tuples; rows sorted by group key."""
-    idx = {c.name: i for i, c in enumerate(spec.columns)}
-    kept = []
-    for r in rows:
-        ok = True
-        for col, op, lit in task.filters:
-            if not OPS[op](r[idx[col]], lit):
-                ok = False
-                break
-        if ok:
-            kept.append(r)
-    groups: dict[tuple, list] = {}
-    for r in kept:
-        key = tuple(r[idx[c]] for c in task.group_by)
-        groups.setdefault(key, []).append(r)
-    if not task.group_by and not groups:
-        groups[()] = []
-    header = list(task.group_by) + [f"{agg}({col})" for agg, col in task.aggregates]
-    out = []
-    for key in sorted(groups):  # each column has one dtype
-        grp = groups[key]
-        vals = []
-        for agg, col in task.aggregates:
-            col_vals = grp if col == "*" else [r[idx[col]] for r in grp]
-            vals.append(aggregate_values(agg, col_vals))
-        out.append(tuple(key) + tuple(vals))
-    return ResultTable(header=header, rows=out)
+def run_query(task: QueryTask, columns: dict[str, np.ndarray],
+              strings: dict[str, list[str]], n: int) -> ResultTable:
+    """Filter, group and aggregate n rows held as column arrays, in scan
+    order: the referenced columns of `task`, a string column as codes into
+    its dictionary values `strings[column]`.  Groups are sorted by key
+    value."""
+    kept = None  # mask of the rows every filter keeps
+    for col, op, lit in task.filters:
+        values = columns[col]
+        if col in strings:  # evaluate once per dictionary value
+            mask = np.array([OPS[op](s, lit) for s in strings[col]],
+                            dtype=bool)[values]
+        else:
+            mask = OPS[op](values, lit)
+        kept = mask if kept is None else kept & mask
+    rows = None if kept is None else kept.nonzero()[0]  # in scan order
+    m = n if rows is None else len(rows)
+    if task.group_by:
+        keys = [columns[c] if rows is None else columns[c][rows]
+                for c in task.group_by]
+        order = (keys[0].argsort(kind="stable") if len(keys) == 1
+                 else np.lexsort(keys[::-1]))  # both stable
+        rows = order if rows is None else rows[order]
+        keys = [k[order] for k in keys]
+        change = keys[0][1:] != keys[0][:-1]
+        for k in keys[1:]:
+            change |= k[1:] != k[:-1]
+        starts = [0] + [i + 1 for i in change.nonzero()[0].tolist()] \
+            if m else []
+        cols = []
+        for c, k in zip(task.group_by, keys):
+            firsts = k[starts].tolist()  # each group's key, as a Python value
+            cols.append([strings[c][v] for v in firsts] if c in strings
+                        else firsts)
+        groups = sorted(zip(zip(*cols), starts, starts[1:] + [m]))
+    else:
+        groups = [((), 0, m)]
+    values = {c: columns[c] if rows is None else columns[c][rows]
+              for _, c in task.aggregates if c != "*"}
+    values["*"] = range(m)
+    header = list(task.group_by) + [f"{agg}({col})"
+                                    for agg, col in task.aggregates]
+    return ResultTable(header=header, rows=[
+        key + tuple(aggregate_values(agg, values[col][lo:hi])
+                    for agg, col in task.aggregates)
+        for key, lo, hi in groups])

@@ -1,8 +1,14 @@
 """Subject-oriented, append-only partitioned store with hot/cold tiering.
 
-Partitions are keyed by (subject, hour bucket). Hot partitions hold plain
-row tuples; cold partitions hold a compressed immutable block. Queries are
-transparent across tiers.
+Partitions are keyed by (subject, hour bucket).  Hot partitions take
+appends as plain row tuples and keep numpy column arrays of them, built
+when a query first reads a column.  Cold partitions hold one block per
+column of raw numpy bytes (float64, int64, or int32 codes for a string
+column), zlib-compressed when that at least halves them.  Each subject
+keeps one append-only dictionary per string column, so a code means the
+same value in every partition.  Queries read only the columns they
+reference, from both tiers alike, and run vectorized (`query.run_query`);
+`scan` returns rows as tuples of Python values.
 """
 from __future__ import annotations
 
@@ -10,17 +16,29 @@ import json
 import threading
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from ..errors import (AlreadyExists, DegenerateColumn, RetentionError,
                       SchemaError, SubjectNotFound)
-from .query import QueryTask, ResultTable, run_aggregates
+from .query import QueryTask, ResultTable, run_query
 
 HOT_WINDOW_S = 24 * 3600.0
 DEFAULT_RETENTION_HOURS = 7 * 24
 
-_DTYPES = {"str": str, "int": int, "float": float}
+_INT64 = 1 << 63
+
+
+def _int64(v) -> int:
+    i = int(v)
+    if not -_INT64 <= i < _INT64:
+        raise ValueError(f"{i} does not fit in 64 bits")
+    return i
+
+
+_DTYPES = {"str": str, "int": _int64, "float": float}
+_ARRAY_DTYPES = {"str": np.int32, "int": np.int64, "float": np.float64}
 
 
 @dataclass(frozen=True)
@@ -59,22 +77,13 @@ class SubjectSpec:
 
 @dataclass
 class Partition:
-    subject: str
     hour_bucket: int
     tier: str = "hot"
-    rows: list = field(default_factory=list)
-    blob: bytes | None = None
+    rows: list = field(default_factory=list)  # hot: row tuples
+    arrays: dict = field(default_factory=dict)  # hot: columns of the
+    arrays_rows: int = 0  # first arrays_rows rows, built when first read
+    blocks: dict = field(default_factory=dict)  # cold: see _block
     row_count: int = 0
-
-    def materialize(self) -> list:
-        if self.tier == "hot":
-            return self.rows
-        return [tuple(r) for r in json.loads(zlib.decompress(self.blob))]
-
-    def freeze(self) -> None:
-        self.blob = zlib.compress(json.dumps(self.rows).encode())
-        self.rows = []
-        self.tier = "cold"
 
 
 class _Subject:
@@ -82,8 +91,83 @@ class _Subject:
         self.spec = spec
         self.partitions: dict[int, Partition] = {}
         self.col_index = {c.name: i for i, c in enumerate(spec.columns)}
+        self.dtypes = {c.name: c.dtype for c in spec.columns}
+        # per string column, the code of each value and the values by code;
+        # both only grow, so a code means one value in every partition
+        self.codes = {c.name: {} for c in spec.columns if c.dtype == "str"}
+        self.strings = {name: [] for name in self.codes}
         self.appended_total = 0
         self.expired_total = 0
+
+    def to_array(self, name: str, values) -> np.ndarray:
+        """A column's values as an array; strings as their codes."""
+        if name not in self.codes:
+            return np.array(values, dtype=_ARRAY_DTYPES[self.dtypes[name]])
+        codes, strings = self.codes[name], self.strings[name]
+        for s in dict.fromkeys(values):
+            if s not in codes:
+                codes[s] = len(strings)
+                strings.append(s)
+        return np.fromiter(map(codes.__getitem__, values), np.int32,
+                           len(values))
+
+    def column(self, part: Partition, name: str) -> np.ndarray:
+        """One column of a partition; read-only."""
+        if part.tier == "cold":
+            block = part.blocks[name]
+            if isinstance(block, np.ndarray):
+                return block
+            return np.frombuffer(zlib.decompress(block),
+                                 dtype=_ARRAY_DTYPES[self.dtypes[name]])
+        if part.arrays_rows != len(part.rows):
+            part.arrays, part.arrays_rows = {}, len(part.rows)
+        if name not in part.arrays:
+            part.arrays[name] = self.to_array(name, list(map(
+                itemgetter(self.col_index[name]), part.rows)))
+        return part.arrays[name]
+
+    def freeze(self, part: Partition, late_rows=()) -> None:
+        """Store the partition as cold blocks; a cold one takes late rows
+        by being rebuilt from its columns."""
+        late = dict(zip(self.col_index, zip(*late_rows)))
+        blocks = {}
+        for name in self.col_index:
+            a = self.column(part, name)
+            if late:
+                a = np.concatenate([a, self.to_array(name, late[name])])
+            blocks[name] = _block(a)
+        part.blocks = blocks
+        part.rows, part.arrays, part.tier = [], {}, "cold"
+        part.row_count += len(late_rows)
+
+    def cold_rows(self, part: Partition, keep=None) -> list[tuple]:
+        """A cold partition's rows (those `keep` selects) as Python tuples."""
+        cols = []
+        for name in self.col_index:
+            a = self.column(part, name)
+            values = (a if keep is None else a[keep]).tolist()
+            if name in self.strings:
+                values = list(map(self.strings[name].__getitem__, values))
+            cols.append(values)
+        return list(zip(*cols))
+
+
+def _block(a: np.ndarray):
+    """A cold column: its raw bytes zlib-compressed when that at least
+    halves them, else the array itself.  Measured floats shrink by only
+    3-7%, and decoding them would cost every query that reads them."""
+    packed = zlib.compress(a.tobytes())
+    if 2 * len(packed) <= a.nbytes:
+        return packed
+    a.flags.writeable = False
+    return a
+
+
+def _in_range(t: np.ndarray, t0: float | None, t1: float | None):
+    keep = None if t0 is None else t >= t0
+    if t1 is not None:
+        keep = t < t1 if keep is None else keep & (t < t1)
+    return keep
 
 
 class Warehouse:
@@ -151,22 +235,22 @@ class Warehouse:
                         f"subject {subject!r}: row at t={t} is outside the "
                         f"{spec.retention_hours} h retention window")
                 coerced.append(tuple(out))
-            written = set()
+            late: dict[int, list] = {}  # rows for cold partitions
             for row in coerced:
                 t = row[sub.col_index["t_s"]]
                 bucket = int(t // 3600)
                 part = sub.partitions.get(bucket)
                 if part is None:
-                    part = Partition(subject=subject, hour_bucket=bucket)
+                    part = Partition(hour_bucket=bucket)
                     sub.partitions[bucket] = part
                 if part.tier == "cold":
-                    raise RetentionError(
-                        f"subject {subject!r}: partition {bucket} is cold "
-                        f"and immutable")
-                part.rows.append(row)
-                part.row_count += 1
-                written.add((subject, bucket))
+                    late.setdefault(bucket, []).append(row)
+                else:
+                    part.rows.append(row)
+                    part.row_count += 1
                 self.clock_s = max(self.clock_s, t)
+            for bucket, rows in late.items():
+                sub.freeze(sub.partitions[bucket], rows)
             sub.appended_total += len(coerced)
             return len(coerced)
 
@@ -185,39 +269,80 @@ class Warehouse:
                         continue
                     # ties at the boundary stay hot
                     if part.tier == "hot" and now_s - bucket_end > self.hot_window_s:
-                        part.freeze()
+                        sub.freeze(part)
                         moved.append((name, bucket))
         return moved
 
     # -- reads ----------------------------------------------------------
+    def _buckets(self, sub: _Subject, t0: float | None, t1: float | None):
+        """(partition, straddles) of each partition that may hold rows in
+        [t0, t1), in bucket order; a partition that straddles t0 or t1
+        also holds rows outside."""
+        for bucket in sorted(sub.partitions):
+            lo, hi = bucket * 3600.0, (bucket + 1) * 3600.0
+            if (t0 is not None and hi <= t0) or (t1 is not None and lo >= t1):
+                continue
+            yield sub.partitions[bucket], ((t0 is not None and lo < t0)
+                                           or (t1 is not None and hi > t1))
+
     def scan(self, subject: str, t0: float | None = None,
              t1: float | None = None) -> list[tuple]:
-        """All retained rows of a subject within [t0, t1), partition-pruned."""
+        """All retained rows of a subject within [t0, t1), partition-pruned,
+        as tuples of Python values in partition and append order."""
         sub = self._get(subject)
         ti = sub.col_index["t_s"]
         rows = []
         with self._lock:
-            for bucket in sorted(sub.partitions):
-                if t0 is not None and (bucket + 1) * 3600.0 <= t0:
-                    continue
-                if t1 is not None and bucket * 3600.0 >= t1:
-                    continue
-                for r in sub.partitions[bucket].materialize():
-                    if t0 is not None and r[ti] < t0:
-                        continue
-                    if t1 is not None and r[ti] >= t1:
-                        continue
-                    rows.append(r)
+            for part, straddles in self._buckets(sub, t0, t1):
+                if part.tier == "cold":
+                    rows += sub.cold_rows(part, _in_range(
+                        sub.column(part, "t_s"), t0, t1) if straddles
+                        else None)
+                elif not straddles:
+                    rows += part.rows
+                else:
+                    rows += [r for r in part.rows
+                             if (t0 is None or r[ti] >= t0)
+                             and (t1 is None or r[ti] < t1)]
         return rows
+
+    def _columns(self, sub: _Subject, names: list[str], t0: float | None,
+                 t1: float | None) -> tuple[dict[str, np.ndarray], int]:
+        """The named columns of a subject's rows within [t0, t1), in scan
+        order, and the number of those rows."""
+        pieces: dict[str, list] = {c: [] for c in names}
+        n = 0
+        with self._lock:
+            for part, straddles in self._buckets(sub, t0, t1):
+                if straddles:
+                    keep = _in_range(sub.column(part, "t_s"), t0, t1)
+                    n += int(np.count_nonzero(keep))
+                    for c in names:
+                        pieces[c].append(sub.column(part, c)[keep])
+                else:
+                    n += part.row_count
+                    for c in names:
+                        pieces[c].append(sub.column(part, c))
+        return {c: p[0] if len(p) == 1 else np.concatenate(p) if p
+                else np.empty(0, dtype=_ARRAY_DTYPES[sub.dtypes[c]])
+                for c, p in pieces.items()}, n
 
     def query(self, task: QueryTask) -> ResultTable:
         sub = self._get(task.subject)
+        names = []  # the referenced columns, once each
         for col in task.referenced_columns():
-            if col != "*" and col not in sub.col_index:
+            if col in names or col == "*":
+                continue
+            if col not in sub.col_index:
                 raise SchemaError(
                     f"subject {task.subject!r}: unknown column {col!r}")
-        rows = self.scan(task.subject, task.t0, task.t1)
-        return run_aggregates(task, sub.spec, rows)
+            names.append(col)
+        for agg, col in task.aggregates:
+            if agg != "count" and col in sub.strings:
+                raise SchemaError(f"subject {task.subject!r}: {agg}({col}) "
+                                  f"needs a numeric column")
+        columns, n = self._columns(sub, names, task.t0, task.t1)
+        return run_query(task, columns, sub.strings, n)
 
     def correlate(self, subject: str, col_a: str, col_b: str,
                   t0: float | None = None, t1: float | None = None) -> float:
@@ -225,11 +350,13 @@ class Warehouse:
         for col in (col_a, col_b):
             if col not in sub.col_index:
                 raise SchemaError(f"unknown column {col!r}")
-        rows = self.scan(subject, t0, t1)
-        if len(rows) < 2:
+            if col in sub.strings:
+                raise SchemaError(f"column {col!r} is not numeric")
+        columns, n = self._columns(sub, [col_a, col_b], t0, t1)
+        if n < 2:
             raise DegenerateColumn("correlation needs at least 2 rows")
-        a = np.array([r[sub.col_index[col_a]] for r in rows], dtype=float)
-        b = np.array([r[sub.col_index[col_b]] for r in rows], dtype=float)
+        a = np.asarray(columns[col_a], dtype=float)
+        b = np.asarray(columns[col_b], dtype=float)
         if np.std(a) == 0.0 or np.std(b) == 0.0:
             raise DegenerateColumn("zero variance column")
         return float(np.corrcoef(a, b)[0, 1])

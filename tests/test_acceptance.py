@@ -29,9 +29,10 @@ from ranopt.simcore import engine
 from ranopt.simcore.engine import draw_users
 from ranopt.simcore.radio import best_beam_rsrp_dbm
 from ranopt.warehouse import (Column, QueryTask, SubjectSpec, Warehouse,
-                              create_bundled_subjects, run_aggregates)
+                              create_bundled_subjects)
 
 from conftest import make_cell, make_scenario
+from naive_oracle import run_aggregates
 
 
 def true_throughput(scenario, windows=(0.0, 3600.0, 7200.0)):

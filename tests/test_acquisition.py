@@ -48,12 +48,12 @@ def csv_text(rows) -> str:
 
 
 def send_over_tcp(pipe, text) -> list[str]:
-    """Send text to a stream server; returns its acks."""
+    """Send text (or bytes) to a stream server; returns its acks."""
     server = StreamServer(("127.0.0.1", 0), pipe)
     server.serve_in_background()
     try:
         with socket.create_connection(server.server_address) as s:
-            s.sendall(text.encode())
+            s.sendall(text.encode() if isinstance(text, str) else text)
             s.shutdown(socket.SHUT_WR)
             return s.makefile("r").read().splitlines()
     finally:
@@ -145,6 +145,18 @@ class TestClean:
         kept, _ = pipe.clean(recs)
         kept2, rejected2 = pipe.clean(kept)
         assert kept2 == kept and rejected2 == []
+
+    def test_unstorable_integral_values(self):
+        pipe, _ = fresh_pipeline()
+        for kind, field, value in (
+                (meas_payload, "beam_id", "1e30"),
+                (meas_payload, "timestamp_s", "nan"),
+                (kpi_payload, "num_users", "inf"),
+                (kpi_payload, "window_start_s", "-inf")):
+            reason = pipe.clean_one(RawRecord("drive-test", 0,
+                                              kind(**{field: value})))
+            assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE,
+                                                   field)
 
 
 class TestTransform:
@@ -497,6 +509,40 @@ class TestNoWorker:
         assert wh.row_count("beam-management") == 1485
 
 
+class TestLateRows:
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_late_row_kept_or_rejected_pipeline_goes_on(self, worker):
+        wh = Warehouse(hot_window_s=3600.0)
+        create_bundled_subjects(wh)
+        pipe = AcquisitionPipeline(wh, KNOWN_CELLS, hash_key=b"test-key")
+        if worker:
+            pipe.start()
+
+        def send(seq, t, user="u"):
+            pipe.ingest_stream(RawRecord("drive-test", seq, meas_payload(
+                timestamp_s=t, user_id=user)))
+            done = threading.Thread(target=pipe.quiesce, daemon=True)
+            done.start()
+            done.join(timeout=30)
+            assert not done.is_alive(), "quiesce hung"
+
+        send(0, 0.0)
+        send(1, 3 * 3600.0)
+        assert wh.migrate_tiers(4 * 3600.0) == [("beam-management", 0)]
+        send(2, 10.0, "late")  # cold partition, inside retention
+        send(3, 8 * 24 * 3600.0)
+        send(4, 20.0)  # now outside the 7-day retention
+        pipe.stop()  # only once quiesce has returned: stop would wait too
+        c = pipe.counters
+        assert (c["ingested"], c["kept"], c["rejected"]) == (5, 4, 1)
+        [(record, reason)] = pipe.rejects
+        assert record.seq_no == 4
+        assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE, "t_s")
+        assert [(r[0], r[1]) for r in wh.scan("beam-management", 0, 3600)] \
+            == [(0.0, hash_user_id("u", b"test-key")),
+                (10.0, hash_user_id("late", b"test-key"))]
+
+
 class TestWatchDirectory:
     def test_bad_header_file_among_good_ones(self, tmp_path):
         pipe, wh = fresh_pipeline()
@@ -510,8 +556,24 @@ class TestWatchDirectory:
         assert c["files_rejected"] == 1
         assert c["ingested"] == c["kept"] + c["rejected"] == 2
         assert wh.row_count("beam-management") == 2
-        [(_, reason)] = pipe.rejects
-        assert "b.csv: unrecognized header" in reason.raw
+        assert pipe.rejects == []  # record rejects only
+        [(path, message)] = pipe.file_rejects
+        assert path == str(tmp_path / "b.csv")
+        assert "b.csv: unrecognized header" in message
+
+    def test_non_utf8_file_rejected_later_files_read(self, tmp_path):
+        pipe, wh = fresh_pipeline()
+        for name, user in (("a.csv", "u1"), ("c.csv", "u2")):
+            write_rows(tmp_path / name, [MEAS_COLS, tuple(
+                meas_payload(user_id=user).values())], ",")
+        (tmp_path / "b.csv").write_bytes(
+            csv_text([MEAS_COLS]).encode() + b"\xff\xfe\x00\n")
+        assert watch_directory(tmp_path, pipe) == 3
+        pipe.quiesce()
+        assert pipe.counters["files_rejected"] == 1
+        assert wh.row_count("beam-management") == 2
+        [(path, message)] = pipe.file_rejects
+        assert path == str(tmp_path / "b.csv") and "not UTF-8" in message
 
 
 class TestSocketBinding:
@@ -558,6 +620,18 @@ class TestSocketBinding:
         text = csv_text(rows[:3]) + '"open' + csv_text(rows[3:])
         assert send_over_tcp(pipe, text) == ["accepted", "accepted",
                                              "rejected bad-line"]
+
+    def test_non_utf8_line_is_a_bad_line(self):
+        pipe, wh = fresh_pipeline()
+        row = ("drive-test", "{}") + tuple(meas_payload().values())
+        text = (csv_text([ENVELOPE + tuple(meas_payload())])
+                + csv_text([row]).format(0)).encode()
+        text += b"drive-test,1,\xff\xfe\x00\n" + csv_text([row]).format(
+            2).encode()
+        assert send_over_tcp(pipe, text) == ["accepted", "rejected bad-line",
+                                             "accepted"]
+        pipe.quiesce()
+        assert wh.row_count("beam-management") == 2
 
     def test_header_without_envelope_rejected(self):
         pipe, _ = fresh_pipeline()

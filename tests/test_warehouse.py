@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranopt.errors import (AlreadyExists, DegenerateColumn, RetentionError,
                            SchemaError, SubjectNotFound)
 from ranopt.simcore import aau_power_w
 from ranopt.warehouse import (Column, QueryTask, SubjectSpec, Warehouse,
-                              bundled_subjects, create_bundled_subjects,
-                              run_aggregates)
+                              bundled_subjects, create_bundled_subjects)
+from ranopt.warehouse.query import aggregate_values
 
 from conftest import make_cell
+from naive_oracle import run_aggregates
 
 
 def kpi_spec(name="kpi"):
@@ -77,6 +79,29 @@ class TestAppend:
         with pytest.raises(RetentionError):
             wh.append("kpi", [(0.0, "c1", 5.0, 0.1)])
 
+    def test_int_outside_64_bits_rejected(self):
+        wh = Warehouse()
+        wh.create_subject(SubjectSpec("n", [Column("t_s", "float"),
+                                            Column("n", "int")]))
+        wh.append("n", [(0.0, 2**63 - 1), (1.0, -2**63)])
+        with pytest.raises(SchemaError, match="'n'"):
+            wh.append("n", [(2.0, 5), (3.0, 2**63)])
+        assert wh.scan("n") == [(0.0, 2**63 - 1), (1.0, -2**63)]
+
+    def test_late_row_joins_cold_partition(self):
+        wh = Warehouse(hot_window_s=3600.0)
+        wh.create_subject(kpi_spec())
+        wh.append("kpi", [(0.0, "c1", 5.0, 0.1), (3 * 3600.0, "c2", 6.0, 0.2)])
+        assert wh.migrate_tiers(4 * 3600.0) == [("kpi", 0)]
+        wh.append("kpi", [(10.0, "c3", 7.0, 0.3), (20.0, "c1", 8.0, 0.4)])
+        assert wh.scan("kpi", 0.0, 3600.0) == [
+            (0.0, "c1", 5.0, 0.1), (10.0, "c3", 7.0, 0.3),
+            (20.0, "c1", 8.0, 0.4)]
+        assert wh.row_count("kpi") == 4
+        res = wh.query(QueryTask(subject="kpi", t1=3600.0, group_by=["cell_id"],
+                                 aggregates=[("sum", "throughput_mbps")]))
+        assert res.rows == [("c1", 13.0), ("c3", 7.0)]
+
 
 class TestQuery:
     def test_mean(self):
@@ -127,6 +152,18 @@ class TestQuery:
         with pytest.raises(SchemaError):
             wh.query(QueryTask(subject="kpi", aggregates=[("mean", "bogus")]))
 
+    def test_only_count_takes_a_string_column_or_star(self):
+        wh = fresh()
+        wh.append("kpi", [(0.0, "c1", 5.0, 0.1)])
+        assert wh.query(QueryTask(subject="kpi", aggregates=[
+            ("count", "cell_id")])).rows == [(1,)]
+        with pytest.raises(SchemaError, match="numeric"):
+            wh.query(QueryTask(subject="kpi", aggregates=[("max", "cell_id")]))
+        with pytest.raises(SchemaError, match="count"):
+            QueryTask(subject="kpi", aggregates=[("sum", "*")])
+        with pytest.raises(SchemaError, match="numeric"):
+            wh.correlate("kpi", "cell_id", "rbur")
+
     def test_percentiles_against_numpy(self):
         wh = fresh()
         vals = list(np.random.default_rng(5).uniform(0, 100, 37))
@@ -137,6 +174,18 @@ class TestQuery:
                                              ("p95", "throughput_mbps")]))
         assert res.rows[0][0] == pytest.approx(np.percentile(vals, 50))
         assert res.rows[0][1] == pytest.approx(np.percentile(vals, 95))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats() | st.integers(-2**60, 2**60),
+                           min_size=1, max_size=40))
+    def test_reductions_equal_ndarray_methods(self, values):
+        a = np.asarray(values, dtype=float)
+        with np.errstate(all="ignore"):
+            want = {"sum": a.sum(), "mean": a.mean(), "min": a.min(),
+                    "max": a.max()}
+            for agg, w in want.items():
+                assert repr(aggregate_values(agg, values)) == repr(float(w))
+                assert repr(aggregate_values(agg, a)) == repr(float(w))
 
     def test_task_json_roundtrip(self):
         task = QueryTask(subject="kpi", t0=0.0, t1=10.0,
@@ -174,6 +223,25 @@ class TestTiering:
         assert moved
         after = wh.query(task).to_csv()
         assert before == after
+
+    def test_scan_keeps_types_and_order_across_migration(self):
+        wh = Warehouse(hot_window_s=3600.0)
+        wh.create_subject(SubjectSpec("m", [Column("t_s", "float"),
+                                            Column("cell", "str"),
+                                            Column("n", "int"),
+                                            Column("x", "float")]))
+        rows = [(7300.0, "b", 3, -0.0), (10.0, "a", -1, 2.5),
+                (3600.0, "b", 2**62, 1e300), (5.0, "", 0, -7.25),
+                (7200.0, "é", 1, 0.1)]
+        wh.append("m", rows)
+        ranges = [(None, None), (5.0, 7250.0), (6.0, None), (None, 3600.0)]
+        before = [wh.scan("m", t0, t1) for t0, t1 in ranges]
+        assert before[0] == [rows[1], rows[3], rows[2], rows[0], rows[4]]
+        assert wh.migrate_tiers(5 * 3600.0) == [("m", 0), ("m", 1), ("m", 2)]
+        after = [wh.scan("m", t0, t1) for t0, t1 in ranges]
+        assert repr(after) == repr(before)
+        assert [[tuple(map(type, r)) for r in part] for part in after] == \
+            [[(float, str, int, float)] * len(part) for part in before]
 
     def test_retention_expiry(self):
         wh = fresh()
@@ -256,3 +324,72 @@ class TestOracleEquivalence:
                            and (task.t1 is None or r[0] < task.t1)]
             want = run_aggregates(task, spec, oracle_rows).to_csv()
             assert got == want
+
+
+# -- the columnar engine against the naive row-tuple oracle ----------------
+
+_VALUES = {
+    "str": st.sampled_from(["", "a", "ab", "b", "B", "é", "a,b"]),
+    "int": st.integers(-3, 3) | st.integers(-2**62, 2**62),
+    "float": st.sampled_from([-0.0, 0.0, 0.5, -2.0]) | st.floats(
+        -1e6, 1e6, allow_nan=False, allow_infinity=False),
+}
+_OPS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+@st.composite
+def engine_cases(draw):
+    """A subject, its rows appended in two batches around a tier migration
+    (late rows refreeze cold partitions), and queries over it."""
+    dtypes = draw(st.lists(st.sampled_from(list(_VALUES)), min_size=1,
+                           max_size=4))
+    names = ["t_s"] + [f"c{i}" for i in range(len(dtypes))]
+    dtypes = ["float"] + dtypes
+    spec = SubjectSpec("s", [Column(n, d) for n, d in zip(names, dtypes)])
+    row = st.tuples(st.floats(0.0, 6 * 3600.0 - 1.0),
+                    *[_VALUES[d] for d in dtypes[1:]])
+    batches = draw(st.lists(st.lists(row, max_size=25), min_size=1,
+                            max_size=3))
+    hot_window_s = draw(st.sampled_from([0.0, 3600.0, 7200.0]))
+    bound = st.none() | st.floats(-3600.0, 7 * 3600.0)
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        filters = [(c, draw(st.sampled_from(_OPS)),
+                    draw(_VALUES[dtypes[names.index(c)]]
+                         if c != "t_s" else st.floats(0.0, 6 * 3600.0)))
+                   for c in draw(st.lists(st.sampled_from(names),
+                                          max_size=2))]
+        group_by = draw(st.lists(st.sampled_from(names), max_size=2,
+                                 unique=True))
+        numeric = [n for n, d in zip(names, dtypes) if d != "str"]
+        aggs = [("count", draw(st.sampled_from(["*"] + names)))]
+        aggs += draw(st.lists(st.tuples(
+            st.sampled_from(["sum", "mean", "min", "max", "p50", "p95"]),
+            st.sampled_from(numeric)), max_size=3))
+        queries.append(QueryTask(subject="s", t0=draw(bound), t1=draw(bound),
+                                 filters=filters, group_by=group_by,
+                                 aggregates=aggs))
+    return spec, batches, hot_window_s, queries
+
+
+class TestColumnarEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(case=engine_cases())
+    def test_query_matches_row_tuple_oracle(self, case):
+        spec, batches, hot_window_s, queries = case
+        wh = Warehouse(hot_window_s=hot_window_s)
+        wh.create_subject(spec)
+        appended = []
+        for batch in batches:  # migrate after each batch: late rows refreeze
+            wh.append("s", batch)
+            appended += batch
+            wh.migrate_tiers(6 * 3600.0)
+        # scan order: partition by partition, each in append order
+        in_order = sorted(appended, key=lambda r: int(r[0] // 3600))
+        for task in queries:
+            naive = [r for r in in_order
+                     if (task.t0 is None or r[0] >= task.t0)
+                     and (task.t1 is None or r[0] < task.t1)]
+            assert repr(wh.scan("s", task.t0, task.t1)) == repr(naive)
+            assert wh.query(task).to_csv() == \
+                run_aggregates(task, spec, naive).to_csv()
