@@ -3,15 +3,16 @@
 Every input goes through one row parser (`parse_header`, `parse_row`): CSV
 and TXT files via `ingest_batch` and the socket via `sources`, both read by
 `read_rows`, and the closed loop's in-memory simulator rows via `ingest_rows`.
-A bounded buffer sits between ingestion and the clean/transform/load stages;
-producers block when it is full while a worker runs, and drain it inline
-when none was started.
+`ingest_stream` dedups, cleans, transforms and loads each record in the
+calling thread, so every record has reached its fate when the call returns;
+concurrent producers, such as two socket connections, share the dedup set
+and counters under one lock and the warehouse under its own.
 """
 from __future__ import annotations
 
 import csv
 import io
-import queue
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -77,16 +78,13 @@ def read_rows(lines, delimiter: str = ","):
 
 
 class AcquisitionPipeline:
-    def __init__(self, warehouse, known_cells, hash_key: bytes = b"ranopt-default",
-                 buffer_size: int = 1024):
+    def __init__(self, warehouse, known_cells,
+                 hash_key: bytes = b"ranopt-default"):
         self.warehouse = warehouse
         self.known_cells = set(known_cells)
         self.hash_key = hash_key
-        self._queue: queue.Queue = queue.Queue(maxsize=buffer_size)
         self._seen: set[tuple[str, int]] = set()
         self._auto_seq: dict[str, int] = {}
-        self._worker: threading.Thread | None = None
-        self._stop = threading.Event()
         self._lock = threading.Lock()
         self.counters = {"ingested": 0, "duplicates": 0, "kept": 0,
                          "rejected": 0, "files_rejected": 0}
@@ -95,7 +93,8 @@ class AcquisitionPipeline:
 
     # -- stream ingestion ----------------------------------------------
     def ingest_stream(self, record: RawRecord) -> str:
-        """Returns "accepted" or "duplicate"; duplicates never reach the pipeline."""
+        """Clean, transform and load a record; returns "accepted" (kept or
+        rejected) or "duplicate", which never reaches the later stages."""
         if record.source_tag not in SOURCE_TAGS:
             raise UnknownSource(f"source {record.source_tag!r} not registered")
         with self._lock:
@@ -105,12 +104,20 @@ class AcquisitionPipeline:
                 return "duplicate"
             self._seen.add(key)
             self.counters["ingested"] += 1
-        while True:  # a worker makes room; without one, drain inline
+        reason = self.clean_one(record)
+        if reason is None:
             try:
-                self._queue.put(record, block=self._worker is not None)
-                return "accepted"
-            except queue.Full:
-                self.drain()
+                self.load([self.transform(record)])
+            except RetentionError:  # older than the warehouse keeps
+                reason = _reject(RejectCode.OUT_OF_RANGE, "t_s",
+                                 record.payload.values())
+        with self._lock:
+            if reason is None:
+                self.counters["kept"] += 1
+            else:
+                self.counters["rejected"] += 1
+                self.rejects.append((record, reason))
+        return "accepted"
 
     # -- row parsing and batch ingestion ---------------------------------
     def parse_row(self, header: Header, cells, line_no: int | None = None
@@ -189,8 +196,11 @@ class AcquisitionPipeline:
                 vals[f] = float(payload[f])
             except (TypeError, ValueError):
                 return _reject(RejectCode.UNPARSABLE_VALUE, f, payload.values())
+        for f, v in vals.items():  # NaN or infinity would poison aggregates
+            if not math.isfinite(v):
+                return _reject(RejectCode.OUT_OF_RANGE, f, payload.values())
         for f in integral:  # stored as int64, or bucketed by the hour
-            if not -_INT64 <= vals[f] < _INT64:  # also false for NaN
+            if not -_INT64 <= vals[f] < _INT64:
                 return _reject(RejectCode.OUT_OF_RANGE, f, payload.values())
         if "rsrp_dbm" in vals and not (RSRP_MIN_DBM <= vals["rsrp_dbm"] <= RSRP_MAX_DBM):
             return _reject(RejectCode.OUT_OF_RANGE, "rsrp_dbm", payload.values())
@@ -313,60 +323,13 @@ class AcquisitionPipeline:
             self.warehouse.append(subject, rows)
         return sorted(partitions)
 
-    # -- pipeline driving ----------------------------------------------
-    def _process_one(self, record: RawRecord) -> None:
-        """Clean, transform and load one record taken from the buffer."""
-        try:
-            reason = self.clean_one(record)
-            if reason is None:
-                try:
-                    self.load([self.transform(record)])
-                except RetentionError:  # older than the warehouse keeps
-                    reason = _reject(RejectCode.OUT_OF_RANGE, "t_s",
-                                     record.payload.values())
-            with self._lock:
-                if reason is None:
-                    self.counters["kept"] += 1
-                else:
-                    self.counters["rejected"] += 1
-                    self.rejects.append((record, reason))
-        finally:
-            self._queue.task_done()
-
-    def drain(self) -> None:
-        """Synchronously process everything currently buffered."""
-        while True:
-            try:
-                record = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            self._process_one(record)
+    # -- lifecycle --------------------------------------------------------
+    def quiesce(self) -> None:
+        """Barrier: every record whose `ingest_stream` call has returned is
+        loaded or rejected.  That call does the work, so this always holds."""
 
     def start(self) -> None:
-        if self._worker is not None:
-            return
-        self._stop.clear()
-        self._worker = threading.Thread(target=self._run, daemon=True)
-        self._worker.start()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                record = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            self._process_one(record)
-
-    def quiesce(self) -> None:
-        """Block until the buffer is fully processed."""
-        if self._worker is None:
-            self.drain()
-        else:
-            self._queue.join()
+        """No-op: records are processed in the caller's thread."""
 
     def stop(self) -> None:
-        if self._worker is not None:
-            self.quiesce()
-            self._stop.set()
-            self._worker.join()
-            self._worker = None
+        """No-op: there is no worker to stop."""

@@ -5,7 +5,8 @@ source_tag and seq_no, the remaining columns one of the known payload
 schemas; every following row is one record, parsed by the pipeline's row
 parser and answered with one ack line (``accepted``, ``duplicate``,
 ``rejected bad-line`` or ``rejected bad-seq``).  A row that is not UTF-8
-text is a bad line.
+text is a bad line.  Each connection has its own handler thread, which
+cleans, transforms and loads a record before it sends the record's ack.
 """
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..simcore import engine
 from ..simcore.radio import wrap_deg
 from ..simcore.types import ALLOWED_CIO_DB, N_PATTERNS, Scenario
-from .mlp import MOMENTUM, Mlp
+from .mlp import Mlp, momentum_step
 
 # Joint action table: 4 patterns x 3 handover offsets.
 ACTION_TABLE = tuple((p, cio) for p in range(N_PATTERNS)
@@ -60,8 +60,7 @@ class DqnAgent:
                      head="linear", seed=seed)
         self.target = self.q.copy()
         self.replay = deque(maxlen=self.config.replay_capacity)
-        self._vel_w = [np.zeros_like(W) for W in self.q.weights]
-        self._vel_b = [np.zeros_like(b) for b in self.q.biases]
+        self._velocity: list = []
 
     def act(self, obs, epsilon: float, rng) -> int:
         if rng.random() < epsilon:
@@ -97,13 +96,8 @@ class DqnAgent:
         targets[np.arange(len(batch)), actions] = \
             rewards + self.config.gamma * best_next
         loss, gw, gb, _ = self.q.loss_and_grads(obs, targets)
-        for i in range(len(self.q.weights)):
-            self._vel_w[i] = MOMENTUM * self._vel_w[i] \
-                - self.config.learning_rate * gw[i]
-            self._vel_b[i] = MOMENTUM * self._vel_b[i] \
-                - self.config.learning_rate * gb[i]
-            self.q.weights[i] += self._vel_w[i]
-            self.q.biases[i] += self._vel_b[i]
+        momentum_step(self.q, self._velocity, gw, gb,
+                      -self.config.learning_rate)
         return loss
 
     def sync_target(self) -> None:

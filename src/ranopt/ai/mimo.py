@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import MOMENTUM, Mlp, TrainConfig, _softmax_backward
+from .mlp import Mlp, TrainConfig, _softmax_backward, momentum_step
 
 K_BEAMS = 3
 TOTAL_POWER = 1.0
@@ -125,8 +125,7 @@ def finetune_policy(estimator: Mlp, policy: Mlp, states, steps: int = 200,
     rng = np.random.default_rng(seed)
     feats = np.stack([s.features() for s in states])
     k = policy.layer_sizes[-1]
-    vel_w = [np.zeros_like(W) for W in tuned.weights]
-    vel_b = [np.zeros_like(b) for b in tuned.biases]
+    velocity: list = []
     for _ in range(steps):
         idx = rng.choice(len(states), size=min(batch_size, len(states)),
                          replace=False)
@@ -138,11 +137,7 @@ def finetune_policy(estimator: Mlp, policy: Mlp, states, steps: int = 200,
         d_frac = d_est_in[:, -k:] / len(idx)
         delta = _softmax_backward(fracs, d_frac)
         tuned.backprop_from_delta(acts, delta, accumulate=True)
-        for i in range(len(tuned.weights)):
-            vel_w[i] = MOMENTUM * vel_w[i] + lr * tuned._gw[i]
-            vel_b[i] = MOMENTUM * vel_b[i] + lr * tuned._gb[i]
-            tuned.weights[i] += vel_w[i]
-            tuned.biases[i] += vel_b[i]
+        momentum_step(tuned, velocity, tuned._gw, tuned._gb, lr)
     if mean_estimated_rate(estimator, tuned, states) \
             < mean_estimated_rate(estimator, policy, states):
         return policy.copy()

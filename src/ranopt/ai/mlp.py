@@ -132,8 +132,7 @@ class Mlp:
         if n < 1:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(config.seed)
-        vel_w = [np.zeros_like(W) for W in self.weights]
-        vel_b = [np.zeros_like(b) for b in self.biases]
+        velocity: list = []
         loss = self.loss(X, Y)
         for _ in range(config.epochs):
             order = rng.permutation(n)
@@ -144,11 +143,7 @@ class Mlp:
                     raise NumericalFailure(
                         f"non-finite training loss {loss} "
                         f"(lr={config.learning_rate}, layers={self.layer_sizes})")
-                for i in range(len(self.weights)):
-                    vel_w[i] = MOMENTUM * vel_w[i] - config.learning_rate * gw[i]
-                    vel_b[i] = MOMENTUM * vel_b[i] - config.learning_rate * gb[i]
-                    self.weights[i] += vel_w[i]
-                    self.biases[i] += vel_b[i]
+                momentum_step(self, velocity, gw, gb, -config.learning_rate)
         final = self.loss(X, Y)
         if not np.isfinite(final):
             raise NumericalFailure("non-finite final loss")
@@ -173,6 +168,19 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp.from_dict(self.to_dict())
+
+
+def momentum_step(model: Mlp, velocity: list, gw, gb, step: float) -> None:
+    """One momentum update in place: v = MOMENTUM * v + step * g, then each
+    parameter moves by its v.  A negative step (-learning rate) descends
+    the gradient, a positive one ascends it.  `velocity` holds v between
+    calls; pass an empty list to start from rest."""
+    params = model.weights + model.biases
+    if not velocity:
+        velocity.extend(np.zeros_like(p) for p in params)
+    for i, (p, g) in enumerate(zip(params, gw + gb)):
+        velocity[i] = MOMENTUM * velocity[i] + step * g
+        p += velocity[i]
 
 
 def _softmax(z):

@@ -115,7 +115,6 @@ def cmd_ingest(args) -> int:
         from .acquisition.sources import StreamServer
         host, port = args.socket.rsplit(":", 1)
         server = StreamServer((host, int(port)), pipeline)
-        pipeline.start()
         print(f"listening on {args.socket}; Ctrl-C to stop")
         try:
             server.serve_forever()
@@ -123,7 +122,6 @@ def cmd_ingest(args) -> int:
             pass
         finally:
             server.shutdown()
-            pipeline.stop()
     print(json.dumps(pipeline.counters, sort_keys=True))
     if args.export:
         out = Path(args.export)

@@ -359,16 +359,13 @@ class ClosedLoop:
             for _ in range(epochs):
                 self.run_epoch()
         except Exception as e:
+            report.error = f"{type(e).__name__}: {e}"
+            raise
+        finally:
             report.entries = self.entries
             report.final_config = [c.to_dict() for c in self.scenario.cells]
             report.commands = self.command_log.to_list()
-            report.error = f"{type(e).__name__}: {e}"
             self.report = report
-            raise
-        report.entries = self.entries
-        report.final_config = [c.to_dict() for c in self.scenario.cells]
-        report.commands = self.command_log.to_list()
-        self.report = report
         return report
 
 

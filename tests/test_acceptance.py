@@ -297,9 +297,7 @@ class TestPipelineAndWarehouse:
             assert reason.code == expected[rec.seq_no]
         assert len(kept) == 9_500
         # full pipeline conservation: ingest -> clean -> transform -> load
-        for i, rec in enumerate(records):
-            if i % 50 == 0:
-                pipe.quiesce()  # keep the bounded buffer from filling
+        for rec in records:
             pipe.ingest_stream(rec)
         pipe.quiesce()
         c = pipe.counters

@@ -1,6 +1,7 @@
 import csv
 import io
 import socket
+import sys
 import threading
 
 import pytest
@@ -58,6 +59,7 @@ def send_over_tcp(pipe, text) -> list[str]:
             return s.makefile("r").read().splitlines()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 class TestIngestStream:
@@ -77,8 +79,6 @@ class TestIngestStream:
     def test_count_oracle_10k(self):
         pipe, wh = fresh_pipeline()
         for i in range(10_000):
-            if i % 50 == 0:
-                pipe.quiesce()  # keep the bounded buffer from filling
             pipe.ingest_stream(RawRecord("drive-test", i, meas_payload(
                 timestamp_s=float(i), user_id=f"u{i % 13}")))
         pipe.quiesce()
@@ -157,6 +157,30 @@ class TestClean:
                                               kind(**{field: value})))
             assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE,
                                                    field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["m", "k"]), data=st.data(),
+           value=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf",
+                                  "+Infinity", "1e999", "-1e400"]))
+    def test_non_finite_value_is_out_of_range(self, kind, data, value):
+        good = meas_payload() if kind == "m" else kpi_payload()
+        field = data.draw(st.sampled_from(
+            [f for f in good if f not in ("user_id", "cell_id",
+                                          "signal_type")]))
+        source = "drive-test" if kind == "m" else "network-management"
+        bad = RawRecord(source, 1, {**good, field: value})
+        pipe, wh = fresh_pipeline()
+        reason = pipe.clean_one(bad)
+        assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE, field)
+        pipe.ingest_stream(RawRecord(source, 0, good))
+        pipe.ingest_stream(bad)
+        c = pipe.counters
+        assert (c["ingested"], c["kept"], c["rejected"]) == (2, 1, 1)
+        subject, column = (("beam-management", "rate_mbps") if kind == "m"
+                           else ("energy", "energy_wh"))
+        [(total,)] = wh.query(QueryTask(
+            subject=subject, aggregates=[("sum", column)])).rows
+        assert total == (55.0 if kind == "m" else 800.0)
 
 
 class TestTransform:
@@ -442,11 +466,7 @@ class TestIngestEquivalence:
         rows = corpus_rows("m", kinds, True, users)
         batch = ingest_files(tmp_path, [("m", rows)], ".csv", ",")
         pipe, wh = fresh_pipeline()
-        pipe.start()
-        try:
-            acks = send_over_tcp(pipe, csv_text(rows))
-        finally:
-            pipe.stop()
+        acks = send_over_tcp(pipe, csv_text(rows))
         counters, rejects, line_rejects, scans = batch
         assert outcome(pipe, wh, []) == (counters, rejects, [], scans)
         assert acks.count("rejected bad-line") == kinds.count("short")
@@ -486,21 +506,26 @@ class TestConservationAndDeidentification:
                 assert not any("secret-user" in str(v) for v in row)
 
 
+def write_1500_measurements(path):
+    """1,500 measurements, every hundredth with an out-of-range RSRP."""
+    rows = [",".join(meas_payload(timestamp_s=float(i), user_id=f"u{i}",
+                                  rsrp_dbm=-10.0 if i % 100 == 0
+                                  else -80.0).values())
+            for i in range(1500)]
+    path.write_text(",".join(meas_payload()) + "\n" + "\n".join(rows) + "\n")
+
+
 class TestNoWorker:
     def test_batch_larger_than_buffer_completes(self, tmp_path):
         pipe, wh = fresh_pipeline()
         f = tmp_path / "m.csv"
-        rows = [",".join(meas_payload(timestamp_s=float(i), user_id=f"u{i}",
-                                      rsrp_dbm=-10.0 if i % 100 == 0
-                                      else -80.0).values())
-                for i in range(1500)]
-        f.write_text(",".join(meas_payload()) + "\n" + "\n".join(rows) + "\n")
+        write_1500_measurements(f)
         result = []
         t = threading.Thread(target=lambda: result.append(pipe.ingest_batch(f)),
                              daemon=True)
         t.start()
         t.join(timeout=60)
-        assert not t.is_alive(), "ingest_batch blocked on a full buffer"
+        assert not t.is_alive(), "ingest_batch blocked"
         pipe.quiesce()
         assert result[0] == (1500, [])
         c = pipe.counters
@@ -508,8 +533,27 @@ class TestNoWorker:
         assert c["rejected"] == 15
         assert wh.row_count("beam-management") == 1485
 
+    def test_batch_of_1500_records_starts_no_thread(self, tmp_path,
+                                                    monkeypatch):
+        pipe, wh = fresh_pipeline()
+        f = tmp_path / "m.csv"
+        write_1500_measurements(f)
+        threads = threading.active_count()
+
+        def no_thread(self):
+            raise AssertionError(f"ingest started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert pipe.ingest_batch(f) == (1500, [])
+        assert threading.active_count() == threads
+        c = pipe.counters
+        assert c["ingested"] == 1500 == c["kept"] + c["rejected"]
+        assert c["rejected"] == 15
+        assert wh.row_count("beam-management") == 1485
+
 
 class TestLateRows:
+    # worker=True calls the legacy start()/stop(), which must change nothing
     @pytest.mark.parametrize("worker", [False, True])
     def test_late_row_kept_or_rejected_pipeline_goes_on(self, worker):
         wh = Warehouse(hot_window_s=3600.0)
@@ -519,12 +563,10 @@ class TestLateRows:
             pipe.start()
 
         def send(seq, t, user="u"):
-            pipe.ingest_stream(RawRecord("drive-test", seq, meas_payload(
-                timestamp_s=t, user_id=user)))
-            done = threading.Thread(target=pipe.quiesce, daemon=True)
-            done.start()
-            done.join(timeout=30)
-            assert not done.is_alive(), "quiesce hung"
+            record = RawRecord("drive-test", seq, meas_payload(
+                timestamp_s=t, user_id=user))
+            assert pipe.ingest_stream(record) == "accepted"
+            pipe.quiesce()
 
         send(0, 0.0)
         send(1, 3 * 3600.0)
@@ -532,7 +574,7 @@ class TestLateRows:
         send(2, 10.0, "late")  # cold partition, inside retention
         send(3, 8 * 24 * 3600.0)
         send(4, 20.0)  # now outside the 7-day retention
-        pipe.stop()  # only once quiesce has returned: stop would wait too
+        pipe.stop()
         c = pipe.counters
         assert (c["ingested"], c["kept"], c["rejected"]) == (5, 4, 1)
         [(record, reason)] = pipe.rejects
@@ -579,7 +621,6 @@ class TestWatchDirectory:
 class TestSocketBinding:
     def test_stream_over_tcp(self):
         pipe, wh = fresh_pipeline()
-        pipe.start()
         server = StreamServer(("127.0.0.1", 0), pipe)
         server.serve_in_background()
         host, port = server.server_address
@@ -596,11 +637,60 @@ class TestSocketBinding:
                 s.shutdown(socket.SHUT_WR)
                 acks = f.read().split()
             assert acks == ["accepted"] * 5
-            pipe.quiesce()
             assert wh.row_count("beam-management") == 5
         finally:
             server.shutdown()
-            pipe.stop()
+            server.server_close()
+
+    def test_concurrent_connections_with_resends(self):
+        """Four producers at once send the same 1,100 records, every tenth
+        one twice: each record is accepted once and meets one fate."""
+        n, producers = 1100, 4
+        pipe, wh = fresh_pipeline()
+        header = ENVELOPE + tuple(meas_payload())
+
+        def row(seq):
+            return ("drive-test", str(seq)) + tuple(meas_payload(
+                timestamp_s=float(seq), user_id=f"u{seq % 17}",
+                rsrp_dbm=-300.0 if seq % 50 == 7 else -80.0).values())
+
+        seqs = list(range(n))
+        text = csv_text([header] + [row(q) for q in seqs + seqs[::10]])
+        acks = [None] * producers
+        server = StreamServer(("127.0.0.1", 0), pipe)
+        server.serve_in_background()
+
+        def produce(k):
+            with socket.create_connection(server.server_address) as s:
+                s.sendall(text.encode())
+                s.shutdown(socket.SHUT_WR)
+                acks[k] = s.makefile("r").read().splitlines()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: expose races
+        try:
+            threads = [threading.Thread(target=produce, args=(k,))
+                       for k in range(producers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+        resends = producers * (n + n // 10) - n
+        assert [len(a) for a in acks] == [n + n // 10] * producers
+        assert all(set(a) <= {"accepted", "duplicate"} for a in acks)
+        assert sum(a.count("accepted") for a in acks) == n
+        bad = sum(1 for q in seqs if q % 50 == 7)
+        c = pipe.counters
+        assert c["duplicates"] == resends
+        assert c["ingested"] == c["kept"] + c["rejected"] == n
+        assert (c["kept"], c["rejected"]) == (n - bad, bad)
+        assert len(pipe.rejects) == bad
+        assert wh.row_count("beam-management") == n - bad
 
     def test_quoted_comma_over_tcp(self):
         pipe, wh = fresh_pipeline()
