@@ -13,6 +13,7 @@ from ..errors import NumericalFailure
 
 DEFAULT_LENGTH_SCALES = (25.0, 25.0, 5.0, 2.0)
 JITTER = 1e-6
+PREDICT_CHUNK_ROWS = 256
 
 
 class GprRegressor:
@@ -59,12 +60,19 @@ class GprRegressor:
         Xq = np.atleast_2d(np.asarray(X_query, dtype=float))
         if Xq.shape[1] != self.length_scales.size:
             raise ValueError(f"expected {self.length_scales.size} query dims")
-        Ks = self._kernel(Xq, self._X)
-        mean = self._y_mean + Ks @ self._alpha
+        mean, var = np.empty(Xq.shape[0]), np.empty(Xq.shape[0])
+        # query rows go in chunks, so _kernel's (rows, n, 4) broadcast
+        # stays bounded however many rows a caller batches
+        for i in range(0, Xq.shape[0], PREDICT_CHUNK_ROWS):
+            rows = slice(i, i + PREDICT_CHUNK_ROWS)
+            Ks = self._kernel(Xq[rows], self._X)
+            mean[rows] = self._y_mean + Ks @ self._alpha
+            if return_var:
+                v = cho_solve(self._chol, Ks.T)
+                var[rows] = self.signal_std ** 2 - np.einsum("ij,ji->i",
+                                                             Ks, v)
         if not return_var:
             return mean
-        v = cho_solve(self._chol, Ks.T)
-        var = self.signal_std ** 2 - np.einsum("ij,ji->i", Ks, v)
         return mean, np.maximum(var, 0.0)
 
     def to_dict(self) -> dict:

@@ -2,13 +2,22 @@
 
 Per cell, a GPR learns the residual between measured RSRP and the analytic
 antenna/propagation model at the config that was active when each sample was
-taken. Candidate configs are then scored by analytic model + learned residual,
-users are re-attached, and network throughput is predicted. A surrogate MLP
-trained on the candidate grid drives the final config search.
-Scoring uses the simulator's ``best_beam_rsrp_dbm`` and ``attach_and_rate``;
-over a grid only the target cell's RSRP is predicted again per point.
+taken. A candidate config of one cell is scored by analytic model + learned
+residual: users are re-attached and network throughput is predicted with the
+simulator's ``best_beam_rsrp_dbm`` and ``attach_and_rate``. Candidates are
+scored in one batch: one GPR query over every (candidate, user) pair of the
+target cell and one ``attach_and_rate`` call over a leading candidate axis;
+the other cells' RSRP is predicted once.
+
+``recommend_config`` scores a grid of at most ``EXHAUSTIVE_LIMIT`` points
+exactly and takes its argmax. A larger grid is sampled by Latin hypercube; a
+surrogate MLP fitted to the sample is searched over the whole grid, and its
+pick, scored exactly, replaces the best sampled point only if it beats it.
 """
 from __future__ import annotations
+
+import bisect
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,7 +26,8 @@ from ..simcore.radio import best_beam_rsrp_dbm
 from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
 from .gpr import GprRegressor
-from .surrogate import build_grid_axes, fit_surrogate, optimize_config
+from .surrogate import (EXHAUSTIVE_LIMIT, build_grid_axes, fit_surrogate,
+                        optimize_config)
 
 UNCAPPED_DEMAND_MBPS = 1e9
 MIN_SAMPLES_PER_CELL = 8
@@ -30,20 +40,23 @@ class ConfigLog:
         self._entries: list[tuple[float, dict[str, dict]]] = []
 
     def record(self, t_s: float, cells: dict[str, CellConfig]) -> None:
+        """Add a snapshot; one at an equal time goes after, so it wins."""
         snap = {cid: {"azimuth_deg": c.azimuth_deg, "tilt_deg": c.tilt_deg,
                       "tx_power_dbm": c.tx_power_dbm,
                       "pattern_id": c.pattern_id}
                 for cid, c in cells.items()}
-        self._entries.append((float(t_s), snap))
-        self._entries.sort(key=lambda e: e[0])
+        bisect.insort(self._entries, (float(t_s), snap), key=itemgetter(0))
 
     def lookup(self, cell_id: str, t_s: float) -> dict | None:
-        """Config fields active for cell_id at time t_s, or None."""
-        best = None
-        for t0, snap in self._entries:
-            if t0 <= t_s and cell_id in snap:
-                best = snap[cell_id]
-        return best
+        """Config fields active for cell_id at time t_s, or None: those of
+        the latest snapshot at or before t_s that holds cell_id."""
+        i = bisect.bisect_right(self._entries, t_s, key=itemgetter(0))
+        while i > 0:
+            i -= 1
+            snap = self._entries[i][1]
+            if cell_id in snap:
+                return snap[cell_id]
+        return None
 
 
 def fit_radio_maps(measurement_rows, cells: dict[str, CellConfig],
@@ -91,12 +104,20 @@ def fit_radio_maps(measurement_rows, cells: dict[str, CellConfig],
 def predicted_rsrp(cell: CellConfig, gpr: GprRegressor, positions,
                    carrier_ghz: float) -> np.ndarray:
     """Analytic best-beam RSRP at the cell's current fields + GPR residual."""
+    return _predicted_rsrp([cell], gpr, positions, carrier_ghz)[0]
+
+
+def _predicted_rsrp(variants: list[CellConfig], gpr: GprRegressor,
+                    positions, carrier_ghz: float) -> np.ndarray:
+    """(variants, users) predicted RSRP of one cell under each variant of
+    its config, with one GPR query over every (variant, user) pair."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    analytic, _ = best_beam_rsrp_dbm(cell, pos, carrier_ghz)
-    q = np.column_stack([pos,
-                         np.full(pos.shape[0], cell.azimuth_deg),
-                         np.full(pos.shape[0], cell.tilt_deg)])
-    return analytic + gpr.predict(q)
+    analytic = np.array([best_beam_rsrp_dbm(c, pos, carrier_ghz)[0]
+                         for c in variants])
+    angles = np.array([[c.azimuth_deg, c.tilt_deg] for c in variants])
+    q = np.column_stack([np.tile(pos, (len(variants), 1)),
+                         np.repeat(angles, pos.shape[0], axis=0)])
+    return analytic + gpr.predict(q).reshape(analytic.shape)
 
 
 def predict_network_throughput(cells: dict[str, CellConfig],
@@ -116,27 +137,28 @@ def predict_network_throughput(cells: dict[str, CellConfig],
 def _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
                            carrier_ghz, target_cell, candidates,
                            demand_mbps) -> list[float]:
-    """Network throughput with target_cell set to each candidate's fields in
-    turn; the other cells' RSRP does not change and is predicted once."""
+    """Network throughput with target_cell set to each candidate's fields,
+    all rated in one `attach_and_rate` call.  The other cells' RSRP does
+    not change and is predicted once.  Candidates may differ only in
+    fields the attachment rule does not read (pointing and power); the
+    first candidate's carrier, CIO and channel fraction apply to all."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     ids = sorted(cells)
     eval_cells = [cells[cid] for cid in ids]
-    rsrp = np.empty((len(ids), pos.shape[0]))
+    rsrp = np.empty((len(candidates), len(ids), pos.shape[0]))
     for i, cid in enumerate(ids):
         if cid != target_cell:
-            rsrp[i] = predicted_rsrp(cells[cid], radio_maps[cid], pos,
+            rsrp[:, i] = predicted_rsrp(cells[cid], radio_maps[cid], pos,
+                                        carrier_ghz)
+    if target_cell is not None:
+        t = ids.index(target_cell)
+        variants = [cells[target_cell].replace(**f) for f in candidates]
+        eval_cells[t] = variants[0]
+        rsrp[:, t] = _predicted_rsrp(variants, radio_maps[target_cell], pos,
                                      carrier_ghz)
-    out = []
-    for fields in candidates:
-        if target_cell is not None:
-            t = ids.index(target_cell)
-            eval_cells[t] = cells[target_cell].replace(**fields)
-            rsrp[t] = predicted_rsrp(eval_cells[t], radio_maps[target_cell],
-                                     pos, carrier_ghz)
-        throughput = attach_and_rate(rsrp, eval_cells, bandwidth_mhz,
-                                     demand_mbps)[4]
-        out.append(float(sum(throughput.tolist())))  # added in cell order
-    return out
+    throughput = attach_and_rate(rsrp, eval_cells, bandwidth_mhz,
+                                 demand_mbps)[4]
+    return [sum(row) for row in throughput.tolist()]  # added in cell order
 
 
 def estimate_demand_cap(measurement_rows) -> float:
@@ -149,37 +171,69 @@ def estimate_demand_cap(measurement_rows) -> float:
     return best if best > 0.0 else UNCAPPED_DEMAND_MBPS
 
 
+def _latin_hypercube(sizes, n: int, seed: int) -> np.ndarray:
+    """Up to n distinct grid index tuples, sorted, from a Latin hypercube
+    sample (McKay, Beckman and Conover 1979): on every axis, point k falls
+    in its own one of n equal strata of the axis's index range."""
+    rng = np.random.default_rng(seed)
+    cols = [np.minimum(((rng.permutation(n) + rng.random(n)) * m / n)
+                       .astype(int), m - 1) for m in sizes]
+    return np.unique(np.column_stack(cols), axis=0)
+
+
 def build_surrogate_dataset(cells, radio_maps, positions, bandwidth_mhz,
                             carrier_ghz, target_cell, bounds,
                             steps: dict | None = None,
-                            demand_mbps: float = UNCAPPED_DEMAND_MBPS):
-    """Predicted throughput over the whole candidate grid of one cell."""
+                            demand_mbps: float = UNCAPPED_DEMAND_MBPS,
+                            seed: int = 0):
+    """Predicted throughput over one cell's candidate grid: every point of
+    a grid of at most EXHAUSTIVE_LIMIT points, else a seeded Latin
+    hypercube sample of that many.  Returns (X, y, names), points in
+    np.ndindex order, X's columns the fields in names."""
     axes = build_grid_axes(bounds, steps)
     names = list(axes)
-    grid = [{n: float(axes[n][i]) for n, i in zip(names, idx)}
-            for idx in np.ndindex(*[len(axes[n]) for n in names])]
-    X = [[f.get("azimuth_deg", 0.0), f.get("tilt_deg", 0.0),
-          f.get("tx_power_dbm", 0.0)][:len(names)] for f in grid]
+    sizes = [len(axes[n]) for n in names]
+    if int(np.prod(sizes)) <= EXHAUSTIVE_LIMIT:
+        idx = np.indices(sizes).reshape(len(sizes), -1).T  # ndindex order
+    else:
+        idx = _latin_hypercube(sizes, EXHAUSTIVE_LIMIT, seed)
+    X = np.column_stack([axes[n][idx[:, j]] for j, n in enumerate(names)])
+    grid = [dict(zip(names, x)) for x in X.tolist()]
     y = _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
                                carrier_ghz, target_cell, grid, demand_mbps)
-    return np.array(X), np.array(y), names
+    return X, np.array(y), names
 
 
 def recommend_config(measurement_rows, cells: dict[str, CellConfig],
                      config_log: ConfigLog, target_cell: str, bounds: dict,
                      bandwidth_mhz: float, carrier_ghz: float,
                      steps: dict | None = None, seed: int = 0):
-    """Full pipeline: radio maps -> grid dataset -> surrogate -> argmax.
+    """Radio maps, then the best config of target_cell on the grid.
 
+    A grid of at most EXHAUSTIVE_LIMIT points is scored exactly, and its
+    first maximum in np.ndindex order wins, so ties go to the smaller
+    (azimuth, tilt, power) tuple.  A larger grid is sampled (seeded by
+    seed); a surrogate MLP fitted to the sample is searched over the whole
+    grid, and its pick, scored exactly, wins only if it beats the best
+    sampled point.
     Returns (fields, predicted_throughput_mbps).
     """
     maps = fit_radio_maps(measurement_rows, cells, config_log, carrier_ghz)
     t_latest = max(r["t_s"] for r in measurement_rows)
     latest = [r for r in measurement_rows if r["t_s"] == t_latest]
     positions = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in latest])
+    demand = estimate_demand_cap(measurement_rows)
     X, y, names = build_surrogate_dataset(
         cells, maps, positions, bandwidth_mhz, carrier_ghz, target_cell,
-        bounds, steps, demand_mbps=estimate_demand_cap(measurement_rows))
+        bounds, steps, demand_mbps=demand, seed=seed)
+    k = int(np.argmax(y))
+    best, best_y = dict(zip(names, X[k].tolist())), float(y[k])
+    axes = build_grid_axes(bounds, steps)
+    if np.prod([len(a) for a in axes.values()]) <= EXHAUSTIVE_LIMIT:
+        return best, best_y  # every point was scored
     surrogate = fit_surrogate(X, y, seed=seed)
-    fields, predicted = optimize_config(surrogate, bounds, steps)
-    return fields, predicted
+    fields, _ = optimize_config(surrogate, bounds, steps)
+    pick = _candidate_throughputs(cells, maps, positions, bandwidth_mhz,
+                                  carrier_ghz, target_cell, [fields],
+                                  demand)[0]
+    return (fields, pick) if pick > best_y else (best, best_y)

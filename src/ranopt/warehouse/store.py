@@ -178,6 +178,7 @@ class Warehouse:
         self._lock = threading.RLock()
         self.hot_window_s = hot_window_s
         self.clock_s = 0.0  # max event time observed
+        self._has_rows = False  # whether any append has taken a row
 
     # -- subjects -------------------------------------------------------
     def create_subject(self, spec: SubjectSpec) -> str:
@@ -202,7 +203,10 @@ class Warehouse:
 
     # -- writes ---------------------------------------------------------
     def append(self, subject: str, rows) -> int:
-        """Append row dicts (or tuples in schema order); atomic per call."""
+        """Append row dicts (or tuples in schema order); atomic per call.
+
+        A row more than the subject's retention behind the clock, or more
+        than twice it ahead, raises RetentionError."""
         sub = self._get(subject)
         spec = sub.spec
         coerced = []
@@ -234,6 +238,15 @@ class Warehouse:
                     raise RetentionError(
                         f"subject {subject!r}: row at t={t} is outside the "
                         f"{spec.retention_hours} h retention window")
+                # a row from far ahead would move the clock there and push
+                # every later in-time row out of retention; a jump of up to
+                # two retentions, such as a gap in the data, is still taken,
+                # and the first row ever sets the clock, whatever its epoch
+                if self._has_rows and t > self.clock_s + 2 * retention_s:
+                    raise RetentionError(
+                        f"subject {subject!r}: row at t={t} is more than two "
+                        f"{spec.retention_hours} h retention windows ahead "
+                        f"of the clock at {self.clock_s}")
                 coerced.append(tuple(out))
             late: dict[int, list] = {}  # rows for cold partitions
             for row in coerced:
@@ -252,6 +265,7 @@ class Warehouse:
             for bucket, rows in late.items():
                 sub.freeze(sub.partitions[bucket], rows)
             sub.appended_total += len(coerced)
+            self._has_rows = self._has_rows or bool(coerced)
             return len(coerced)
 
     def migrate_tiers(self, now_s: float) -> list[tuple[str, int]]:

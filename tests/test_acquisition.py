@@ -585,6 +585,27 @@ class TestLateRows:
                 (10.0, hash_user_id("late", b"test-key"))]
 
 
+class TestFarFutureRow:
+    def test_one_far_future_row_does_not_move_the_clock(self):
+        pipe, wh = fresh_pipeline()
+
+        def send(seq, t):
+            record = RawRecord("drive-test", seq, meas_payload(timestamp_s=t))
+            assert pipe.ingest_stream(record) == "accepted"
+
+        send(0, 0.0)
+        send(1, 1e15)
+        for t in range(1, 6):
+            send(1 + t, float(t))
+        c = pipe.counters
+        assert (c["ingested"], c["kept"], c["rejected"]) == (7, 6, 1)
+        [(record, reason)] = pipe.rejects
+        assert record.seq_no == 1
+        assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE, "t_s")
+        assert wh.clock_s == 5.0
+        assert wh.row_count("beam-management") == 6
+
+
 class TestWatchDirectory:
     def test_bad_header_file_among_good_ones(self, tmp_path):
         pipe, wh = fresh_pipeline()

@@ -8,6 +8,7 @@ from ranopt.simcore import (aau_power_w, collision_ratio, compute_sinr_db,
 from ranopt.simcore.scheduler import attach_and_rate
 
 from conftest import make_cell
+from naive_oracle import attach_and_rate as oracle_attach_and_rate
 
 
 def naive_attach_and_rate(rsrp, cells, bandwidth_mhz, demand):
@@ -66,6 +67,39 @@ class TestAttachAndRate:
         want = naive_attach_and_rate(rsrp, cells, 100.0, demand)
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_cells=st.integers(1, 12), n_users=st.integers(0, 40),
+           n_candidates=st.integers(1, 4), off_bits=st.integers(0, 4095),
+           per_user_demand=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # ten active cells and three users: cells with one user and nine
+    # interferers, whose sum the per-cell loop adds pairwise
+    @example(n_cells=10, n_users=3, n_candidates=2, off_bits=0,
+             per_user_demand=False, seed=3)
+    @example(n_cells=4, n_users=25, n_candidates=3, off_bits=0b0101,
+             per_user_demand=True, seed=4)
+    @example(n_cells=3, n_users=5, n_candidates=2, off_bits=0b111,
+             per_user_demand=True, seed=5)
+    def test_2d_equals_frozen_per_cell_loop_and_batch_equals_2d(
+            self, n_cells, n_users, n_candidates, off_bits, per_user_demand,
+            seed):
+        rng = np.random.default_rng(seed)
+        cells = [make_cell(f"c{i}", carrier_on=not off_bits >> i & 1,
+                           cio_db=float(rng.choice([-3.0, 0.0, 2.5])),
+                           channel_fraction=float(rng.choice([1.0, 0.5])))
+                 for i in range(n_cells)]
+        rsrp = rng.uniform(-140.0, -40.0, (n_candidates, n_cells, n_users))
+        rsrp[0] = np.round(rsrp[0])  # ties in the attachment rule
+        demand = rng.uniform(1.0, 300.0, n_users) if per_user_demand \
+            else 150.0
+        batched = attach_and_rate(rsrp, cells, 100.0, demand)
+        for c in range(n_candidates):
+            single = attach_and_rate(rsrp[c], cells, 100.0, demand)
+            want = oracle_attach_and_rate(rsrp[c], cells, 100.0, demand)
+            for b, g, w in zip(batched, single, want, strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w, equal_nan=True)
+                assert np.array_equal(b[c], g, equal_nan=True)
 
 
 class TestScheduler:

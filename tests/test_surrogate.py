@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ranopt.ai.surrogate import (augment_rsrp, build_grid_axes, fit_surrogate,
+from ranopt.ai import throughput
+from ranopt.ai.surrogate import (EXHAUSTIVE_LIMIT, augment_rsrp,
+                                 build_grid_axes, fit_surrogate,
                                  optimize_config)
-from ranopt.ai.throughput import (ConfigLog, fit_radio_maps,
+from ranopt.ai.throughput import (ConfigLog, build_surrogate_dataset,
+                                  estimate_demand_cap, fit_radio_maps,
                                   predict_network_throughput, predicted_rsrp,
                                   recommend_config)
 from ranopt.errors import InsufficientHistory, InvalidBounds
@@ -12,6 +16,7 @@ from ranopt.simcore.radio import (best_beam_rsrp_dbm, dbm_to_mw, noise_dbm)
 from ranopt.simcore.scheduler import schedule_and_rate
 
 from conftest import make_cell, make_scenario
+from naive_oracle import LinearConfigLog
 
 
 class FnSurrogate:
@@ -147,6 +152,23 @@ class TestRadioMaps:
         assert log.lookup("c1", 9999.0)["azimuth_deg"] == 20.0
         assert log.lookup("c2", 100.0) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.tuples(
+               st.sampled_from([0.0, 5.0, 5.0, 10.0, 60.0, 3600.0]),
+               st.sets(st.sampled_from(["c1", "c2", "c3"]))), max_size=12),
+           probes=st.lists(st.floats(-10.0, 4000.0), max_size=8))
+    def test_config_log_equals_linear_scan(self, records, probes):
+        # equal times are common, so a later record must win as the
+        # stable re-sort made it; some cells miss from some snapshots
+        log, oracle = ConfigLog(), LinearConfigLog()
+        for k, (t, ids) in enumerate(records):
+            cells = {cid: make_cell(cid, azimuth_deg=float(k)) for cid in ids}
+            log.record(t, cells)
+            oracle.record(t, cells)
+        for t in probes + [t for t, _ in records]:
+            for cid in ("c1", "c2", "c3"):
+                assert log.lookup(cid, t) == oracle.lookup(cid, t)
+
     def test_insufficient_history(self):
         sc = make_scenario()
         with pytest.raises(InsufficientHistory):
@@ -210,3 +232,73 @@ class TestRecommendConfig:
             steps={"azimuth_deg": 10.0, "tilt_deg": 2.0}, seed=0)
         assert abs(fields["azimuth_deg"]) <= 10.0  # hotspot sits at 0 degrees
         assert predicted > 0.0
+
+    def test_batched_grid_scores_equal_single_predictions(self):
+        cells_list = [make_cell("c1", azimuth_deg=0.0),
+                      make_cell("c2", site_pos=(500.0, 0.0, 25.0),
+                                azimuth_deg=180.0)]
+        sc = make_scenario(cells=cells_list, shadow_sigma_db=3.0)
+        rows, log, state = simulate_history(sc, [{}] * 3)
+        cells = {c.cell_id: c for c in state.cells}
+        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
+        pts = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in rows[-20:]])
+        bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (2.0, 10.0),
+                  "tx_power_dbm": (48.0, 50.0)}
+        X, y, names = build_surrogate_dataset(
+            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz, "c2",
+            bounds, {"azimuth_deg": 10.0, "tilt_deg": 2.0}, demand_mbps=80.0)
+        assert len(y) == 5 * 5 * 3
+        for x, score in zip(X, y):
+            want = predict_network_throughput(
+                cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
+                target_cell="c2", candidate_fields=dict(zip(names, x)),
+                demand_mbps=80.0)
+            assert score == pytest.approx(want, rel=1e-12)
+
+    def test_grid_above_limit_samples_then_searches_surrogate(
+            self, monkeypatch):
+        cell = make_cell(azimuth_deg=30.0)
+        sc = make_scenario(cells=[cell], shadow_sigma_db=0.0)
+        rows, log, state = simulate_history(sc, [{}] * 3)
+        cells = {c.cell_id: c for c in state.cells}
+        bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (0.0, 14.0),
+                  "tx_power_dbm": (40.0, 52.0)}
+        steps = {"azimuth_deg": 5.0, "tilt_deg": 1.0, "tx_power_dbm": 1.0}
+        axes = build_grid_axes(bounds, steps)
+        assert np.prod([len(a) for a in axes.values()]) == 1755
+        batches = []
+        score = throughput._candidate_throughputs
+
+        def counted(*args):
+            out = score(*args)
+            batches.append(out)
+            return out
+
+        monkeypatch.setattr(throughput, "_candidate_throughputs", counted)
+        args = (rows, cells, log, "c1", bounds, sc.bandwidth_mhz,
+                sc.carrier_ghz, steps)
+        fields, predicted = recommend_config(*args, seed=0)
+        assert sum(map(len, batches)) <= EXHAUSTIVE_LIMIT + 1
+        best_sampled = max(batches[0])
+        assert recommend_config(*args, seed=0) == (fields, predicted)
+        monkeypatch.undo()
+
+        for name, value in fields.items():
+            assert value in axes[name]
+        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
+        latest = [r for r in rows if r["t_s"] == rows[-1]["t_s"]]
+        pts = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in latest])
+
+        def exact(point):
+            return predict_network_throughput(
+                cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
+                target_cell="c1", candidate_fields=point,
+                demand_mbps=estimate_demand_cap(rows))
+
+        got = exact(fields)
+        assert predicted == pytest.approx(got, rel=1e-12)
+        assert got >= best_sampled
+        names = list(axes)
+        optimum = max(exact({n: float(axes[n][i]) for n, i in zip(names, idx)})
+                      for idx in np.ndindex(*[len(axes[n]) for n in names]))
+        assert got >= 0.95 * optimum

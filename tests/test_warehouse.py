@@ -79,6 +79,18 @@ class TestAppend:
         with pytest.raises(RetentionError):
             wh.append("kpi", [(0.0, "c1", 5.0, 0.1)])
 
+    def test_row_far_ahead_of_clock_rejected(self):
+        week_s = 7 * 24 * 3600.0  # the default retention
+        wh = fresh()
+        wh.append("kpi", [(1.7e9, "c1", 5.0, 0.1)])  # the first row sets
+        assert wh.clock_s == 1.7e9                  # the clock, any epoch
+        wh.append("kpi", [(1.7e9 + 2 * week_s, "c1", 5.0, 0.1)])
+        with pytest.raises(RetentionError, match="ahead"):
+            wh.append("kpi", [(1.7e9 + 4 * week_s + 1.0, "c1", 5.0, 0.1),
+                              (1.7e9 + 10.0, "c1", 5.0, 0.1)])
+        assert wh.clock_s == 1.7e9 + 2 * week_s
+        assert wh.row_count("kpi") == 2
+
     def test_int_outside_64_bits_rejected(self):
         wh = Warehouse()
         wh.create_subject(SubjectSpec("n", [Column("t_s", "float"),
