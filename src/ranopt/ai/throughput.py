@@ -5,14 +5,12 @@ antenna/propagation model at the config that was active when each sample was
 taken. A candidate config of one cell is scored by analytic model + learned
 residual: users are re-attached and network throughput is predicted with the
 simulator's ``best_beam_rsrp_dbm`` and ``attach_and_rate``. Candidates are
-scored in one batch: one GPR query over every (candidate, user) pair of the
-target cell and one ``attach_and_rate`` call over a leading candidate axis;
-the other cells' RSRP is predicted once.
+scored in batches of ``CANDIDATE_BATCH``: per batch, one GPR query over every
+(candidate, user) pair of the target cell and one ``attach_and_rate`` call
+over a leading candidate axis; the other cells' RSRP is predicted once.
 
-``recommend_config`` scores a grid of at most ``EXHAUSTIVE_LIMIT`` points
-exactly and takes its argmax. A larger grid is sampled by Latin hypercube; a
-surrogate MLP fitted to the sample is searched over the whole grid, and its
-pick, scored exactly, replaces the best sampled point only if it beats it.
+``recommend_config`` scores every point of the target cell's candidate grid
+exactly and takes the argmax; no surrogate model stands in for the scores.
 """
 from __future__ import annotations
 
@@ -26,11 +24,13 @@ from ..simcore.radio import best_beam_rsrp_dbm
 from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
 from .gpr import GprRegressor
-from .surrogate import (EXHAUSTIVE_LIMIT, build_grid_axes, fit_surrogate,
-                        optimize_config)
+from .surrogate import build_grid_axes
+# importable from here too, where the benchmark's tracer wraps them
+from .surrogate import fit_surrogate, optimize_config  # noqa: F401
 
 UNCAPPED_DEMAND_MBPS = 1e9
 MIN_SAMPLES_PER_CELL = 8
+CANDIDATE_BATCH = 200  # candidates per attach_and_rate call; bounds its arrays
 
 
 class ConfigLog:
@@ -171,69 +171,42 @@ def estimate_demand_cap(measurement_rows) -> float:
     return best if best > 0.0 else UNCAPPED_DEMAND_MBPS
 
 
-def _latin_hypercube(sizes, n: int, seed: int) -> np.ndarray:
-    """Up to n distinct grid index tuples, sorted, from a Latin hypercube
-    sample (McKay, Beckman and Conover 1979): on every axis, point k falls
-    in its own one of n equal strata of the axis's index range."""
-    rng = np.random.default_rng(seed)
-    cols = [np.minimum(((rng.permutation(n) + rng.random(n)) * m / n)
-                       .astype(int), m - 1) for m in sizes]
-    return np.unique(np.column_stack(cols), axis=0)
-
-
 def build_surrogate_dataset(cells, radio_maps, positions, bandwidth_mhz,
                             carrier_ghz, target_cell, bounds,
                             steps: dict | None = None,
-                            demand_mbps: float = UNCAPPED_DEMAND_MBPS,
-                            seed: int = 0):
-    """Predicted throughput over one cell's candidate grid: every point of
-    a grid of at most EXHAUSTIVE_LIMIT points, else a seeded Latin
-    hypercube sample of that many.  Returns (X, y, names), points in
-    np.ndindex order, X's columns the fields in names."""
+                            demand_mbps: float = UNCAPPED_DEMAND_MBPS):
+    """Predicted throughput at every point of one cell's candidate grid,
+    scored CANDIDATE_BATCH candidates at a time.  Returns (X, y, names),
+    points in np.ndindex order, X's columns the fields in names."""
     axes = build_grid_axes(bounds, steps)
     names = list(axes)
-    sizes = [len(axes[n]) for n in names]
-    if int(np.prod(sizes)) <= EXHAUSTIVE_LIMIT:
-        idx = np.indices(sizes).reshape(len(sizes), -1).T  # ndindex order
-    else:
-        idx = _latin_hypercube(sizes, EXHAUSTIVE_LIMIT, seed)
+    idx = np.indices([len(axes[n]) for n in names]).reshape(len(names), -1).T
     X = np.column_stack([axes[n][idx[:, j]] for j, n in enumerate(names)])
     grid = [dict(zip(names, x)) for x in X.tolist()]
-    y = _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
-                               carrier_ghz, target_cell, grid, demand_mbps)
+    y = []
+    for i in range(0, len(grid), CANDIDATE_BATCH):
+        y += _candidate_throughputs(cells, radio_maps, positions,
+                                    bandwidth_mhz, carrier_ghz, target_cell,
+                                    grid[i:i + CANDIDATE_BATCH], demand_mbps)
     return X, np.array(y), names
 
 
 def recommend_config(measurement_rows, cells: dict[str, CellConfig],
                      config_log: ConfigLog, target_cell: str, bounds: dict,
                      bandwidth_mhz: float, carrier_ghz: float,
-                     steps: dict | None = None, seed: int = 0):
+                     steps: dict | None = None):
     """Radio maps, then the best config of target_cell on the grid.
 
-    A grid of at most EXHAUSTIVE_LIMIT points is scored exactly, and its
-    first maximum in np.ndindex order wins, so ties go to the smaller
-    (azimuth, tilt, power) tuple.  A larger grid is sampled (seeded by
-    seed); a surrogate MLP fitted to the sample is searched over the whole
-    grid, and its pick, scored exactly, wins only if it beats the best
-    sampled point.
+    Every grid point is scored exactly, and the first maximum in np.ndindex
+    order wins, so ties go to the smaller (azimuth, tilt, power) tuple.
     Returns (fields, predicted_throughput_mbps).
     """
     maps = fit_radio_maps(measurement_rows, cells, config_log, carrier_ghz)
     t_latest = max(r["t_s"] for r in measurement_rows)
     latest = [r for r in measurement_rows if r["t_s"] == t_latest]
     positions = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in latest])
-    demand = estimate_demand_cap(measurement_rows)
     X, y, names = build_surrogate_dataset(
         cells, maps, positions, bandwidth_mhz, carrier_ghz, target_cell,
-        bounds, steps, demand_mbps=demand, seed=seed)
+        bounds, steps, demand_mbps=estimate_demand_cap(measurement_rows))
     k = int(np.argmax(y))
-    best, best_y = dict(zip(names, X[k].tolist())), float(y[k])
-    axes = build_grid_axes(bounds, steps)
-    if np.prod([len(a) for a in axes.values()]) <= EXHAUSTIVE_LIMIT:
-        return best, best_y  # every point was scored
-    surrogate = fit_surrogate(X, y, seed=seed)
-    fields, _ = optimize_config(surrogate, bounds, steps)
-    pick = _candidate_throughputs(cells, maps, positions, bandwidth_mhz,
-                                  carrier_ghz, target_cell, [fields],
-                                  demand)[0]
-    return (fields, pick) if pick > best_y else (best, best_y)
+    return dict(zip(names, X[k].tolist())), float(y[k])

@@ -201,7 +201,7 @@ class ClosedLoop:
         fields, _ = recommend_config(
             rows, self._cells(), self.config_log, target, bounds,
             self.scenario.bandwidth_mhz, self.scenario.carrier_ghz,
-            steps=steps, seed=self.seed + self.epoch)
+            steps=steps)
         return Command(target, fields, "throughput", self.epoch)
 
     def _optimize_mimo(self, before: KpiSnapshot) -> Command:

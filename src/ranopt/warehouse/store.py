@@ -178,7 +178,8 @@ class Warehouse:
         self._lock = threading.RLock()
         self.hot_window_s = hot_window_s
         self.clock_s = 0.0  # max event time observed
-        self._has_rows = False  # whether any append has taken a row
+        # whether a row was refused for its lead since the last row taken
+        self._lead_refused = False
 
     # -- subjects -------------------------------------------------------
     def create_subject(self, spec: SubjectSpec) -> str:
@@ -205,8 +206,12 @@ class Warehouse:
     def append(self, subject: str, rows) -> int:
         """Append row dicts (or tuples in schema order); atomic per call.
 
-        A row more than the subject's retention behind the clock, or more
-        than twice it ahead, raises RetentionError."""
+        Rows are checked against the clock as it stood when the call began.
+        A row more than the subject's retention behind it raises
+        RetentionError.  So does a row more than twice the retention ahead
+        of it, unless the last such row was refused and no row was taken
+        since: one far-future row is refused, and data that resumed after a
+        long gap is taken from its second row on."""
         sub = self._get(subject)
         spec = sub.spec
         coerced = []
@@ -239,10 +244,13 @@ class Warehouse:
                         f"subject {subject!r}: row at t={t} is outside the "
                         f"{spec.retention_hours} h retention window")
                 # a row from far ahead would move the clock there and push
-                # every later in-time row out of retention; a jump of up to
-                # two retentions, such as a gap in the data, is still taken,
-                # and the first row ever sets the clock, whatever its epoch
-                if self._has_rows and t > self.clock_s + 2 * retention_s:
+                # every later in-time row out of retention; the first row
+                # ever sets the clock, whatever its epoch
+                if (t > self.clock_s + 2 * retention_s
+                        and not self._lead_refused
+                        and any(s.appended_total
+                                for s in self._subjects.values())):
+                    self._lead_refused = True
                     raise RetentionError(
                         f"subject {subject!r}: row at t={t} is more than two "
                         f"{spec.retention_hours} h retention windows ahead "
@@ -265,7 +273,8 @@ class Warehouse:
             for bucket, rows in late.items():
                 sub.freeze(sub.partitions[bucket], rows)
             sub.appended_total += len(coerced)
-            self._has_rows = self._has_rows or bool(coerced)
+            if coerced:
+                self._lead_refused = False
             return len(coerced)
 
     def migrate_tiers(self, now_s: float) -> list[tuple[str, int]]:

@@ -605,6 +605,17 @@ class TestFarFutureRow:
         assert wh.clock_s == 5.0
         assert wh.row_count("beam-management") == 6
 
+    def test_far_future_first_row_still_sets_the_clock(self):
+        # a known limit: with no row taken yet there is no clock to bound a
+        # lead against, so in-time rows after it are refused as too late
+        pipe, wh = fresh_pipeline()
+        for seq, t in enumerate([1e15, 1.0, 2.0, 3.0, 4.0, 5.0]):
+            record = RawRecord("drive-test", seq, meas_payload(timestamp_s=t))
+            assert pipe.ingest_stream(record) == "accepted"
+        c = pipe.counters
+        assert (c["ingested"], c["kept"], c["rejected"]) == (6, 1, 5)
+        assert wh.clock_s == 1e15
+
 
 class TestWatchDirectory:
     def test_bad_header_file_among_good_ones(self, tmp_path):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranopt.ai import throughput
-from ranopt.ai.surrogate import (EXHAUSTIVE_LIMIT, augment_rsrp,
-                                 build_grid_axes, fit_surrogate,
+from ranopt.ai.surrogate import (augment_rsrp, build_grid_axes, fit_surrogate,
                                  optimize_config)
 from ranopt.ai.throughput import (ConfigLog, build_surrogate_dataset,
                                   estimate_demand_cap, fit_radio_maps,
@@ -229,9 +228,22 @@ class TestRecommendConfig:
                   "tx_power_dbm": (50.0, 50.0)}
         fields, predicted = recommend_config(
             rows, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
-            steps={"azimuth_deg": 10.0, "tilt_deg": 2.0}, seed=0)
+            steps={"azimuth_deg": 10.0, "tilt_deg": 2.0})
         assert abs(fields["azimuth_deg"]) <= 10.0  # hotspot sits at 0 degrees
         assert predicted > 0.0
+
+    def test_ties_go_to_the_smallest_tuple(self, monkeypatch):
+        sc = make_scenario(cells=[make_cell()], shadow_sigma_db=0.0)
+        rows, log, state = simulate_history(sc, [{}] * 3)
+        monkeypatch.setattr(throughput, "_candidate_throughputs",
+                            lambda *args: [1.0] * len(args[6]))
+        bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (4.0, 8.0),
+                  "tx_power_dbm": (48.0, 50.0)}
+        fields, predicted = recommend_config(
+            rows, {c.cell_id: c for c in state.cells}, log, "c1", bounds,
+            sc.bandwidth_mhz, sc.carrier_ghz)
+        assert (fields, predicted) == ({"azimuth_deg": 0.0, "tilt_deg": 4.0,
+                                        "tx_power_dbm": 48.0}, 1.0)
 
     def test_batched_grid_scores_equal_single_predictions(self):
         cells_list = [make_cell("c1", azimuth_deg=0.0),
@@ -255,8 +267,7 @@ class TestRecommendConfig:
                 demand_mbps=80.0)
             assert score == pytest.approx(want, rel=1e-12)
 
-    def test_grid_above_limit_samples_then_searches_surrogate(
-            self, monkeypatch):
+    def test_grid_above_batch_size_scored_exactly(self, monkeypatch):
         cell = make_cell(azimuth_deg=30.0)
         sc = make_scenario(cells=[cell], shadow_sigma_db=0.0)
         rows, log, state = simulate_history(sc, [{}] * 3)
@@ -265,40 +276,34 @@ class TestRecommendConfig:
                   "tx_power_dbm": (40.0, 52.0)}
         steps = {"azimuth_deg": 5.0, "tilt_deg": 1.0, "tx_power_dbm": 1.0}
         axes = build_grid_axes(bounds, steps)
-        assert np.prod([len(a) for a in axes.values()]) == 1755
+        names = list(axes)
+        points = [{n: float(axes[n][i]) for n, i in zip(names, idx)}
+                  for idx in np.ndindex(*[len(axes[n]) for n in names])]
+        assert len(points) == 1755
         batches = []
         score = throughput._candidate_throughputs
 
         def counted(*args):
-            out = score(*args)
-            batches.append(out)
-            return out
+            batches.append(len(args[6]))
+            return score(*args)
 
         monkeypatch.setattr(throughput, "_candidate_throughputs", counted)
-        args = (rows, cells, log, "c1", bounds, sc.bandwidth_mhz,
-                sc.carrier_ghz, steps)
-        fields, predicted = recommend_config(*args, seed=0)
-        assert sum(map(len, batches)) <= EXHAUSTIVE_LIMIT + 1
-        best_sampled = max(batches[0])
-        assert recommend_config(*args, seed=0) == (fields, predicted)
+        fields, predicted = recommend_config(
+            rows, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
+            steps)
         monkeypatch.undo()
+        assert sum(batches) == 1755
+        assert max(batches) == throughput.CANDIDATE_BATCH
 
-        for name, value in fields.items():
-            assert value in axes[name]
         maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
         latest = [r for r in rows if r["t_s"] == rows[-1]["t_s"]]
         pts = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in latest])
-
-        def exact(point):
-            return predict_network_throughput(
-                cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
-                target_cell="c1", candidate_fields=point,
-                demand_mbps=estimate_demand_cap(rows))
-
-        got = exact(fields)
-        assert predicted == pytest.approx(got, rel=1e-12)
-        assert got >= best_sampled
-        names = list(axes)
-        optimum = max(exact({n: float(axes[n][i]) for n, i in zip(names, idx)})
-                      for idx in np.ndindex(*[len(axes[n]) for n in names]))
-        assert got >= 0.95 * optimum
+        exact = [predict_network_throughput(
+            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
+            target_cell="c1", candidate_fields=p,
+            demand_mbps=estimate_demand_cap(rows)) for p in points]
+        best = max(exact)
+        assert predicted == pytest.approx(best, rel=1e-12)
+        first = next(p for p, v in zip(points, exact)
+                     if v == pytest.approx(best, rel=1e-12))
+        assert fields == first

@@ -90,6 +90,23 @@ class TestAppend:
                               (1.7e9 + 10.0, "c1", 5.0, 0.1)])
         assert wh.clock_s == 1.7e9 + 2 * week_s
         assert wh.row_count("kpi") == 2
+        wh.append("kpi", [(1.7e9 + 2 * week_s + 1.0, "c1", 5.0, 0.1)])
+        with pytest.raises(RetentionError, match="ahead"):  # refused again
+            wh.append("kpi", [(1e15, "c1", 5.0, 0.1)])    # after a row taken
+        assert wh.row_count("kpi") == 3
+
+    def test_data_resuming_after_a_long_gap_taken_from_its_second_row(self):
+        week_s = 7 * 24 * 3600.0
+        wh = fresh()
+        wh.append("kpi", [(0.0, "c1", 5.0, 0.1)])
+        with pytest.raises(RetentionError, match="ahead"):
+            wh.append("kpi", [(3 * week_s, "c1", 5.0, 0.1)])
+        with pytest.raises(SchemaError):  # takes no row, changes nothing
+            wh.append("kpi", [(3 * week_s, "c1", "oops", 0.1)])
+        wh.append("kpi", [(3 * week_s + 60.0, "c1", 5.0, 0.1)])
+        assert wh.clock_s == 3 * week_s + 60.0
+        wh.append("kpi", [(3 * week_s + 120.0, "c1", 5.0, 0.1)])
+        assert wh.row_count("kpi") == 3
 
     def test_int_outside_64_bits_rejected(self):
         wh = Warehouse()
