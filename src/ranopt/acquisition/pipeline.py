@@ -1,30 +1,37 @@
 """Ingest -> clean -> transform -> load pipeline feeding the warehouse.
 
-Every input goes through one row parser (`parse_header`, `parse_row`): CSV
-and TXT files via `ingest_batch` and the socket via `sources`, both read by
-`read_rows`, and the closed loop's in-memory simulator rows via `ingest_rows`.
-`ingest_stream` dedups, cleans, transforms and loads each record in the
-calling thread, so every record has reached its fate when the call returns;
-concurrent producers, such as two socket connections, share the dedup set
-and counters under one lock and the warehouse under its own.
+Every input goes through one row parser (`parse_header`, `read_rows`) and
+one batch-shaped path, `ingest_rows`: CSV and TXT files via `ingest_batch`,
+the closed loop's in-memory simulator rows directly, and the socket (see
+`sources`) and `ingest_stream` as batches of one.  For each header the
+pipeline builds one row checker, which applies the cleaning rules in order,
+parses each numeric field once, hashes the user id, converts kbps to Mbps
+and emits the record's warehouse rows.  A batch of up to `BATCH_ROWS` rows
+is deduplicated under one lock, checked row by row and loaded by one
+`Warehouse.load` call, which admits each record against the running clock,
+so a batch ends as its rows ingested one at a time would.  Every record
+has met its fate when the call returns; concurrent producers, such as two
+socket connections, share the dedup set and counters under one lock and
+the warehouse under its own.
 """
 from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 import threading
 from dataclasses import dataclass
+from itertools import islice
+from math import isfinite
 from pathlib import Path
 
-from ..errors import FileRejected, RetentionError, UnknownSource
+from ..errors import FileRejected, SchemaError, UnknownSource
 from ..simcore.types import (KpiRecord, MeasurementRecord, RSRP_MAX_DBM,
                              RSRP_MIN_DBM, SINR_MAX_DB, SINR_MIN_DB)
 from ..warehouse.subjects import (SUBJECT_BEAM, SUBJECT_ENERGY,
-                                  SUBJECT_INTERFERENCE, SUBJECT_THROUGHPUT)
-from .records import (CanonicalRecord, KPI_FIELDS, MEASUREMENT_FIELDS,
-                      RawRecord, RejectCode, RejectReason, SOURCE_TAGS,
+                                  SUBJECT_INTERFERENCE, SUBJECT_THROUGHPUT,
+                                  bundled_subjects)
+from .records import (RawRecord, RejectCode, RejectReason, SOURCE_TAGS,
                       hash_user_id)
 
 MEASUREMENT_HEADER = MeasurementRecord.CSV_HEADER
@@ -34,8 +41,13 @@ KPI_HEADER = KpiRecord.CSV_HEADER
 
 ENVELOPE = ("source_tag", "seq_no")
 
+BATCH_ROWS = 4096  # rows per dedup pass and per Warehouse.load call
+
 _HASHED_ID = re.compile(r"^h[0-9a-f]{16}$")
 _INT64 = float(1 << 63)
+_STRING_FIELDS = ("user_id", "cell_id", "signal_type")
+# the warehouse columns the row checkers emit rows for, in order
+_BUNDLED_COLUMNS = {s.name: s.columns for s in bundled_subjects()}
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,12 @@ def parse_header(cells) -> Header | None:
                   if payload[0] == "timestamp_s" else "network-management")
 
 
+# the header of a RawRecord's payload, with the envelope carrying its
+# source and sequence number
+_RECORD_HEADERS = {schema: parse_header(ENVELOPE + schema) for schema in
+                   (MEASUREMENT_HEADER, MEASUREMENT_HEADER_KBPS, KPI_HEADER)}
+
+
 def _reject(code: RejectCode, field, values, line_no=None) -> RejectReason:
     """A reject whose raw text is the record's values, comma-joined."""
     return RejectReason(code, field, ",".join(map(str, values)), line_no)
@@ -77,6 +95,134 @@ def read_rows(lines, delimiter: str = ","):
         yield line_no, []  # the rest of the text is that one bad row
 
 
+class _Rejected(Exception):
+    """A record breaks a cleaning rule; args are (code, field)."""
+
+
+def _unparsable(v) -> bool:
+    try:
+        float(v)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+def _first(cells, fields, bad) -> str | None:
+    """The first of the (name, index) fields whose cell is `bad`."""
+    return next((name for name, i in fields if bad(cells[i])), None)
+
+
+def _row_checker(header: Header, known_cells, hash_key: bytes):
+    """A function of a row's cells and its source that returns the record's
+    warehouse rows, as (subject, row tuple) pairs in the bundled subjects'
+    column order, or raises _Rejected for the first cleaning rule the row
+    breaks.  The rules, in order, each over the fields in header order:
+
+    1. MissingField: an empty field;
+    2. UnparsableValue: a numeric field that float() refuses;
+    3. OutOfRange: a NaN or infinite numeric field;
+    4. OutOfRange: an integral field (a time, beam id or user count) that
+       does not fit in int64;
+    5. OutOfRange: RSRP, then SINR, outside the reporting range;
+    6. OutOfRange: a negative rate;
+    7. InconsistentIds: a cell that is not in known_cells.
+
+    User ids are hashed with hash_key; one that is already a hash passes
+    through, so stored rows re-ingest unchanged."""
+    offset = 2 if header.enveloped else 0
+    index = {f: offset + i for i, f in enumerate(header.payload)}
+    numeric = tuple((f, i) for f, i in index.items()
+                    if f not in _STRING_FIELDS)
+    payload = header.payload
+
+    def reject_missing(cells):
+        return _Rejected(RejectCode.MISSING_FIELD,
+                         payload[cells.index("", offset) - offset])
+
+    def reject_numeric(cells):
+        """The reject for rules 2-3, or None if every value is finite."""
+        field = _first(cells, numeric, _unparsable)
+        if field is not None:
+            return _Rejected(RejectCode.UNPARSABLE_VALUE, field)
+        field = _first(cells, numeric, lambda v: not isfinite(float(v)))
+        return None if field is None else _Rejected(RejectCode.OUT_OF_RANGE,
+                                                    field)
+
+    if payload[0] == "timestamp_s":
+        i_t, i_u, i_c, i_b, i_s, i_r, i_q, i_v, i_x, i_y = index.values()
+        rate_field = payload[7]
+        kbps = rate_field == "rate_kbps"
+
+        def check(cells, source):
+            if "" in cells:
+                raise reject_missing(cells)
+            try:
+                t, beam, rsrp, sinr, rate, x, y = (
+                    float(cells[i_t]), float(cells[i_b]), float(cells[i_r]),
+                    float(cells[i_q]), float(cells[i_v]), float(cells[i_x]),
+                    float(cells[i_y]))
+            except (TypeError, ValueError):
+                raise reject_numeric(cells) from None
+            # a sum that is finite has only finite terms
+            if not isfinite(t + beam + rsrp + sinr + rate + x + y):
+                rejected = reject_numeric(cells)
+                if rejected:
+                    raise rejected
+            if not -_INT64 <= t < _INT64:  # bucketed by the hour
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "timestamp_s")
+            if not -_INT64 <= beam < _INT64:  # stored as int64
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "beam_id")
+            if not RSRP_MIN_DBM <= rsrp <= RSRP_MAX_DBM:
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "rsrp_dbm")
+            if not SINR_MIN_DB <= sinr <= SINR_MAX_DB:
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "sinr_db")
+            if rate < 0.0:
+                raise _Rejected(RejectCode.OUT_OF_RANGE, rate_field)
+            cell = cells[i_c]
+            if cell not in known_cells:
+                raise _Rejected(RejectCode.INCONSISTENT_IDS, "cell_id")
+            uid = str(cells[i_u])
+            user_hash = uid if _HASHED_ID.match(uid) \
+                else hash_user_id(uid, hash_key)
+            return ((SUBJECT_BEAM, (
+                t, user_hash, str(cell), int(beam), str(cells[i_s]), rsrp,
+                sinr, rate / 1000.0 if kbps else rate, x, y, source)),)
+        return check
+
+    i_c, i_t, i_w, i_p, i_r, i_n, i_pw, i_cr = index.values()
+
+    def check(cells, source):
+        if "" in cells:
+            raise reject_missing(cells)
+        try:
+            t, length, tput, rbur, users, power, coll = (
+                float(cells[i_t]), float(cells[i_w]), float(cells[i_p]),
+                float(cells[i_r]), float(cells[i_n]), float(cells[i_pw]),
+                float(cells[i_cr]))
+        except (TypeError, ValueError):
+            raise reject_numeric(cells) from None
+        if not isfinite(t + length + tput + rbur + users + power + coll):
+            rejected = reject_numeric(cells)
+            if rejected:
+                raise rejected
+        if not -_INT64 <= t < _INT64:
+            raise _Rejected(RejectCode.OUT_OF_RANGE, "window_start_s")
+        if not -_INT64 <= users < _INT64:
+            raise _Rejected(RejectCode.OUT_OF_RANGE, "num_users")
+        if tput < 0.0:
+            raise _Rejected(RejectCode.OUT_OF_RANGE, "throughput_mbps")
+        cell = cells[i_c]
+        if cell not in known_cells:
+            raise _Rejected(RejectCode.INCONSISTENT_IDS, "cell_id")
+        cell, users = str(cell), int(users)
+        return ((SUBJECT_THROUGHPUT,
+                 (t, cell, length, tput, rbur, users, source)),
+                (SUBJECT_INTERFERENCE, (t, cell, coll, users, source)),
+                (SUBJECT_ENERGY, (t, cell, length, rbur, power,
+                                  power * length / 3600.0, source)))
+    return check
+
+
 class AcquisitionPipeline:
     def __init__(self, warehouse, known_cells,
                  hash_key: bytes = b"ranopt-default"):
@@ -85,6 +231,7 @@ class AcquisitionPipeline:
         self.hash_key = hash_key
         self._seen: set[tuple[str, int]] = set()
         self._auto_seq: dict[str, int] = {}
+        self._checkers: dict[Header, object] = {}
         self._lock = threading.Lock()
         self.counters = {"ingested": 0, "duplicates": 0, "kept": 0,
                          "rejected": 0, "files_rejected": 0}
@@ -93,63 +240,36 @@ class AcquisitionPipeline:
 
     # -- stream ingestion ----------------------------------------------
     def ingest_stream(self, record: RawRecord) -> str:
-        """Clean, transform and load a record; returns "accepted" (kept or
-        rejected) or "duplicate", which never reaches the later stages."""
-        if record.source_tag not in SOURCE_TAGS:
-            raise UnknownSource(f"source {record.source_tag!r} not registered")
-        with self._lock:
-            key = (record.source_tag, record.seq_no)
-            if key in self._seen:
-                self.counters["duplicates"] += 1
-                return "duplicate"
-            self._seen.add(key)
-            self.counters["ingested"] += 1
-        reason = self.clean_one(record)
-        if reason is None:
-            try:
-                self.load([self.transform(record)])
-            except RetentionError:  # older than the warehouse keeps
-                reason = _reject(RejectCode.OUT_OF_RANGE, "t_s",
-                                 record.payload.values())
-        with self._lock:
-            if reason is None:
-                self.counters["kept"] += 1
-            else:
-                self.counters["rejected"] += 1
-                self.rejects.append((record, reason))
-        return "accepted"
+        """Ingest one record as a batch of one; returns "accepted" (kept or
+        rejected) or "duplicate", which never reaches the later stages.  A
+        payload field the record lacks counts as empty."""
+        payload = record.payload
+        if "timestamp_s" in payload or "rsrp_dbm" in payload:
+            schema = (MEASUREMENT_HEADER_KBPS if "rate_kbps" in payload
+                      else MEASUREMENT_HEADER)
+        else:
+            schema = KPI_HEADER
+        cells = [record.source_tag, record.seq_no] + [
+            payload.get(f, "") for f in schema]
+        accepted, _ = self._ingest(_RECORD_HEADERS[schema], [(None, cells)],
+                                   record)
+        return "accepted" if accepted else "duplicate"
 
-    # -- row parsing and batch ingestion ---------------------------------
-    def parse_row(self, header: Header, cells, line_no: int | None = None
-                  ) -> RawRecord | RejectReason:
-        """A row of cells as a record, or a line-level reject.  A row without
-        the envelope gets the next sequence number of the default source."""
-        if len(cells) != len(header.columns):
-            return _reject(RejectCode.UNPARSABLE_VALUE, None, cells, line_no)
-        if not header.enveloped:
-            source = header.default_source
-            with self._lock:
-                seq = self._auto_seq.get(source, 0)
-                self._auto_seq[source] = seq + 1
-            return RawRecord(source, seq, dict(zip(header.payload, cells)))
-        try:
-            seq = int(cells[1])
-        except ValueError:
-            return _reject(RejectCode.UNPARSABLE_VALUE, "seq_no", cells, line_no)
-        return RawRecord(cells[0], seq, dict(zip(header.payload, cells[2:])))
-
+    # -- row and batch ingestion ----------------------------------------
     def ingest_rows(self, header: Header, rows
                     ) -> tuple[int, list[RejectReason]]:
-        """Ingest (line_no, cells) pairs; returns (accepted, line rejects)."""
-        accepted = 0
-        rejects: list[RejectReason] = []
-        for line_no, cells in rows:
-            record = self.parse_row(header, cells, line_no)
-            if isinstance(record, RejectReason):
-                rejects.append(record)
-            elif self.ingest_stream(record) == "accepted":
-                accepted += 1
-        return accepted, rejects
+        """Ingest (line_no, cells) pairs, BATCH_ROWS at a time; returns
+        (accepted, line rejects).  A row without the envelope gets the next
+        sequence number of the default source.  A row naming a source that
+        is not registered raises UnknownSource once the rows before it have
+        met their fates."""
+        rows = iter(rows)
+        accepted, line_rejects = 0, []
+        while batch := list(islice(rows, BATCH_ROWS)):
+            n, rejects = self._ingest(header, batch)
+            accepted += n
+            line_rejects += rejects
+        return accepted, line_rejects
 
     def ingest_batch(self, file_path) -> tuple[int, list[RejectReason]]:
         """Ingest a CSV (comma) or TXT (tab) file; a header mismatch or text
@@ -175,158 +295,95 @@ class AcquisitionPipeline:
             self.counters["files_rejected"] += 1
             self.file_rejects.append((str(path), message))
 
-    # -- clean ----------------------------------------------------------
-    def clean_one(self, record: RawRecord) -> RejectReason | None:
-        payload = record.payload
-        if "timestamp_s" in payload or "rsrp_dbm" in payload:
-            mandatory = MEASUREMENT_HEADER_KBPS if "rate_kbps" in payload \
-                else MEASUREMENT_HEADER
-            integral = ("timestamp_s", "beam_id")
-        else:
-            mandatory = KPI_HEADER
-            integral = ("window_start_s", "num_users")
-        for f in mandatory:
-            if f not in payload or payload[f] == "":
-                return _reject(RejectCode.MISSING_FIELD, f, payload.values())
-        numeric = [f for f in mandatory
-                   if f not in ("user_id", "cell_id", "signal_type")]
-        vals = {}
-        for f in numeric:
+    def _checker(self, header: Header):
+        """The header's row checker, built on first use; the warehouse
+        must hold the bundled subjects the checker emits rows for."""
+        check = self._checkers.get(header)
+        if check is None:
+            subjects = ((SUBJECT_BEAM,) if header.payload[0] == "timestamp_s"
+                        else (SUBJECT_THROUGHPUT, SUBJECT_INTERFERENCE,
+                              SUBJECT_ENERGY))
+            for subject in subjects:
+                if (self.warehouse.subject_spec(subject).columns
+                        != _BUNDLED_COLUMNS[subject]):
+                    raise SchemaError(f"subject {subject!r} lacks the "
+                                      f"bundled columns the pipeline loads")
+            check = _row_checker(header, self.known_cells, self.hash_key)
+            self._checkers[header] = check
+        return check
+
+    def _ingest(self, header: Header, rows, record: RawRecord | None = None
+                ) -> tuple[int, list[RejectReason]]:
+        """Parse, dedup, check, load and count one batch of (line_no, cells)
+        rows; returns (records not duplicates, line rejects).  `record` is
+        the RawRecord the batch's one row was made from, if any."""
+        check = self._checker(header)
+        width, enveloped = len(header.columns), header.enveloped
+        line_rejects, fresh, unknown = [], [], None
+        with self._lock:
+            seen, duplicates = self._seen, 0
+            for line_no, cells in rows:
+                if len(cells) != width:
+                    line_rejects.append(_reject(RejectCode.UNPARSABLE_VALUE,
+                                                None, cells, line_no))
+                    continue
+                if enveloped:
+                    try:
+                        seq = int(cells[1])
+                    except ValueError:
+                        line_rejects.append(_reject(
+                            RejectCode.UNPARSABLE_VALUE, "seq_no", cells,
+                            line_no))
+                        continue
+                    source = cells[0]
+                    if source not in SOURCE_TAGS:
+                        unknown = source
+                        break
+                else:
+                    source = header.default_source
+                    seq = self._auto_seq.get(source, 0)
+                    self._auto_seq[source] = seq + 1
+                key = (source, seq)
+                if key in seen:
+                    duplicates += 1
+                    continue
+                seen.add(key)
+                fresh.append((source, seq, cells))
+            self.counters["duplicates"] += duplicates
+            self.counters["ingested"] += len(fresh)
+
+        loads, bad = [], []  # bad: (position in fresh, code, field)
+        for i, (source, _, cells) in enumerate(fresh):
             try:
-                vals[f] = float(payload[f])
-            except (TypeError, ValueError):
-                return _reject(RejectCode.UNPARSABLE_VALUE, f, payload.values())
-        for f, v in vals.items():  # NaN or infinity would poison aggregates
-            if not math.isfinite(v):
-                return _reject(RejectCode.OUT_OF_RANGE, f, payload.values())
-        for f in integral:  # stored as int64, or bucketed by the hour
-            if not -_INT64 <= vals[f] < _INT64:
-                return _reject(RejectCode.OUT_OF_RANGE, f, payload.values())
-        if "rsrp_dbm" in vals and not (RSRP_MIN_DBM <= vals["rsrp_dbm"] <= RSRP_MAX_DBM):
-            return _reject(RejectCode.OUT_OF_RANGE, "rsrp_dbm", payload.values())
-        if "sinr_db" in vals and not (SINR_MIN_DB <= vals["sinr_db"] <= SINR_MAX_DB):
-            return _reject(RejectCode.OUT_OF_RANGE, "sinr_db", payload.values())
-        for rate_field in ("rate_mbps", "rate_kbps", "throughput_mbps"):
-            if rate_field in vals and vals[rate_field] < 0.0:
-                return _reject(RejectCode.OUT_OF_RANGE, rate_field, payload.values())
-        if payload.get("cell_id") not in self.known_cells:
-            return _reject(RejectCode.INCONSISTENT_IDS, "cell_id", payload.values())
-        return None
-
-    def clean(self, records) -> tuple[list[RawRecord],
-                                      list[tuple[RawRecord, RejectReason]]]:
-        """Standalone cleaning pass with per-call (source, seq) dedup."""
-        kept, rejected = [], []
-        seen = set()
-        for r in records:
-            key = (r.source_tag, r.seq_no)
-            if key in seen:
-                rejected.append((r, _reject(RejectCode.DUPLICATE_SEQ, "seq_no",
-                                            r.payload.values())))
-                continue
-            seen.add(key)
-            reason = self.clean_one(r)
-            if reason is None:
-                kept.append(r)
-            else:
-                rejected.append((r, reason))
-        return kept, rejected
-
-    # -- transform ------------------------------------------------------
-    def transform(self, record: RawRecord) -> CanonicalRecord:
-        payload = record.payload
-        if "timestamp_s" in payload:
-            uid = str(payload["user_id"])
-            # already-hashed ids pass through so canonicalization is idempotent
-            user_hash = uid if _HASHED_ID.match(uid) \
-                else hash_user_id(uid, self.hash_key)
-            rate = (float(payload["rate_kbps"]) / 1000.0
-                    if "rate_kbps" in payload else float(payload["rate_mbps"]))
-            fields = {
-                "t_s": float(payload["timestamp_s"]),
-                "user_hash": user_hash,
-                "cell_id": str(payload["cell_id"]),
-                "beam_id": int(float(payload["beam_id"])),
-                "signal_type": str(payload["signal_type"]),
-                "rsrp_dbm": float(payload["rsrp_dbm"]),
-                "sinr_db": float(payload["sinr_db"]),
-                "rate_mbps": rate,
-                "pos_x_m": float(payload["pos_x_m"]),
-                "pos_y_m": float(payload["pos_y_m"]),
-            }
-            kind = "measurement"
-            assert tuple(fields) == MEASUREMENT_FIELDS
-        else:
-            fields = {
-                "t_s": float(payload["window_start_s"]),
-                "cell_id": str(payload["cell_id"]),
-                "window_len_s": float(payload["window_len_s"]),
-                "throughput_mbps": float(payload["throughput_mbps"]),
-                "rbur": float(payload["rbur"]),
-                "num_users": int(float(payload["num_users"])),
-                "power_w": float(payload["power_w"]),
-                "collision_ratio": float(payload["collision_ratio"]),
-            }
-            kind = "kpi"
-            assert tuple(fields) == KPI_FIELDS
-        return CanonicalRecord(kind=kind, source_tag=record.source_tag,
-                               ingest_time_s=fields["t_s"], fields=fields)
-
-    def canonical_payload_view(self, rec: CanonicalRecord) -> RawRecord:
-        """Re-expose a canonical record as a raw payload (idempotency check)."""
-        f = rec.fields
-        if rec.kind == "measurement":
-            payload = {"timestamp_s": f["t_s"], "user_id": f["user_hash"],
-                       "cell_id": f["cell_id"], "beam_id": f["beam_id"],
-                       "signal_type": f["signal_type"], "rsrp_dbm": f["rsrp_dbm"],
-                       "sinr_db": f["sinr_db"], "rate_mbps": f["rate_mbps"],
-                       "pos_x_m": f["pos_x_m"], "pos_y_m": f["pos_y_m"]}
-        else:
-            payload = {"cell_id": f["cell_id"], "window_start_s": f["t_s"],
-                       "window_len_s": f["window_len_s"],
-                       "throughput_mbps": f["throughput_mbps"], "rbur": f["rbur"],
-                       "num_users": f["num_users"], "power_w": f["power_w"],
-                       "collision_ratio": f["collision_ratio"]}
-        return RawRecord(rec.source_tag, 0, {k: str(v) for k, v in payload.items()})
-
-    # -- load -----------------------------------------------------------
-    def load(self, records: list[CanonicalRecord]) -> list[tuple[str, int]]:
-        """Append canonical records to warehouse partitions; atomic per call."""
-        per_subject: dict[str, list[dict]] = {}
-        partitions: set[tuple[str, int]] = set()
-        for rec in records:
-            f = rec.fields
-            bucket = int(f["t_s"] // 3600)
-            if rec.kind == "measurement":
-                row = dict(f)
-                row["source_tag"] = rec.source_tag
-                per_subject.setdefault(SUBJECT_BEAM, []).append(row)
-                partitions.add((SUBJECT_BEAM, bucket))
-            else:
-                base = {"t_s": f["t_s"], "cell_id": f["cell_id"],
-                        "source_tag": rec.source_tag}
-                per_subject.setdefault(SUBJECT_THROUGHPUT, []).append(
-                    {**base, "window_len_s": f["window_len_s"],
-                     "throughput_mbps": f["throughput_mbps"],
-                     "rbur": f["rbur"], "num_users": f["num_users"]})
-                per_subject.setdefault(SUBJECT_INTERFERENCE, []).append(
-                    {**base, "collision_ratio": f["collision_ratio"],
-                     "num_users": f["num_users"]})
-                per_subject.setdefault(SUBJECT_ENERGY, []).append(
-                    {**base, "window_len_s": f["window_len_s"], "rbur": f["rbur"],
-                     "power_w": f["power_w"],
-                     "energy_wh": f["power_w"] * f["window_len_s"] / 3600.0})
-                for subject in (SUBJECT_THROUGHPUT, SUBJECT_INTERFERENCE,
-                                SUBJECT_ENERGY):
-                    partitions.add((subject, bucket))
-        for subject, rows in per_subject.items():
-            self.warehouse.append(subject, rows)
-        return sorted(partitions)
+                loads.append(check(cells, source))
+            except _Rejected as r:
+                bad.append((i, *r.args))
+        refused = self.warehouse.load(loads) if loads else []
+        if refused:  # older than the warehouse keeps, or far ahead of it
+            cleaned = {i for i, _, _ in bad}
+            loaded = [i for i in range(len(fresh)) if i not in cleaned]
+            bad += [(loaded[j], RejectCode.OUT_OF_RANGE, "t_s")
+                    for j in refused]
+            bad.sort()
+        offset = 2 if enveloped else 0
+        rejects = []
+        for i, code, field in bad:
+            source, seq, cells = fresh[i]
+            raw = record or RawRecord(source, seq, dict(zip(
+                header.payload, cells[offset:])))
+            rejects.append((raw, _reject(code, field, raw.payload.values())))
+        with self._lock:
+            self.counters["kept"] += len(fresh) - len(bad)
+            self.counters["rejected"] += len(bad)
+            self.rejects += rejects
+        if unknown is not None:
+            raise UnknownSource(f"source {unknown!r} not registered")
+        return len(fresh), line_rejects
 
     # -- lifecycle --------------------------------------------------------
     def quiesce(self) -> None:
-        """Barrier: every record whose `ingest_stream` call has returned is
-        loaded or rejected.  That call does the work, so this always holds."""
+        """Barrier: every record whose ingest call has returned is loaded or
+        rejected.  That call does the work, so this always holds."""
 
     def start(self) -> None:
         """No-op: records are processed in the caller's thread."""

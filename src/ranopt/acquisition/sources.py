@@ -6,7 +6,7 @@ schemas; every following row is one record, parsed by the pipeline's row
 parser and answered with one ack line (``accepted``, ``duplicate``,
 ``rejected bad-line`` or ``rejected bad-seq``).  A row that is not UTF-8
 text is a bad line.  Each connection has its own handler thread, which
-cleans, transforms and loads a record before it sends the record's ack.
+ingests each row as a batch of one before it sends the row's ack.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from ..errors import FileRejected
 from .pipeline import AcquisitionPipeline, parse_header, read_rows
-from .records import RejectReason
 
 
 def _is_utf8(cells) -> bool:
@@ -41,15 +40,16 @@ class _StreamHandler(socketserver.StreamRequestHandler):
             self.wfile.write(b"rejected bad-header\n")
             return
         for line_no, cells in rows:
-            record = (pipeline.parse_row(header, cells, line_no)
-                      if _is_utf8(cells) else None)
-            if record is None:
+            if not _is_utf8(cells):
                 ack = "rejected bad-line"
-            elif isinstance(record, RejectReason):
-                ack = ("rejected bad-seq" if record.field == "seq_no"
-                       else "rejected bad-line")
-            else:
-                ack = pipeline.ingest_stream(record)
+            else:  # a batch of one: the row meets its fate before its ack
+                accepted, rejects = pipeline.ingest_rows(
+                    header, [(line_no, cells)])
+                if rejects:
+                    ack = ("rejected bad-seq" if rejects[0].field == "seq_no"
+                           else "rejected bad-line")
+                else:
+                    ack = "accepted" if accepted else "duplicate"
             self.wfile.write(ack.encode() + b"\n")
 
 

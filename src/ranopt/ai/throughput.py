@@ -4,10 +4,11 @@ Per cell, a GPR learns the residual between measured RSRP and the analytic
 antenna/propagation model at the config that was active when each sample was
 taken. A candidate config of one cell is scored by analytic model + learned
 residual: users are re-attached and network throughput is predicted with the
-simulator's ``best_beam_rsrp_dbm`` and ``attach_and_rate``. Candidates are
-scored in batches of ``CANDIDATE_BATCH``: per batch, one GPR query over every
-(candidate, user) pair of the target cell and one ``attach_and_rate`` call
-over a leading candidate axis; the other cells' RSRP is predicted once.
+simulator's radio kernel and ``attach_and_rate``. Candidates are scored in
+batches of ``CANDIDATE_BATCH``: per batch, one radio-kernel call and one GPR
+query over every (candidate, user) pair of the target cell and one
+``attach_and_rate`` call over a leading candidate axis; the other cells'
+RSRP is predicted once.
 
 ``recommend_config`` scores every point of the target cell's candidate grid
 exactly and takes the argmax; no surrogate model stands in for the scores.
@@ -20,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..errors import InsufficientHistory
-from ..simcore.radio import best_beam_rsrp_dbm
+from ..simcore.radio import best_beam_rsrp_dbm, best_beam_rsrp_dbm_variants
 from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
 from .gpr import GprRegressor
@@ -112,8 +113,7 @@ def _predicted_rsrp(variants: list[CellConfig], gpr: GprRegressor,
     """(variants, users) predicted RSRP of one cell under each variant of
     its config, with one GPR query over every (variant, user) pair."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    analytic = np.array([best_beam_rsrp_dbm(c, pos, carrier_ghz)[0]
-                         for c in variants])
+    analytic = best_beam_rsrp_dbm_variants(variants, pos, carrier_ghz)
     angles = np.array([[c.azimuth_deg, c.tilt_deg] for c in variants])
     q = np.column_stack([np.tile(pos, (len(variants), 1)),
                          np.repeat(angles, pos.shape[0], axis=0)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from . import energy as energy_model
 from .radio import ShadowField, best_beam_rsrp_dbm
 from .scheduler import attach_and_rate, collision_ratio
 from .types import KpiRecord, MeasurementRecord, Scenario, UserState
+
+
+SHADOW_FIELDS_CACHED = 256  # cells' shadowing fields kept across steps
 
 
 def load_scenario(path) -> Scenario:
@@ -50,9 +54,18 @@ def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
 def shadow_fields(scenario: Scenario) -> dict[str, ShadowField | None]:
     if scenario.shadow_sigma_db <= 0.0:
         return {c.cell_id: None for c in scenario.cells}
-    return {c.cell_id: ShadowField(scenario.seed, c.cell_id,
-                                   scenario.shadow_sigma_db, scenario.shadow_corr_m)
+    return {c.cell_id: _shadow_field(scenario.seed, c.cell_id,
+                                     scenario.shadow_sigma_db,
+                                     scenario.shadow_corr_m)
             for c in scenario.cells}
+
+
+@lru_cache(maxsize=SHADOW_FIELDS_CACHED)
+def _shadow_field(seed: int, cell_id: str, sigma_db: float,
+                  corr_m: float) -> ShadowField:
+    """A cell's shadowing, a pure function of these four values; built once
+    rather than on every `step`, and read-only, so sharing it is safe."""
+    return ShadowField(seed, cell_id, sigma_db, corr_m)
 
 
 def step(scenario: Scenario, window_len_s: float, t_s: float

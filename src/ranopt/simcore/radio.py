@@ -61,6 +61,8 @@ class ShadowField:
         self._kx = k * np.cos(theta)
         self._ky = k * np.sin(theta)
         self._phase = rng.uniform(0.0, 2.0 * np.pi, self.N_WAVES)
+        for a in (self._kx, self._ky, self._phase):
+            a.flags.writeable = False
 
     def at(self, pos_xy):
         """Shadowing in dB at (n,2) positions (or a single (2,) point)."""
@@ -94,31 +96,54 @@ def user_geometry(cell: CellConfig, pos_xy):
 def compute_rsrp_dbm(cell: CellConfig, beam: Beam, pos_xy, carrier_ghz: float,
                      shadow: ShadowField | None = None):
     """Per-RE received power of one SSB beam at the given positions."""
-    rsrp = _rsrp_dbm(cell, [beam], pos_xy, carrier_ghz, shadow)[0]
+    rsrp = _rsrp_dbm([cell], [beam], pos_xy, carrier_ghz, shadow)[0, 0]
     return rsrp if np.ndim(pos_xy) > 1 else float(rsrp[0])
 
 
 def best_beam_rsrp_dbm(cell: CellConfig, pos_xy, carrier_ghz: float,
                        shadow: ShadowField | None = None):
     """(best rsrp dBm, best beam index) over the cell's 8 SSB beams."""
-    per_beam = _rsrp_dbm(cell, cell.beams, pos_xy, carrier_ghz, shadow)
+    per_beam = _rsrp_dbm([cell], cell.beams, pos_xy, carrier_ghz, shadow)[0]
     best, idx = per_beam.max(axis=0), per_beam.argmax(axis=0)
     return (best, idx) if np.ndim(pos_xy) > 1 else (best[0], idx[0])
 
 
-def _rsrp_dbm(cell: CellConfig, beams, pos_xy, carrier_ghz: float,
+def best_beam_rsrp_dbm_variants(variants, pos_xy, carrier_ghz: float
+                                ) -> np.ndarray:
+    """(variants, users) unshadowed best-beam RSRP of one cell under each
+    variant of its azimuth, tilt and power, each row equal to what
+    `best_beam_rsrp_dbm` gives for that variant alone."""
+    first = variants[0]
+    if any((c.site_pos, c.pattern_id, c.carrier_on)
+           != (first.site_pos, first.pattern_id, first.carrier_on)
+           for c in variants):
+        raise ValueError("variants must share site, beam pattern and "
+                         "carrier state")
+    return _rsrp_dbm(variants, first.beams, pos_xy, carrier_ghz,
+                     None).max(axis=1)
+
+
+def _rsrp_dbm(variants, beams, pos_xy, carrier_ghz: float,
               shadow: ShadowField | None):
-    """(beams, users) RSRP; geometry, loss and shadowing computed once."""
+    """(variants, beams, users) RSRP of configs of one cell that differ at
+    most in azimuth, tilt and power; geometry, loss and shadowing computed
+    once.  Each value is computed by the same operations whatever the
+    number of variants, beams and users."""
     p = np.atleast_2d(np.asarray(pos_xy, dtype=float))
+    cell = variants[0]
     if not cell.carrier_on:
-        return np.full((len(beams), p.shape[0]), NO_SIGNAL_DBM)
+        return np.full((len(variants), len(beams), p.shape[0]), NO_SIGNAL_DBM)
     dist, az, el = user_geometry(cell, p)
-    # one Beam of (beams, 1) columns broadcasts the gain over every beam
+    # one Beam of (beams, 1) columns broadcasts the gain over every beam,
+    # one cell of (variants, 1, 1) columns over every variant
     stacked = Beam(-1, *np.array([[b.az_offset_deg, b.el_offset_deg,
                                    b.az_bw_deg, b.el_bw_deg]
                                   for b in beams]).T[:, :, None])
-    gain = antenna_gain_dbi(cell, stacked, az, el)
-    tx_re = cell.tx_power_dbm - 10.0 * np.log10(N_RE)
+    fields = np.array([[c.azimuth_deg, c.tilt_deg, c.tx_power_dbm]
+                       for c in variants]).T[:, :, None, None]
+    gain = antenna_gain_dbi(cell.replace(azimuth_deg=fields[0],
+                                         tilt_deg=fields[1]), stacked, az, el)
+    tx_re = fields[2] - 10.0 * np.log10(N_RE)
     rsrp = (tx_re + gain) - path_loss_db(dist, carrier_ghz)
     if shadow is not None:
         rsrp = rsrp + shadow.at(p)

@@ -6,9 +6,10 @@ when a query first reads a column.  Cold partitions hold one block per
 column of raw numpy bytes (float64, int64, or int32 codes for a string
 column), zlib-compressed when that at least halves them.  Each subject
 keeps one append-only dictionary per string column, so a code means the
-same value in every partition.  Queries read only the columns they
-reference, from both tiers alike, and run vectorized (`query.run_query`);
-`scan` returns rows as tuples of Python values.
+same value in every partition; when partitions expire, the dictionaries
+are re-coded to the values the retained cold partitions hold.  Queries read
+only the columns they reference, from both tiers alike, and run vectorized
+(`query.run_query`); `scan` returns rows as tuples of Python values.
 """
 from __future__ import annotations
 
@@ -92,12 +93,39 @@ class _Subject:
         self.partitions: dict[int, Partition] = {}
         self.col_index = {c.name: i for i, c in enumerate(spec.columns)}
         self.dtypes = {c.name: c.dtype for c in spec.columns}
+        self.casts = tuple(_DTYPES[c.dtype] for c in spec.columns)
         # per string column, the code of each value and the values by code;
-        # both only grow, so a code means one value in every partition
+        # a code means one value in every partition.  Between expiries both
+        # only grow; `recode` replaces both dicts, so a reader holding the
+        # old `strings` can still decode the codes it read
         self.codes = {c.name: {} for c in spec.columns if c.dtype == "str"}
         self.strings = {name: [] for name in self.codes}
         self.appended_total = 0
         self.expired_total = 0
+
+    def coerce(self, r) -> tuple:
+        """A row dict, or tuple in schema order, as a tuple of the schema's
+        types; SchemaError names the first column that does not fit."""
+        spec = self.spec
+        if isinstance(r, dict):
+            missing = [c.name for c in spec.columns if c.name not in r]
+            if missing:
+                raise SchemaError(
+                    f"subject {spec.name!r}: missing column {missing[0]!r}")
+            r = [r[c.name] for c in spec.columns]
+        elif len(r) != len(self.casts):
+            raise SchemaError(f"subject {spec.name!r}: expected "
+                              f"{len(self.casts)} values, got {len(r)}")
+        try:
+            return tuple(map(_cast, self.casts, r))
+        except (TypeError, ValueError):
+            for c, cast, v in zip(spec.columns, self.casts, r):
+                try:
+                    cast(v)
+                except (TypeError, ValueError):
+                    raise SchemaError(f"subject {spec.name!r}: column "
+                                      f"{c.name!r} rejects value {v!r}")
+            raise
 
     def to_array(self, name: str, values) -> np.ndarray:
         """A column's values as an array; strings as their codes."""
@@ -140,6 +168,25 @@ class _Subject:
         part.rows, part.arrays, part.tier = [], {}, "cold"
         part.row_count += len(late_rows)
 
+    def recode(self) -> None:
+        """Re-code each string column to the values the cold partitions
+        hold, remapping their blocks; hot partitions re-code when next read."""
+        cold = [p for p in self.partitions.values() if p.tier == "cold"]
+        for part in self.partitions.values():
+            part.arrays = {}
+        strings, codes = {}, {}
+        for name, values in self.strings.items():
+            blocks = [self.column(p, name) for p in cold]
+            used = np.zeros(len(values), dtype=bool)
+            for a in blocks:
+                used[a] = True
+            strings[name] = [s for s, u in zip(values, used.tolist()) if u]
+            codes[name] = {s: i for i, s in enumerate(strings[name])}
+            new_code = (np.cumsum(used) - 1).astype(np.int32)
+            for part, a in zip(cold, blocks):
+                part.blocks[name] = _block(new_code[a])
+        self.strings, self.codes = strings, codes
+
     def cold_rows(self, part: Partition, keep=None) -> list[tuple]:
         """A cold partition's rows (those `keep` selects) as Python tuples."""
         cols = []
@@ -152,6 +199,10 @@ class _Subject:
         return list(zip(*cols))
 
 
+def _cast(cast, v):
+    return cast(v)
+
+
 def _block(a: np.ndarray):
     """A cold column: its raw bytes zlib-compressed when that at least
     halves them, else the array itself.  Measured floats shrink by only
@@ -161,6 +212,22 @@ def _block(a: np.ndarray):
         return packed
     a.flags.writeable = False
     return a
+
+
+def _refusal(t: float, clock_s: float, retention_s: float,
+             lead_refused: bool, taken: bool) -> str | None:
+    """Why a row at t is refused against this clock state: "late" when it
+    is more than the retention behind the clock, "ahead" when it is more
+    than twice the retention ahead of it, unless the last such row was
+    refused or no row was ever taken; else None."""
+    if t < clock_s - retention_s:
+        return "late"
+    # a row from far ahead would move the clock there and push every later
+    # in-time row out of retention; the first row ever sets the clock,
+    # whatever its epoch
+    if t > clock_s + 2 * retention_s and not lead_refused and taken:
+        return "ahead"
+    return None
 
 
 def _in_range(t: np.ndarray, t0: float | None, t1: float | None):
@@ -211,71 +278,105 @@ class Warehouse:
         RetentionError.  So does a row more than twice the retention ahead
         of it, unless the last such row was refused and no row was taken
         since: one far-future row is refused, and data that resumed after a
-        long gap is taken from its second row on."""
+        long gap is taken from its second row on.  Records that must be
+        admitted one by one, each against the clock the records before it
+        left, go through `load`."""
         sub = self._get(subject)
         spec = sub.spec
+        ti = sub.col_index["t_s"]
+        retention_s = spec.retention_hours * 3600.0
         coerced = []
         with self._lock:
-            retention_s = spec.retention_hours * 3600.0
+            taken = any(s.appended_total for s in self._subjects.values())
             for r in rows:
-                if isinstance(r, dict):
-                    missing = [c.name for c in spec.columns if c.name not in r]
-                    if missing:
-                        raise SchemaError(
-                            f"subject {subject!r}: missing column {missing[0]!r}")
-                    vals = [r[c.name] for c in spec.columns]
-                else:
-                    vals = list(r)
-                    if len(vals) != len(spec.columns):
-                        raise SchemaError(
-                            f"subject {subject!r}: expected {len(spec.columns)} "
-                            f"values, got {len(vals)}")
-                out = []
-                for c, v in zip(spec.columns, vals):
-                    try:
-                        out.append(_DTYPES[c.dtype](v))
-                    except (TypeError, ValueError):
-                        raise SchemaError(
-                            f"subject {subject!r}: column {c.name!r} "
-                            f"rejects value {v!r}")
-                t = out[sub.col_index["t_s"]]
-                if t < self.clock_s - retention_s:
+                row = sub.coerce(r)
+                t = row[ti]
+                refusal = _refusal(t, self.clock_s, retention_s,
+                                   self._lead_refused, taken)
+                if refusal == "late":
                     raise RetentionError(
                         f"subject {subject!r}: row at t={t} is outside the "
                         f"{spec.retention_hours} h retention window")
-                # a row from far ahead would move the clock there and push
-                # every later in-time row out of retention; the first row
-                # ever sets the clock, whatever its epoch
-                if (t > self.clock_s + 2 * retention_s
-                        and not self._lead_refused
-                        and any(s.appended_total
-                                for s in self._subjects.values())):
+                if refusal == "ahead":
                     self._lead_refused = True
                     raise RetentionError(
                         f"subject {subject!r}: row at t={t} is more than two "
                         f"{spec.retention_hours} h retention windows ahead "
                         f"of the clock at {self.clock_s}")
-                coerced.append(tuple(out))
-            late: dict[int, list] = {}  # rows for cold partitions
-            for row in coerced:
-                t = row[sub.col_index["t_s"]]
-                bucket = int(t // 3600)
-                part = sub.partitions.get(bucket)
-                if part is None:
-                    part = Partition(hour_bucket=bucket)
-                    sub.partitions[bucket] = part
-                if part.tier == "cold":
-                    late.setdefault(bucket, []).append(row)
-                else:
-                    part.rows.append(row)
-                    part.row_count += 1
-                self.clock_s = max(self.clock_s, t)
-            for bucket, rows in late.items():
-                sub.freeze(sub.partitions[bucket], rows)
-            sub.appended_total += len(coerced)
+                coerced.append(row)
+            self._store(sub, coerced)
             if coerced:
                 self._lead_refused = False
             return len(coerced)
+
+    def load(self, records) -> list[int]:
+        """Load records, each a sequence of (subject, row) pairs, rows as
+        `append` takes them; returns the indexes of the refused records.
+
+        Records are admitted in order, each all or nothing across its
+        subjects, by `append`'s retention and lead rule against the
+        *running* clock: the clock, and whether a lead was just refused, as
+        the records before it left them.  So one call loads exactly what
+        loading its records one at a time would.  The taken rows are then
+        appended once per subject, and late rows freeze into each cold
+        partition once.  A row that does not fit its schema raises
+        SchemaError, and the call then loads nothing."""
+        with self._lock:
+            clock, lead_refused = self.clock_s, self._lead_refused
+            taken = any(s.appended_total for s in self._subjects.values())
+            # name -> (subject, t_s index, retention_s, its taken rows)
+            subjects: dict[str, tuple] = {}
+            taken_rows: dict[str, list] = {}
+            refused = []
+            for i, record in enumerate(records):
+                rows, t_max, refusal = [], clock, None
+                for name, r in record:
+                    if name not in subjects:
+                        sub = self._get(name)
+                        subjects[name] = (sub, sub.col_index["t_s"],
+                                          sub.spec.retention_hours * 3600.0,
+                                          taken_rows.setdefault(name, []))
+                    sub, ti, retention_s, out = subjects[name]
+                    row = sub.coerce(r)
+                    t = row[ti]
+                    refusal = refusal or _refusal(t, clock, retention_s,
+                                                  lead_refused, taken)
+                    rows.append((out, row))
+                    t_max = max(t_max, t)
+                if refusal is not None:
+                    refused.append(i)
+                    lead_refused = lead_refused or refusal == "ahead"
+                    continue
+                for out, row in rows:
+                    out.append(row)
+                if rows:
+                    clock, lead_refused, taken = t_max, False, True
+            for name, rows in taken_rows.items():
+                self._store(subjects[name][0], rows)
+            self._lead_refused = lead_refused
+            return refused
+
+    def _store(self, sub: _Subject, rows: list[tuple]) -> None:
+        """Append admitted, coerced rows to their partitions; late rows for
+        a cold partition rebuild it once."""
+        ti = sub.col_index["t_s"]
+        late: dict[int, list] = {}  # rows for cold partitions
+        for row in rows:
+            t = row[ti]
+            bucket = int(t // 3600)
+            part = sub.partitions.get(bucket)
+            if part is None:
+                part = Partition(hour_bucket=bucket)
+                sub.partitions[bucket] = part
+            if part.tier == "cold":
+                late.setdefault(bucket, []).append(row)
+            else:
+                part.rows.append(row)
+                part.row_count += 1
+            self.clock_s = max(self.clock_s, t)
+        for bucket, late_rows in late.items():
+            sub.freeze(sub.partitions[bucket], late_rows)
+        sub.appended_total += len(rows)
 
     def migrate_tiers(self, now_s: float) -> list[tuple[str, int]]:
         """Freeze partitions older than the hot window; expire past retention."""
@@ -283,17 +384,21 @@ class Warehouse:
         with self._lock:
             for name, sub in self._subjects.items():
                 retention_s = sub.spec.retention_hours * 3600.0
+                expired = False
                 for bucket in sorted(sub.partitions):
                     part = sub.partitions[bucket]
                     bucket_end = (bucket + 1) * 3600.0
                     if now_s - bucket_end >= retention_s:
                         sub.expired_total += part.row_count
                         del sub.partitions[bucket]
+                        expired = True
                         continue
                     # ties at the boundary stay hot
                     if part.tier == "hot" and now_s - bucket_end > self.hot_window_s:
                         sub.freeze(part)
                         moved.append((name, bucket))
+                if expired:  # drop the values only expired rows held
+                    sub.recode()
         return moved
 
     # -- reads ----------------------------------------------------------
@@ -330,12 +435,14 @@ class Warehouse:
         return rows
 
     def _columns(self, sub: _Subject, names: list[str], t0: float | None,
-                 t1: float | None) -> tuple[dict[str, np.ndarray], int]:
+                 t1: float | None) -> tuple[dict[str, np.ndarray], int, dict]:
         """The named columns of a subject's rows within [t0, t1), in scan
-        order, and the number of those rows."""
+        order, the number of those rows, and the string dictionaries their
+        codes index."""
         pieces: dict[str, list] = {c: [] for c in names}
         n = 0
         with self._lock:
+            strings = sub.strings
             for part, straddles in self._buckets(sub, t0, t1):
                 if straddles:
                     keep = _in_range(sub.column(part, "t_s"), t0, t1)
@@ -348,7 +455,7 @@ class Warehouse:
                         pieces[c].append(sub.column(part, c))
         return {c: p[0] if len(p) == 1 else np.concatenate(p) if p
                 else np.empty(0, dtype=_ARRAY_DTYPES[sub.dtypes[c]])
-                for c, p in pieces.items()}, n
+                for c, p in pieces.items()}, n, strings
 
     def query(self, task: QueryTask) -> ResultTable:
         sub = self._get(task.subject)
@@ -364,8 +471,8 @@ class Warehouse:
             if agg != "count" and col in sub.strings:
                 raise SchemaError(f"subject {task.subject!r}: {agg}({col}) "
                                   f"needs a numeric column")
-        columns, n = self._columns(sub, names, task.t0, task.t1)
-        return run_query(task, columns, sub.strings, n)
+        columns, n, strings = self._columns(sub, names, task.t0, task.t1)
+        return run_query(task, columns, strings, n)
 
     def correlate(self, subject: str, col_a: str, col_b: str,
                   t0: float | None = None, t1: float | None = None) -> float:
@@ -375,7 +482,7 @@ class Warehouse:
                 raise SchemaError(f"unknown column {col!r}")
             if col in sub.strings:
                 raise SchemaError(f"column {col!r} is not numeric")
-        columns, n = self._columns(sub, [col_a, col_b], t0, t1)
+        columns, n, _ = self._columns(sub, [col_a, col_b], t0, t1)
         if n < 2:
             raise DegenerateColumn("correlation needs at least 2 rows")
         a = np.asarray(columns[col_a], dtype=float)

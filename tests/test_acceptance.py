@@ -290,16 +290,14 @@ class TestPipelineAndWarehouse:
                     payload.update({k: str(v) for k, v in override.items()})
                 expected[i] = code
             records.append(RawRecord("drive-test", i, payload))
-        kept, rejected = pipe.clean(records)
-        # every malformed line rejected, with the matching reason
-        assert len(rejected) == len(expected) == 500
-        for rec, reason in rejected:
-            assert reason.code == expected[rec.seq_no]
-        assert len(kept) == 9_500
         # full pipeline conservation: ingest -> clean -> transform -> load
         for rec in records:
             pipe.ingest_stream(rec)
         pipe.quiesce()
+        # every malformed line rejected, with the matching reason
+        assert len(pipe.rejects) == len(expected) == 500
+        for rec, reason in pipe.rejects:
+            assert reason.code == expected[rec.seq_no]
         c = pipe.counters
         assert c["ingested"] == 10_000
         assert c["kept"] == 9_500 and c["rejected"] == 500

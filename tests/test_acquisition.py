@@ -36,6 +36,10 @@ def kpi_payload(**over):
     return p
 
 
+MEAS_COLS = tuple(meas_payload())
+KPI_COLS = tuple(kpi_payload())
+
+
 def fresh_pipeline():
     wh = Warehouse()
     create_bundled_subjects(wh)
@@ -102,59 +106,72 @@ class TestIngestStream:
             assert times == sorted(times)
 
 
+def fate(payload, source="drive-test"):
+    """The reject reason one record meets in a fresh pipeline, or None if
+    it is kept."""
+    pipe, _ = fresh_pipeline()
+    assert pipe.ingest_stream(RawRecord(source, 0, payload)) == "accepted"
+    return pipe.rejects[0][1] if pipe.rejects else None
+
+
+def stored_payload(row):
+    """A stored beam-management row as a measurement payload."""
+    t, user_hash, cell, beam, signal, rsrp, sinr, rate, x, y, _ = row
+    return meas_payload(timestamp_s=t, user_id=user_hash, cell_id=cell,
+                        beam_id=beam, signal_type=signal, rsrp_dbm=rsrp,
+                        sinr_db=sinr, rate_mbps=rate, pos_x_m=x, pos_y_m=y)
+
+
 class TestClean:
     def test_rsrp_out_of_range(self):
-        pipe, _ = fresh_pipeline()
-        reason = pipe.clean_one(RawRecord("drive-test", 0,
-                                          meas_payload(rsrp_dbm=-300)))
+        reason = fate(meas_payload(rsrp_dbm=-300))
         assert reason.code == RejectCode.OUT_OF_RANGE
         assert reason.field == "rsrp_dbm"
 
     def test_unknown_cell(self):
-        pipe, _ = fresh_pipeline()
-        reason = pipe.clean_one(RawRecord("drive-test", 0,
-                                          meas_payload(cell_id="ghost")))
+        reason = fate(meas_payload(cell_id="ghost"))
         assert reason.code == RejectCode.INCONSISTENT_IDS
 
     def test_missing_field(self):
-        pipe, _ = fresh_pipeline()
         p = meas_payload()
         del p["sinr_db"]
-        reason = pipe.clean_one(RawRecord("drive-test", 0, p))
+        reason = fate(p)
         assert reason.code == RejectCode.MISSING_FIELD
         assert reason.field == "sinr_db"
 
     def test_unparsable_value(self):
-        pipe, _ = fresh_pipeline()
-        reason = pipe.clean_one(RawRecord("drive-test", 0,
-                                          meas_payload(rate_mbps="fast")))
+        reason = fate(meas_payload(rate_mbps="fast"))
         assert reason.code == RejectCode.UNPARSABLE_VALUE
 
     def test_duplicate_within_batch(self):
-        pipe, _ = fresh_pipeline()
-        recs = [RawRecord("drive-test", 5, meas_payload()),
-                RawRecord("drive-test", 5, meas_payload())]
-        kept, rejected = pipe.clean(recs)
-        assert len(kept) == 1 and len(rejected) == 1
-        assert rejected[0][1].code == RejectCode.DUPLICATE_SEQ
+        pipe, wh = fresh_pipeline()
+        row = ("drive-test", "5") + tuple(meas_payload().values())
+        header = parse_header(ENVELOPE + MEAS_COLS)
+        assert pipe.ingest_rows(header, [(2, row), (3, row)]) == (1, [])
+        c = pipe.counters
+        assert (c["ingested"], c["duplicates"], c["kept"]) == (1, 1, 1)
+        assert wh.row_count("beam-management") == 1
 
     def test_clean_idempotent(self):
-        pipe, _ = fresh_pipeline()
-        recs = [RawRecord("drive-test", i, meas_payload(rsrp_dbm=v))
-                for i, v in enumerate([-80, -300, -90])]
-        kept, _ = pipe.clean(recs)
-        kept2, rejected2 = pipe.clean(kept)
-        assert kept2 == kept and rejected2 == []
+        pipe, wh = fresh_pipeline()
+        for i, v in enumerate([-80, -300, -90]):
+            pipe.ingest_stream(RawRecord("drive-test", i, meas_payload(
+                timestamp_s=i, rsrp_dbm=v)))
+        kept = wh.scan("beam-management")
+        assert len(kept) == 2 and len(pipe.rejects) == 1
+        again, wh2 = fresh_pipeline()
+        for i, row in enumerate(kept):
+            again.ingest_stream(RawRecord("drive-test", i,
+                                          stored_payload(row)))
+        assert again.rejects == [] and wh2.scan("beam-management") == kept
 
     def test_unstorable_integral_values(self):
-        pipe, _ = fresh_pipeline()
         for kind, field, value in (
                 (meas_payload, "beam_id", "1e30"),
                 (meas_payload, "timestamp_s", "nan"),
                 (kpi_payload, "num_users", "inf"),
                 (kpi_payload, "window_start_s", "-inf")):
-            reason = pipe.clean_one(RawRecord("drive-test", 0,
-                                              kind(**{field: value})))
+            reason = fate(kind(**{field: value}))
             assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE,
                                                    field)
 
@@ -170,12 +187,13 @@ class TestClean:
         source = "drive-test" if kind == "m" else "network-management"
         bad = RawRecord(source, 1, {**good, field: value})
         pipe, wh = fresh_pipeline()
-        reason = pipe.clean_one(bad)
-        assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE, field)
         pipe.ingest_stream(RawRecord(source, 0, good))
         pipe.ingest_stream(bad)
         c = pipe.counters
         assert (c["ingested"], c["kept"], c["rejected"]) == (2, 1, 1)
+        [(record, reason)] = pipe.rejects
+        assert record is bad
+        assert (reason.code, reason.field) == (RejectCode.OUT_OF_RANGE, field)
         subject, column = (("beam-management", "rate_mbps") if kind == "m"
                            else ("energy", "energy_wh"))
         [(total,)] = wh.query(QueryTask(
@@ -185,66 +203,70 @@ class TestClean:
 
 class TestTransform:
     def test_kbps_unit_normalization(self):
-        pipe, _ = fresh_pipeline()
+        pipe, wh = fresh_pipeline()
         p = meas_payload()
         p["rate_kbps"] = p.pop("rate_mbps")
         p["rate_kbps"] = "55000.0"
-        rec = pipe.transform(RawRecord("drive-test", 0, p))
-        assert rec.fields["rate_mbps"] == pytest.approx(55.0)
+        pipe.ingest_stream(RawRecord("drive-test", 0, p))
+        [row] = wh.scan("beam-management")
+        assert row[7] == pytest.approx(55.0)
 
     def test_hash_deterministic(self):
-        pipe, _ = fresh_pipeline()
-        r1 = pipe.transform(RawRecord("drive-test", 0, meas_payload()))
-        r2 = pipe.transform(RawRecord("drive-test", 1, meas_payload()))
-        assert r1.fields["user_hash"] == r2.fields["user_hash"]
-        assert r1.fields["user_hash"] != "alice"
+        pipe, wh = fresh_pipeline()
+        pipe.ingest_stream(RawRecord("drive-test", 0, meas_payload()))
+        pipe.ingest_stream(RawRecord("drive-test", 1, meas_payload()))
+        [r1, r2] = wh.scan("beam-management")
+        assert r1[1] == r2[1]
+        assert r1[1] != "alice"
 
     def test_canonicalization_idempotent(self):
-        pipe, _ = fresh_pipeline()
-        rec = pipe.transform(RawRecord("drive-test", 0, meas_payload()))
-        again = pipe.transform(pipe.canonical_payload_view(rec))
-        assert again.fields == rec.fields
+        pipe, wh = fresh_pipeline()
+        pipe.ingest_stream(RawRecord("drive-test", 0, meas_payload()))
+        [row] = wh.scan("beam-management")
+        again, wh2 = fresh_pipeline()  # a stored hash passes through
+        again.ingest_stream(RawRecord("drive-test", 0, stored_payload(row)))
+        assert wh2.scan("beam-management") == [row]
 
     def test_golden_canonical_record(self):
-        pipe, _ = fresh_pipeline()
-        rec = pipe.transform(RawRecord("drive-test", 0, meas_payload()))
-        assert rec.kind == "measurement"
-        assert list(rec.fields) == ["t_s", "user_hash", "cell_id", "beam_id",
-                                    "signal_type", "rsrp_dbm", "sinr_db",
-                                    "rate_mbps", "pos_x_m", "pos_y_m"]
-        assert rec.fields["t_s"] == 0.0
-        assert rec.fields["beam_id"] == 3
-        assert rec.fields["rsrp_dbm"] == -80.5
+        pipe, wh = fresh_pipeline()
+        pipe.ingest_stream(RawRecord("drive-test", 0, meas_payload()))
+        assert wh.scan("beam-management") == [
+            (0.0, hash_user_id("alice", b"test-key"), "c1", 3, "SSB", -80.5,
+             12.0, 55.0, 10.0, 20.0, "drive-test")]
 
 
 class TestLoad:
     def test_partitions_for_two_hours(self):
-        pipe, _ = fresh_pipeline()
-        recs = [pipe.transform(RawRecord("drive-test", i,
+        pipe, wh = fresh_pipeline()
+        for i, t in enumerate((100.0, 3700.0)):
+            pipe.ingest_stream(RawRecord("drive-test", i,
                                          meas_payload(timestamp_s=t)))
-                for i, t in enumerate((100.0, 3700.0))]
-        parts = pipe.load(recs)
-        assert parts == [("beam-management", 0), ("beam-management", 1)]
+        assert wh.migrate_tiers(3 * 24 * 3600.0) == [
+            ("beam-management", 0), ("beam-management", 1)]
 
     def test_empty_load(self):
         pipe, wh = fresh_pipeline()
-        assert pipe.load([]) == []
+        assert pipe.ingest_rows(parse_header(MEAS_COLS), []) == (0, [])
+        assert wh.load([]) == []
         assert wh.row_count("beam-management") == 0
 
     def test_kpi_routes_to_three_subjects(self):
         pipe, wh = fresh_pipeline()
-        rec = pipe.transform(RawRecord("network-management", 0, kpi_payload()))
-        parts = pipe.load([rec])
-        assert {s for s, _ in parts} == {"throughput", "interference", "energy"}
-        for subject in ("throughput", "interference", "energy"):
-            assert wh.row_count(subject) == 1
+        pipe.ingest_stream(RawRecord("network-management", 0, kpi_payload()))
+        assert wh.scan("throughput") == [
+            (0.0, "c1", 3600.0, 120.0, 0.4, 7, "network-management")]
+        assert wh.scan("interference") == [
+            (0.0, "c1", 0.1, 7, "network-management")]
+        assert wh.scan("energy") == [
+            (0.0, "c1", 3600.0, 0.4, 800.0, 800.0, "network-management")]
+        assert wh.row_count("beam-management") == 0
 
     def test_row_count_recount(self):
         pipe, wh = fresh_pipeline()
-        recs = [pipe.transform(RawRecord("drive-test", i, meas_payload(
-            timestamp_s=float(i)))) for i in range(25)]
+        rows = [tuple(meas_payload(timestamp_s=float(i)).values())
+                for i in range(25)]
         before = wh.row_count("beam-management")
-        pipe.load(recs)
+        pipe.ingest_rows(parse_header(MEAS_COLS), enumerate(rows, start=2))
         assert wh.row_count("beam-management") == before + 25
 
 
@@ -365,8 +387,6 @@ class TestQuotedCsv:
 
 # -- ingest equivalence: files, socket and in-memory rows share one parser --
 
-MEAS_COLS = tuple(meas_payload())
-KPI_COLS = tuple(kpi_payload())
 # (column to corrupt, bad value) per clean-stage reject kind
 CLEAN_FAULTS = {
     "MissingField": {"m": ("rate_mbps", ""), "k": ("power_w", "")},
@@ -474,6 +494,117 @@ class TestIngestEquivalence:
         assert len(line_rejects) == kinds.count("short") + kinds.count("bad-seq")
         assert acks.count("duplicate") == counters["duplicates"] > 0
         assert len(acks) == len(kinds)
+
+
+# -- one batch equals batches of one ---------------------------------------
+
+DAY_S = 24 * 3600.0
+# event times: two hours that go cold, one that outlives retention from the
+# first, and a far-future pair whose second row recovers the clock
+BATCH_TIMES = (0.0, 600.0, 2 * 3600.0, 5 * 3600.0, 9 * DAY_S, 40 * DAY_S,
+               40 * DAY_S + 60.0)
+BATCH_FAULTS = {**CLEAN_FAULTS,
+                "NonFinite": {"m": ("pos_x_m", "nan"), "k": ("rbur", "inf")},
+                "Huge": {"m": ("beam_id", "1e30"), "k": ("num_users", "1e19")}}
+BATCH_ROW_KINDS = ("ok",) * 5 + ("resend", "short", "bad-seq") + tuple(
+    BATCH_FAULTS)
+
+
+@st.composite
+def ingest_scripts(draw):
+    """A list of steps: ("rows", text rows with the header first) or
+    ("migrate",), with each row's kind and event time drawn."""
+    steps, seq, sent = [], {"m": 0, "k": 0}, {"m": [], "k": []}
+    for _ in range(draw(st.integers(1, 6))):
+        kind, enveloped = draw(st.sampled_from("mk")), draw(st.booleans())
+        cols = MEAS_COLS if kind == "m" else KPI_COLS
+        source = "drive-test" if kind == "m" else "network-management"
+        rows = [list(ENVELOPE + cols) if enveloped else list(cols)]
+        for row_kind, t in draw(st.lists(st.tuples(
+                st.sampled_from(BATCH_ROW_KINDS),
+                st.sampled_from(BATCH_TIMES)), max_size=12)):
+            if row_kind == "resend" and sent[kind] and enveloped:
+                rows.append(draw(st.sampled_from(sent[kind])))
+                continue
+            payload = (meas_payload(timestamp_s=t, user_id=f"u{seq[kind]}",
+                                    cell_id=("c1", "c2")[seq[kind] % 2])
+                       if kind == "m" else kpi_payload(window_start_s=t))
+            if row_kind in BATCH_FAULTS:
+                col, bad = BATCH_FAULTS[row_kind][kind]
+                payload[col] = bad
+            cells = list(payload.values())
+            if enveloped:
+                cells = [source, "x" if row_kind == "bad-seq"
+                         else str(seq[kind])] + cells
+                sent[kind].append(cells)
+            seq[kind] += 1
+            rows.append(cells[:-1] if row_kind == "short" else cells)
+        steps.append(("rows", rows))
+        if draw(st.booleans()):
+            steps.append(("migrate",))
+    return steps
+
+
+def run_script(steps, one_at_a_time):
+    """Everything the pipeline and warehouse decide over a script."""
+    wh = Warehouse(hot_window_s=0.0)
+    create_bundled_subjects(wh)
+    pipe = AcquisitionPipeline(wh, KNOWN_CELLS, hash_key=b"test-key")
+    line_rejects = []
+    for step in steps:
+        if step[0] == "migrate":  # every hour up to the clock's goes cold
+            wh.migrate_tiers(wh.clock_s + 3600.0)
+            continue
+        header, rows = parse_header(step[1][0]), step[1][1:]
+        batches = ([[row] for row in enumerate(rows, start=2)]
+                   if one_at_a_time else [enumerate(rows, start=2)])
+        for batch in batches:
+            line_rejects += pipe.ingest_rows(header, batch)[1]
+    return (dict(pipe.counters),
+            [(r.source_tag, r.seq_no, reason.code, reason.field, reason.raw)
+             for r, reason in pipe.rejects],
+            [(r.line_no, r.code, r.field, r.raw) for r in line_rejects],
+            {subject: wh.scan(subject) for subject in wh.list_subjects()},
+            wh.clock_s)
+
+
+class TestBatchEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=ingest_scripts())
+    def test_one_batch_equals_batches_of_one(self, steps):
+        assert run_script(steps, False) == run_script(steps, True)
+
+    def test_refusals_in_one_batch_use_the_running_clock(self):
+        rows = [list(ENVELOPE + MEAS_COLS)] + [
+            ["drive-test", str(i)] + list(meas_payload(timestamp_s=t).values())
+            for i, t in enumerate((0.0, 9 * DAY_S, 600.0, 40 * DAY_S,
+                                   40 * DAY_S + 60.0))]
+        counters, rejects, _, scans, clock = run_script([("rows", rows)],
+                                                        False)
+        assert (counters["kept"], counters["rejected"]) == (3, 2)
+        assert [(seq, field) for _, seq, _, field, _ in rejects] == [
+            (2, "t_s"), (3, "t_s")]  # too late, then too far ahead
+        assert [r[0] for r in scans["beam-management"]] == [
+            0.0, 9 * DAY_S, 40 * DAY_S + 60.0]
+        assert clock == 40 * DAY_S + 60.0
+
+    def test_unknown_source_raises_after_the_rows_before_it(self, tmp_path):
+        rows = [ENVELOPE + MEAS_COLS] + [
+            ("drive-test", str(i)) + tuple(meas_payload(
+                timestamp_s=float(i), rsrp_dbm=-300 if i == 1 else -80
+            ).values()) for i in range(6)]
+        rows[4] = ("mystery",) + rows[4][1:]  # the 4th row
+        path = tmp_path / "m.csv"
+        write_rows(path, rows, ",")
+        pipe, wh = fresh_pipeline()
+        with pytest.raises(UnknownSource, match="mystery"):
+            pipe.ingest_batch(path)
+        c = pipe.counters
+        assert (c["ingested"], c["kept"], c["rejected"]) == (3, 2, 1)
+        assert [r[0] for r in wh.scan("beam-management")] == [0.0, 2.0]
+        # the rows after it were never read: they ingest afresh
+        assert pipe.ingest_stream(RawRecord("drive-test", 5, dict(
+            zip(MEAS_COLS, rows[6][2:])))) == "accepted"
 
 
 class TestConservationAndDeidentification:

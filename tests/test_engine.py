@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ranopt.errors import NotFoundError, ValidationError
-from ranopt.simcore import (antenna_gain_dbi, apply_command, compute_rsrp_dbm,
-                            draw_users, step)
+from ranopt.simcore import (ShadowField, antenna_gain_dbi, apply_command,
+                            compute_rsrp_dbm, draw_users, engine, step)
 from ranopt.simcore.types import PATTERN_CODEBOOK
 
 from conftest import make_cell, make_scenario
@@ -14,6 +14,17 @@ class TestStep:
         m1, k1 = step(single_cell_scenario, 3600.0, 0.0)
         m2, k2 = step(single_cell_scenario, 3600.0, 0.0)
         assert m1 == m2 and k1 == k2
+
+    def test_shadow_fields_built_once_and_read_only(self):
+        sc = make_scenario(cells=[make_cell("c1"), make_cell("c2")],
+                           shadow_sigma_db=4.0)
+        first, again = engine.shadow_fields(sc), engine.shadow_fields(sc)
+        assert all(again[c] is first[c] for c in ("c1", "c2"))
+        pts = np.random.default_rng(0).uniform(-300, 300, (20, 2))
+        fresh = ShadowField(sc.seed, "c2", 4.0, sc.shadow_corr_m)
+        assert np.array_equal(first["c2"].at(pts), fresh.at(pts))
+        with pytest.raises(ValueError):
+            first["c1"]._phase[0] = 0.0
 
     def test_zero_traffic_bucket(self):
         profile = [1.0] * 24

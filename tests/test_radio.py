@@ -6,7 +6,7 @@ from ranopt.simcore import (BORESIGHT_GAIN_DBI, NO_SIGNAL_DBM, ShadowField,
                             antenna_gain_dbi, best_beam_rsrp_dbm,
                             compute_rsrp_dbm, compute_sinr_db, dbm_to_mw,
                             noise_dbm, path_loss_db)
-from ranopt.simcore.radio import user_geometry
+from ranopt.simcore.radio import best_beam_rsrp_dbm_variants, user_geometry
 from ranopt.simcore.types import (Beam, N_PATTERNS, N_RE, RSRP_MAX_DBM,
                                   RSRP_MIN_DBM)
 
@@ -136,6 +136,30 @@ class TestBestBeam:
         naive = np.stack([naive_rsrp(cell, b, pos, 3.55, shadow)
                           for b in cell.beams])
         assert np.array_equal(per_beam, naive)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern_id=st.integers(0, N_PATTERNS - 1),
+           carrier_on=st.booleans(), n_variants=st.integers(1, 40),
+           n_users=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1))
+    def test_variants_equal_one_call_each_bit_for_bit(
+            self, pattern_id, carrier_on, n_variants, n_users, seed):
+        rng = np.random.default_rng(seed)
+        cell = make_cell(site_pos=(*rng.uniform(-300.0, 300.0, 2), 25.0),
+                         pattern_id=pattern_id, carrier_on=carrier_on)
+        variants = [cell.replace(azimuth_deg=float(a), tilt_deg=float(t),
+                                 tx_power_dbm=float(p))
+                    for a, t, p in zip(rng.uniform(0.0, 360.0, n_variants),
+                                       rng.integers(0, 16, n_variants),
+                                       rng.uniform(30.0, 53.0, n_variants))]
+        pos = rng.uniform(-1500.0, 1500.0, (n_users, 2))
+        one_each = [best_beam_rsrp_dbm(c, pos, 3.55)[0] for c in variants]
+        assert np.array_equal(best_beam_rsrp_dbm_variants(variants, pos, 3.55),
+                              np.array(one_each))
+
+    def test_variants_must_share_the_beam_pattern(self):
+        with pytest.raises(ValueError):
+            best_beam_rsrp_dbm_variants(
+                [make_cell(), make_cell(pattern_id=1)], [[0.0, 1.0]], 3.55)
 
     def test_carrier_off_reports_no_signal_on_beam_zero(self):
         pos = np.array([[100.0, 0.0], [0.0, 100.0]])

@@ -224,6 +224,33 @@ class TestQuery:
         assert QueryTask.from_json(task.to_json()) == task
 
 
+class TestLoad:
+    @staticmethod
+    def two_subjects():
+        wh = fresh("a")
+        wh.create_subject(SubjectSpec("b", [Column("t_s", "float"),
+                                            Column("n", "int")],
+                                      retention_hours=1))
+        return wh, lambda t: (("a", (t, "c1", 1.0, 0.1)), ("b", (t, 1)))
+
+    def test_record_refused_as_a_whole_against_the_running_clock(self):
+        wh, record = self.two_subjects()
+        # t=10 s is within a's retention of the clock the t=7200 s record
+        # left, but not within b's one hour
+        assert wh.load([record(0.0), record(7200.0), record(10.0),
+                        record(7300.0)]) == [2]
+        for subject in ("a", "b"):
+            assert [r[0] for r in wh.scan(subject)] == [0.0, 7200.0, 7300.0]
+        assert wh.clock_s == 7300.0
+
+    def test_row_that_does_not_fit_loads_nothing(self):
+        wh, record = self.two_subjects()
+        with pytest.raises(SchemaError, match="throughput_mbps"):
+            wh.load([record(0.0), (("a", (1.0, "c1", "oops", 0.1)),)])
+        assert wh.row_count("a") == wh.row_count("b") == 0
+        assert wh.clock_s == 0.0
+
+
 class TestTiering:
     def test_fresh_partitions_stay(self):
         wh = fresh()
@@ -271,6 +298,45 @@ class TestTiering:
         assert repr(after) == repr(before)
         assert [[tuple(map(type, r)) for r in part] for part in after] == \
             [[(float, str, int, float)] * len(part) for part in before]
+
+    def test_expired_values_leave_the_string_dictionaries(self):
+        wh = Warehouse(hot_window_s=3600.0)
+        create_bundled_subjects(wh)
+        wh.append("beam-management", [
+            (float(i), f"h{i:016x}", "c1", 0, "SSB", -80.0, 1.0, 1.0, 0.0,
+             0.0, "drive-test") for i in range(3000)])
+        assert wh.migrate_tiers(3 * 3600.0) == [("beam-management", 0)]
+        wh.migrate_tiers(9 * 24 * 3600.0)
+        assert wh.row_count("beam-management") == 0
+        assert wh._get("beam-management").strings["user_hash"] == []
+
+    def test_queries_equal_across_a_partial_expiry(self):
+        wh = Warehouse(hot_window_s=4 * 3600.0)
+        wh.create_subject(SubjectSpec("kpi", kpi_spec().columns,
+                                      retention_hours=24))
+        rows = [(h * 3600.0 + 60.0 * k, f"early{h}" if h < 12 and k
+                 else f"c{(h + k) % 3}", float(h * k), k / 10)
+                for h in range(48) for k in range(3)]
+        wh.append("kpi", rows)
+        wh.migrate_tiers(24.5 * 3600.0)  # freezes hours 0-19, expires none
+        tasks = [QueryTask(subject="kpi", t0=12 * 3600.0, t1=t1,
+                           filters=filters, group_by=["cell_id"],
+                           aggregates=[("count", "*"),
+                                       ("sum", "throughput_mbps")])
+                 for t1 in (20 * 3600.0, None)
+                 for filters in ([], [("cell_id", "!=", "c1")])]
+        before = [wh.query(task).to_csv() for task in tasks]
+        scan = wh.scan("kpi", 12 * 3600.0)
+        wh.migrate_tiers(36.5 * 3600.0)  # expires hours 0-11
+        assert wh.counters("kpi")["expired"] == 36
+        assert not any(s.startswith("early")
+                       for s in wh._get("kpi").strings["cell_id"])
+        assert [wh.query(task).to_csv() for task in tasks] == before
+        assert wh.scan("kpi") == scan
+        late = (24.5 * 3600.0, "late", 1.0, 0.5)  # into a re-coded block
+        wh.append("kpi", [late])
+        assert wh.scan("kpi", 24 * 3600.0, 25 * 3600.0) == [
+            r for r in scan if 24 * 3600.0 <= r[0] < 25 * 3600.0] + [late]
 
     def test_retention_expiry(self):
         wh = fresh()
