@@ -2,11 +2,6 @@
 from .forecast import TrafficForecaster
 from .gpr import GprRegressor
 from .mlp import Mlp, TrainConfig, gradient_check
-from .serialize import load_model, model_from_dict, model_to_dict, save_model
-from .surrogate import augment_rsrp, fit_surrogate, optimize_config
 
-__all__ = [
-    "TrafficForecaster", "GprRegressor", "Mlp", "TrainConfig",
-    "gradient_check", "load_model", "model_from_dict", "model_to_dict",
-    "save_model", "augment_rsrp", "fit_surrogate", "optimize_config",
-]
+__all__ = ["TrafficForecaster", "GprRegressor", "Mlp", "TrainConfig",
+           "gradient_check"]

@@ -24,10 +24,6 @@ class GprRegressor:
         self.noise_std = float(noise_std)
         self._X = None
 
-    def get_params(self) -> dict:
-        return {"length_scales": self.length_scales.tolist(),
-                "signal_std": self.signal_std, "noise_std": self.noise_std}
-
     def _kernel(self, A, B):
         a = A / self.length_scales
         b = B / self.length_scales
@@ -74,20 +70,3 @@ class GprRegressor:
         if not return_var:
             return mean
         return mean, np.maximum(var, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"kind": "gpr", **self.get_params(),
-                "X": self._X.tolist(), "y_mean": self._y_mean,
-                "alpha": self._alpha.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GprRegressor":
-        m = cls(d["length_scales"], d["signal_std"], d["noise_std"])
-        X = np.array(d["X"])
-        K = m._kernel(X, X)
-        K[np.diag_indices_from(K)] += m.noise_std ** 2 + JITTER
-        m._chol = cho_factor(K, lower=True)
-        m._X = X
-        m._y_mean = d["y_mean"]
-        m._alpha = np.array(d["alpha"])
-        return m

@@ -1,38 +1,15 @@
-"""RSRP augmentation and surrogate-driven config search."""
+"""The throughput use case's candidate grid: one value axis per config field.
+
+``throughput.recommend_config`` scores every point of this grid exactly.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import InvalidBounds
-from .gpr import GprRegressor
-from .mlp import Mlp, TrainConfig
 
-EXHAUSTIVE_LIMIT = 200
 DEFAULT_STEPS = {"azimuth_deg": 5.0, "tilt_deg": 1.0, "tx_power_dbm": 1.0}
 GRID_FIELDS = ("azimuth_deg", "tilt_deg", "tx_power_dbm")
-
-
-def augment_rsrp(records, target_grid, angles,
-                 gpr: GprRegressor | None = None):
-    """Fit GPR on drive records and evaluate a dense grid x angle table.
-
-    records: rows of (pos_x, pos_y, azimuth_deg, tilt_deg, rsrp_dbm) from one
-    cell. Returns rows (pos_x, pos_y, azimuth_deg, tilt_deg, rsrp_pred).
-    """
-    records = np.atleast_2d(np.asarray(records, dtype=float))
-    model = gpr or GprRegressor()
-    model.fit(records[:, :4], records[:, 4])
-    angles = list(angles)
-    grid = np.atleast_2d(np.asarray(target_grid, dtype=float))
-    if not angles:
-        return np.zeros((0, 5)), model
-    rows = []
-    for az, tilt in angles:
-        X = np.column_stack([grid,
-                             np.full(grid.shape[0], az),
-                             np.full(grid.shape[0], tilt)])
-        rows.append(np.column_stack([X, model.predict(X)]))
-    return np.vstack(rows), model
 
 
 def build_grid_axes(bounds: dict, steps: dict | None = None) -> dict:
@@ -50,86 +27,3 @@ def build_grid_axes(bounds: dict, steps: dict | None = None) -> dict:
     if not axes:
         raise InvalidBounds("no optimizable fields in bounds")
     return axes
-
-
-def optimize_config(surrogate, bounds: dict, steps: dict | None = None,
-                    extra_features=()):
-    """Grid argmax of the surrogate over (azimuth, tilt, power).
-
-    Small grids (<= 200 points) are searched exhaustively; larger grids use
-    3 sweeps of coordinate descent from the lexicographically smallest point.
-    Ties always break toward the smaller (azimuth, tilt, power) tuple.
-    surrogate is an Mlp or any object with predict(X) -> value.
-    """
-    axes = build_grid_axes(bounds, steps)
-    names = list(axes)
-    extra = list(extra_features)
-
-    def value(point: dict) -> float:
-        x = [point[n] for n in names] + extra
-        out = np.asarray(surrogate.predict(np.array([x])))
-        return float(out.ravel()[0])
-
-    sizes = [len(axes[n]) for n in names]
-    total = int(np.prod(sizes))
-    if total <= EXHAUSTIVE_LIMIT:
-        best_point, best_val = None, -np.inf
-        for idx in np.ndindex(*sizes):
-            point = {n: float(axes[n][i]) for n, i in zip(names, idx)}
-            v = value(point)
-            if v > best_val:
-                best_point, best_val = point, v
-        return best_point, best_val
-
-    point = {n: float(axes[n][0]) for n in names}
-    best_val = value(point)
-    for _ in range(3):
-        for n in names:
-            vals = []
-            for cand in axes[n]:
-                trial = dict(point)
-                trial[n] = float(cand)
-                vals.append(value(trial))
-            k = int(np.argmax(vals))  # argmax takes the first (smallest) tie
-            point[n] = float(axes[n][k])
-            best_val = vals[k]
-    return point, best_val
-
-
-def fit_surrogate(X, y, hidden=(64, 64), seed: int = 0,
-                  epochs: int = 400, lr: float = 0.01):
-    """Train a normalized-input/output throughput surrogate.
-
-    Returns an object with predict(X) in the original units.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    x_mean, x_std = X.mean(axis=0), np.maximum(X.std(axis=0), 1e-9)
-    y_mean, y_std = y.mean(), max(y.std(), 1e-9)
-    net = Mlp([X.shape[1], *hidden, 1], head="linear", seed=seed)
-    net.fit((X - x_mean) / x_std, ((y - y_mean) / y_std)[:, None],
-            TrainConfig(learning_rate=lr, epochs=epochs, batch_size=32,
-                        seed=seed))
-    return _NormalizedSurrogate(net, x_mean, x_std, y_mean, y_std)
-
-
-class _NormalizedSurrogate:
-    def __init__(self, net, x_mean, x_std, y_mean, y_std):
-        self.net = net
-        self.x_mean, self.x_std = x_mean, x_std
-        self.y_mean, self.y_std = y_mean, y_std
-
-    def predict(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        z = self.net.predict((X - self.x_mean) / self.x_std)
-        return self.y_mean + self.y_std * z.ravel()
-
-    def to_dict(self) -> dict:
-        return {"kind": "surrogate", "net": self.net.to_dict(),
-                "x_mean": self.x_mean.tolist(), "x_std": self.x_std.tolist(),
-                "y_mean": float(self.y_mean), "y_std": float(self.y_std)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_NormalizedSurrogate":
-        return cls(Mlp.from_dict(d["net"]), np.array(d["x_mean"]),
-                   np.array(d["x_std"]), d["y_mean"], d["y_std"])

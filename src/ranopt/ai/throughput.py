@@ -26,8 +26,6 @@ from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
 from .gpr import GprRegressor
 from .surrogate import build_grid_axes
-# importable from here too, where the benchmark's tracer wraps them
-from .surrogate import fit_surrogate, optimize_config  # noqa: F401
 
 UNCAPPED_DEMAND_MBPS = 1e9
 MIN_SAMPLES_PER_CELL = 8

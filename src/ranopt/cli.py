@@ -10,16 +10,14 @@ from pathlib import Path
 
 from .acquisition.pipeline import AcquisitionPipeline
 from .acquisition.sources import watch_directory
-from .ai import dqn as dqn_mod
 from .ai import mimo as mimo_mod
 from .ai.strategy import train_strategy_classifier
-from .ai.throughput import ConfigLog, fit_radio_maps
 from .errors import EXIT_OK, RanOptError, ValidationError, exit_code_for
-from .loop.runner import LoopReport, run_closed_loop
+from .loop.runner import LoopReport, prepare_models, run_closed_loop
 from .simcore import engine
 from .warehouse.query import QueryTask
 from .warehouse.store import Warehouse
-from .warehouse.subjects import SUBJECT_BEAM, create_bundled_subjects
+from .warehouse.subjects import create_bundled_subjects
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,9 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("optimize", help="train a use-case model offline")
     s.add_argument("--usecase", required=True,
-                   choices=["throughput", "mimo", "interference", "energy"])
-    s.add_argument("--in", dest="in_dir",
-                   help="directory of simulator CSVs (throughput use case)")
+                   choices=["mimo", "interference", "energy"])
     s.add_argument("--scenario", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -146,23 +142,9 @@ def cmd_warehouse_query(args) -> int:
 
 def cmd_optimize(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
-    cells = {c.cell_id: c for c in scenario.cells}
     out: dict = {"use_case": args.usecase, "seed": args.seed}
-    if args.usecase == "throughput":
-        if not args.in_dir:
-            raise ValidationError("throughput optimization needs --in DIR")
-        pipeline = _fresh_pipeline(scenario)
-        _ingest_dir(pipeline, args.in_dir)
-        cols = [c.name for c in
-                pipeline.warehouse.subject_spec(SUBJECT_BEAM).columns]
-        rows = [dict(zip(cols, r))
-                for r in pipeline.warehouse.scan(SUBJECT_BEAM)]
-        log = ConfigLog()
-        log.record(0.0, cells)
-        maps = fit_radio_maps(rows, cells, log, scenario.carrier_ghz)
-        out["radio_maps"] = {cid: m.to_dict() for cid, m in maps.items()}
-    elif args.usecase == "mimo":
-        k = max(len(cells), 2)
+    if args.usecase == "mimo":
+        k = max(len(scenario.cells), 2)
         states = mimo_mod.sample_states(300, seed=args.seed, k=k)
         estimator = mimo_mod.train_rate_estimator(states, seed=args.seed)
         policy = mimo_mod.pretrain_policy(states, seed=args.seed)
@@ -175,11 +157,10 @@ def cmd_optimize(args) -> int:
         out["policy"] = chosen.to_dict()
         out["rates"] = {"pretrained": r_pre, "finetuned": r_fine}
     elif args.usecase == "interference":
-        agents, curve = dqn_mod.dqn_train(
-            scenario, episodes=12, config=dqn_mod.DqnConfig(episode_len=25),
-            seed=args.seed)
-        out["agents"] = {cid: a.q.to_dict() for cid, a in agents.items()}
-        out["learning_curve"] = curve
+        models = prepare_models(scenario, args.usecase, args.seed)
+        out["agents"] = {cid: a.q.to_dict()
+                         for cid, a in models["dqn_agents"].items()}
+        out["learning_curve"] = models["dqn_curve"]
     else:  # energy
         model, acc = train_strategy_classifier(seed=args.seed)
         out["classifier"] = model.to_dict()

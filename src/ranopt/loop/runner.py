@@ -39,6 +39,8 @@ ROLLBACK_TOLERANCE = 0.01
 WINDOW_LEN_S = 3600.0
 QOS_SERVED_FLOOR = 0.99
 ENERGY_FORECAST_HORIZON = 4
+DQN_EPISODES = 12
+DQN_EPISODE_LEN = 25
 _SENSE_HEADERS = (parse_header(MeasurementRecord.CSV_HEADER),
                   parse_header(KpiRecord.CSV_HEADER))
 
@@ -101,14 +103,14 @@ class LoopReport:
 
 class ClosedLoop:
     def __init__(self, scenario: Scenario, use_case: str, seed: int = 0,
-                 window_len_s: float = WINDOW_LEN_S, models: dict | None = None,
-                 optimizer_override=None, workdir=None):
+                 models: dict | None = None, optimizer_override=None,
+                 workdir=None):
         if use_case not in USE_CASES:
             raise ValidationError(
                 f"unknown use case {use_case!r} (allowed: {USE_CASES})")
         self.use_case = use_case
         self.seed = int(seed)
-        self.window_len_s = float(window_len_s)
+        self.window_len_s = WINDOW_LEN_S
         self.scenario = copy.deepcopy(scenario)
         self.models = models or {}
         self.optimizer_override = optimizer_override
@@ -369,27 +371,20 @@ class ClosedLoop:
         return report
 
 
-def prepare_models(scenario: Scenario, use_case: str, seed: int,
-                   allowed_actions=None, episodes: int = 12,
-                   models: dict | None = None) -> dict:
-    """Offline training phase run before the loop (not during epochs)."""
-    models = dict(models or {})
-    if use_case == "interference" and "dqn_agents" not in models:
-        config = dqn_mod.DqnConfig(episode_len=25)
-        agents, curve = dqn_mod.dqn_train(copy.deepcopy(scenario), episodes,
-                                          config, allowed_actions, seed=seed)
-        models["dqn_agents"] = agents
-        models["dqn_curve"] = curve
-    return models
+def prepare_models(scenario: Scenario, use_case: str, seed: int) -> dict:
+    """Offline training phase run before the loop (not during epochs):
+    the interference use case's DQN agents and their learning curve."""
+    if use_case != "interference":
+        return {}
+    agents, curve = dqn_mod.dqn_train(
+        copy.deepcopy(scenario), DQN_EPISODES,
+        dqn_mod.DqnConfig(episode_len=DQN_EPISODE_LEN), seed=seed)
+    return {"dqn_agents": agents, "dqn_curve": curve}
 
 
 def run_closed_loop(scenario: Scenario, use_case: str, epochs: int,
-                    seed: int = 0, models: dict | None = None,
-                    warm_up_windows: int | None = None) -> LoopReport:
-    if use_case == "interference":
-        models = prepare_models(scenario, use_case, seed, models=models)
-    loop = ClosedLoop(scenario, use_case, seed=seed, models=models)
-    if warm_up_windows is None:
-        warm_up_windows = MIN_HISTORY if use_case == "energy" else 0
-    loop.warm_up(warm_up_windows)
+                    seed: int = 0) -> LoopReport:
+    loop = ClosedLoop(scenario, use_case, seed=seed,
+                      models=prepare_models(scenario, use_case, seed))
+    loop.warm_up(MIN_HISTORY if use_case == "energy" else 0)
     return loop.run(epochs)

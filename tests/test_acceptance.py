@@ -21,7 +21,9 @@ from ranopt.ai.gpr import GprRegressor
 from ranopt.ai.mlp import Mlp, gradient_check
 from ranopt.ai.strategy import (CAPACITY_FRACTION, QOS_HEADROOM,
                                 recommend_strategy, sample_forecasts)
-from ranopt.ai.surrogate import build_grid_axes, optimize_config
+from ranopt.ai import throughput
+from ranopt.ai.surrogate import build_grid_axes
+from ranopt.ai.throughput import ConfigLog, recommend_config
 from ranopt.cli import main
 from ranopt.loop.runner import run_closed_loop
 from ranopt.scenarios import load_bundled, scenario_path
@@ -113,7 +115,13 @@ class TestThroughputGain:
 
 
 class TestGridSearchOracle:
-    def test_matches_exhaustive_argmax_on_random_surrogates(self):
+    def test_matches_exhaustive_argmax_on_random_surrogates(self,
+                                                            monkeypatch):
+        # recommend_config's grid order and first-maximum rule, with a
+        # random MLP surface standing in for the radio-map scores
+        monkeypatch.setattr(throughput, "fit_radio_maps", lambda *a: {})
+        rows = [{"t_s": 0.0, "pos_x_m": 0.0, "pos_y_m": 0.0}]
+        cells = {"c1": make_cell()}
         rng = np.random.default_rng(0)
         for trial in range(50):
             bounds, steps = {}, {}
@@ -126,17 +134,27 @@ class TestGridSearchOracle:
                 bounds[name] = (lo, lo + (n - 1) * step)
                 steps[name] = step
             axes = build_grid_axes(bounds, steps)
-            n_points = int(np.prod([len(v) for v in axes.values()]))
-            assert n_points <= 200
             surrogate = Mlp([n_fields, 8, 1], head="linear",
                             seed=int(rng.integers(1 << 30)))
-            fields, value = optimize_config(surrogate, bounds, steps)
+            scored = []
+
+            def score(*args, net=surrogate):
+                candidates = args[6]
+                scored.extend(candidates)
+                return [float(net.predict(np.array([list(c.values())]))[0, 0])
+                        for c in candidates]
+
+            monkeypatch.setattr(throughput, "_candidate_throughputs", score)
+            fields, value = recommend_config(rows, cells, ConfigLog(), "c1",
+                                             bounds, 20.0, 3.5, steps)
             # independent oracle: enumerate every grid point
             best_v, best_f = -np.inf, None
             for combo in itertools.product(*axes.values()):
                 v = float(surrogate.predict(np.array([combo]))[0, 0])
                 if v > best_v:
                     best_v, best_f = v, dict(zip(axes, combo))
+            assert len(scored) == int(np.prod([len(v)
+                                               for v in axes.values()]))
             assert fields == pytest.approx(best_f)
             assert value == pytest.approx(best_v)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ranopt.cli import main
+from ranopt.loop.runner import prepare_models
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
 from ranopt.warehouse.query import QueryTask
@@ -81,27 +82,26 @@ class TestWarehouseQuery:
 
 
 class TestOptimize:
-    def test_throughput_without_input_dir(self, scenario_file, tmp_path):
-        assert run(["optimize", "--usecase", "throughput", "--scenario",
-                    scenario_file, "--out", str(tmp_path / "m.json")]) == 1
-
-    def test_throughput_model_export(self, scenario_file, tmp_path):
-        drops = tmp_path / "drops"
-        run(["simulate", "--scenario", scenario_file, "--windows", "2",
-             "--out", str(drops)])
-        out = tmp_path / "model.json"
-        assert run(["optimize", "--usecase", "throughput", "--in", str(drops),
-                    "--scenario", scenario_file, "--out", str(out)]) == 0
-        model = json.loads(out.read_text())
-        assert model["use_case"] == "throughput"
-        assert set(model["radio_maps"]) == {"c1"}
-
     def test_energy_model_export(self, scenario_file, tmp_path):
         out = tmp_path / "model.json"
         assert run(["optimize", "--usecase", "energy", "--scenario",
                     scenario_file, "--seed", "0", "--out", str(out)]) == 0
         model = json.loads(out.read_text())
         assert model["holdout_accuracy"] >= 0.8
+
+    def test_interference_export_is_the_loops_offline_training(
+            self, scenario_file, tmp_path):
+        out = tmp_path / "model.json"
+        assert run(["optimize", "--usecase", "interference", "--scenario",
+                    scenario_file, "--seed", "2", "--out", str(out)]) == 0
+        model = json.loads(out.read_text())
+        scenario = engine.load_scenario(scenario_file)
+        scenario.seed = 2
+        models = prepare_models(scenario, "interference", 2)
+        assert model["learning_curve"] == models["dqn_curve"]
+        agents = {cid: a.q.to_dict()
+                  for cid, a in models["dqn_agents"].items()}
+        assert model["agents"] == json.loads(json.dumps(agents))
 
 
 class TestLoopAndReport:

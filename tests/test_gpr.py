@@ -72,14 +72,6 @@ class TestFitPredict:
         _, v_sup = m_sup.predict(q, return_var=True)
         assert np.all(v_sup <= v_sub + 1e-9)
 
-    def test_serialization_roundtrip(self):
-        X = grid_inputs(4)
-        y = -70.0 + 0.02 * X[:, 1]
-        m = GprRegressor().fit(X, y)
-        clone = GprRegressor.from_dict(m.to_dict())
-        q = grid_inputs(3)
-        assert np.allclose(m.predict(q), clone.predict(q))
-
 
 class TestDriveRouteAccuracy:
     def test_residuals_on_training_route(self):

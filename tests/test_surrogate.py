@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranopt.ai import throughput
-from ranopt.ai.surrogate import (augment_rsrp, build_grid_axes, fit_surrogate,
-                                 optimize_config)
+from ranopt.ai.surrogate import build_grid_axes
 from ranopt.ai.throughput import (ConfigLog, build_surrogate_dataset,
                                   estimate_demand_cap, fit_radio_maps,
                                   predict_network_throughput, predicted_rsrp,
@@ -16,17 +15,6 @@ from ranopt.simcore.scheduler import schedule_and_rate
 
 from conftest import make_cell, make_scenario
 from naive_oracle import LinearConfigLog
-
-
-class FnSurrogate:
-    """Adapter: score an analytic function of (az, tilt, power) rows."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def predict(self, X):
-        X = np.atleast_2d(X)
-        return np.array([self.fn(*row[:3]) for row in X])
 
 
 class TestGridAxes:
@@ -45,81 +33,6 @@ class TestGridAxes:
     def test_no_fields_rejected(self):
         with pytest.raises(InvalidBounds):
             build_grid_axes({"bogus": (0.0, 1.0)})
-
-
-class TestOptimizeConfig:
-    BOUNDS = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (2.0, 6.0),
-              "tx_power_dbm": (46.0, 48.0)}
-
-    @staticmethod
-    def quadratic(az, tilt, pw):
-        return -((az - 25.0) ** 2) - 2.0 * (tilt - 5.0) ** 2 \
-            - 0.5 * (pw - 47.0) ** 2
-
-    def brute_force(self, bounds, fn):
-        axes = build_grid_axes(bounds)
-        best, val = None, -np.inf
-        for az in axes["azimuth_deg"]:
-            for tilt in axes["tilt_deg"]:
-                for pw in axes["tx_power_dbm"]:
-                    v = fn(az, tilt, pw)
-                    if v > val:
-                        best, val = (az, tilt, pw), v
-        return best, val
-
-    def test_exhaustive_matches_brute_force(self):
-        axes = build_grid_axes(self.BOUNDS)
-        n_points = np.prod([len(a) for a in axes.values()])
-        assert n_points <= 200  # stays on the exhaustive path
-        fields, val = optimize_config(FnSurrogate(self.quadratic), self.BOUNDS)
-        (az, tilt, pw), best = self.brute_force(self.BOUNDS, self.quadratic)
-        assert (fields["azimuth_deg"], fields["tilt_deg"],
-                fields["tx_power_dbm"]) == (az, tilt, pw)
-        assert val == pytest.approx(best)
-
-    def test_constant_surface_picks_lexicographic_minimum(self):
-        fields, _ = optimize_config(FnSurrogate(lambda *a: 1.0), self.BOUNDS)
-        assert fields == {"azimuth_deg": 0.0, "tilt_deg": 2.0,
-                          "tx_power_dbm": 46.0}
-
-    def test_coordinate_descent_on_large_separable_grid(self):
-        bounds = {"azimuth_deg": (0.0, 180.0), "tilt_deg": (0.0, 14.0),
-                  "tx_power_dbm": (40.0, 52.0)}
-        axes = build_grid_axes(bounds)
-        assert np.prod([len(a) for a in axes.values()]) > 200
-        fields, _ = optimize_config(FnSurrogate(self.quadratic), bounds)
-        brute, _ = self.brute_force(bounds, self.quadratic)
-        assert (fields["azimuth_deg"], fields["tilt_deg"],
-                fields["tx_power_dbm"]) == brute
-
-
-class TestFitSurrogate:
-    def test_learns_smooth_surface(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform([0, 0, 44], [40, 8, 48], size=(300, 3))
-        y = 500.0 - (X[:, 0] - 25) ** 2 - 10 * (X[:, 1] - 5) ** 2 \
-            + 20 * (X[:, 2] - 46)
-        model = fit_surrogate(X, y, seed=0)
-        pred = model.predict(X)
-        rel = np.mean(np.abs(pred - y)) / np.std(y)
-        assert rel < 0.1
-
-
-class TestAugmentRsrp:
-    def test_shapes_and_training_fit(self):
-        cell = make_cell()
-        rng = np.random.default_rng(2)
-        pts = np.column_stack([rng.uniform(100, 400, 60),
-                               rng.uniform(-150, 150, 60)])
-        rsrp, _ = best_beam_rsrp_dbm(cell, pts, 3.55)
-        records = np.column_stack([pts, np.zeros(60), np.full(60, 6.0), rsrp])
-        grid = np.column_stack([rng.uniform(120, 380, 25),
-                                rng.uniform(-120, 120, 25)])
-        table, model = augment_rsrp(records, grid, [(0.0, 6.0), (0.0, 8.0)])
-        assert table.shape == (50, 5)
-        # predictions at the measured angle interpolate the field
-        back = model.predict(records[:, :4])
-        assert np.mean(np.abs(back - rsrp)) < 2.0
 
 
 def simulate_history(scenario, config_plan, window_len_s=3600.0):
