@@ -91,6 +91,8 @@ def _fresh_pipeline(scenario) -> AcquisitionPipeline:
 
 
 def cmd_simulate(args) -> int:
+    if args.windows < 1:
+        raise ValidationError("windows must be >= 1")
     scenario = _load_scenario(args.scenario, args.seed)
     out = Path(args.out)
     for w in range(args.windows):
@@ -172,9 +174,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_loop(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
+    # an epoch that raises still saves the report of the epochs before it
     report = run_closed_loop(scenario, args.usecase, args.epochs,
-                             seed=args.seed)
-    report.save(args.report)
+                             seed=args.seed, report_path=args.report)
     accepted = sum(1 for e in report.entries if e["decision"] == "accepted")
     print(f"{len(report.entries)} epochs, {accepted} accepted; "
           f"report at {args.report}")

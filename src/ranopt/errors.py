@@ -45,10 +45,6 @@ class SchemaError(PipelineError):
     pass
 
 
-class RetentionError(PipelineError):
-    pass
-
-
 class DegenerateColumn(PipelineError):
     pass
 

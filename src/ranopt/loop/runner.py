@@ -353,14 +353,16 @@ class ClosedLoop:
             return True
         return a >= QOS_SERVED_FLOOR * b
 
-    def run(self, epochs: int) -> LoopReport:
+    def run(self, epochs: int, report_path=None) -> LoopReport:
+        """Run the epochs; the report, partial with its error set if an
+        epoch raised, is kept as `self.report` and saved to report_path."""
         if epochs < 1:
             raise ValidationError("epochs must be >= 1")
         report = LoopReport(self.use_case, self.seed, self.window_len_s)
         try:
             for _ in range(epochs):
                 self.run_epoch()
-        except Exception as e:
+        except BaseException as e:  # an interrupt too: say why it stopped
             report.error = f"{type(e).__name__}: {e}"
             raise
         finally:
@@ -368,6 +370,8 @@ class ClosedLoop:
             report.final_config = [c.to_dict() for c in self.scenario.cells]
             report.commands = self.command_log.to_list()
             self.report = report
+            if report_path is not None:
+                report.save(report_path)
         return report
 
 
@@ -383,8 +387,8 @@ def prepare_models(scenario: Scenario, use_case: str, seed: int) -> dict:
 
 
 def run_closed_loop(scenario: Scenario, use_case: str, epochs: int,
-                    seed: int = 0) -> LoopReport:
+                    seed: int = 0, report_path=None) -> LoopReport:
     loop = ClosedLoop(scenario, use_case, seed=seed,
                       models=prepare_models(scenario, use_case, seed))
     loop.warm_up(MIN_HISTORY if use_case == "energy" else 0)
-    return loop.run(epochs)
+    return loop.run(epochs, report_path)

@@ -1,9 +1,10 @@
 """Subject-oriented, append-only partitioned store with hot/cold tiering.
 
-Partitions are keyed by (subject, hour bucket).  Hot partitions take
-appends as plain row tuples and keep numpy column arrays of them, built
-when a query first reads a column.  Cold partitions hold one block per
-column of raw numpy bytes (float64, int64, or int32 codes for a string
+Rows are loaded by `Warehouse.load`, one record at a time against the
+running clock.  Partitions are keyed by (subject, hour bucket).  Hot
+partitions keep the rows as plain tuples, and numpy column arrays of them
+built when a query first reads a column.  Cold partitions hold one block
+per column of raw numpy bytes (float64, int64, or int32 codes for a string
 column), zlib-compressed when that at least halves them.  Each subject
 keeps one append-only dictionary per string column, so a code means the
 same value in every partition; when partitions expire, the dictionaries
@@ -21,8 +22,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..errors import (AlreadyExists, DegenerateColumn, RetentionError,
-                      SchemaError, SubjectNotFound)
+from ..errors import (AlreadyExists, DegenerateColumn, SchemaError,
+                      SubjectNotFound)
 from .query import QueryTask, ResultTable, run_query
 
 HOT_WINDOW_S = 24 * 3600.0
@@ -104,16 +105,10 @@ class _Subject:
         self.expired_total = 0
 
     def coerce(self, r) -> tuple:
-        """A row dict, or tuple in schema order, as a tuple of the schema's
-        types; SchemaError names the first column that does not fit."""
+        """A row in schema order as a tuple of the schema's types;
+        SchemaError names the first column that does not fit."""
         spec = self.spec
-        if isinstance(r, dict):
-            missing = [c.name for c in spec.columns if c.name not in r]
-            if missing:
-                raise SchemaError(
-                    f"subject {spec.name!r}: missing column {missing[0]!r}")
-            r = [r[c.name] for c in spec.columns]
-        elif len(r) != len(self.casts):
+        if len(r) != len(self.casts):
             raise SchemaError(f"subject {spec.name!r}: expected "
                               f"{len(self.casts)} values, got {len(r)}")
         try:
@@ -214,22 +209,6 @@ def _block(a: np.ndarray):
     return a
 
 
-def _refusal(t: float, clock_s: float, retention_s: float,
-             lead_refused: bool, taken: bool) -> str | None:
-    """Why a row at t is refused against this clock state: "late" when it
-    is more than the retention behind the clock, "ahead" when it is more
-    than twice the retention ahead of it, unless the last such row was
-    refused or no row was ever taken; else None."""
-    if t < clock_s - retention_s:
-        return "late"
-    # a row from far ahead would move the clock there and push every later
-    # in-time row out of retention; the first row ever sets the clock,
-    # whatever its epoch
-    if t > clock_s + 2 * retention_s and not lead_refused and taken:
-        return "ahead"
-    return None
-
-
 def _in_range(t: np.ndarray, t0: float | None, t1: float | None):
     keep = None if t0 is None else t >= t0
     if t1 is not None:
@@ -270,57 +249,22 @@ class Warehouse:
             return self._subjects[name]
 
     # -- writes ---------------------------------------------------------
-    def append(self, subject: str, rows) -> int:
-        """Append row dicts (or tuples in schema order); atomic per call.
-
-        Rows are checked against the clock as it stood when the call began.
-        A row more than the subject's retention behind it raises
-        RetentionError.  So does a row more than twice the retention ahead
-        of it, unless the last such row was refused and no row was taken
-        since: one far-future row is refused, and data that resumed after a
-        long gap is taken from its second row on.  Records that must be
-        admitted one by one, each against the clock the records before it
-        left, go through `load`."""
-        sub = self._get(subject)
-        spec = sub.spec
-        ti = sub.col_index["t_s"]
-        retention_s = spec.retention_hours * 3600.0
-        coerced = []
-        with self._lock:
-            taken = any(s.appended_total for s in self._subjects.values())
-            for r in rows:
-                row = sub.coerce(r)
-                t = row[ti]
-                refusal = _refusal(t, self.clock_s, retention_s,
-                                   self._lead_refused, taken)
-                if refusal == "late":
-                    raise RetentionError(
-                        f"subject {subject!r}: row at t={t} is outside the "
-                        f"{spec.retention_hours} h retention window")
-                if refusal == "ahead":
-                    self._lead_refused = True
-                    raise RetentionError(
-                        f"subject {subject!r}: row at t={t} is more than two "
-                        f"{spec.retention_hours} h retention windows ahead "
-                        f"of the clock at {self.clock_s}")
-                coerced.append(row)
-            self._store(sub, coerced)
-            if coerced:
-                self._lead_refused = False
-            return len(coerced)
-
     def load(self, records) -> list[int]:
-        """Load records, each a sequence of (subject, row) pairs, rows as
-        `append` takes them; returns the indexes of the refused records.
+        """Load records, each a sequence of (subject, row) pairs with rows
+        in schema order; returns the indexes of the refused records.
 
         Records are admitted in order, each all or nothing across its
-        subjects, by `append`'s retention and lead rule against the
-        *running* clock: the clock, and whether a lead was just refused, as
-        the records before it left them.  So one call loads exactly what
-        loading its records one at a time would.  The taken rows are then
-        appended once per subject, and late rows freeze into each cold
-        partition once.  A row that does not fit its schema raises
-        SchemaError, and the call then loads nothing."""
+        subjects, against the *running* clock: the clock, and whether a lead
+        was just refused, as the records before it left them.  A record is
+        refused if a row is more than its subject's retention behind the
+        clock, or more than twice the retention ahead of it, unless the last
+        such row was refused and no row was taken since: one far-future row
+        is refused, and data that resumed after a long gap is taken from its
+        second row on.  So one call loads exactly what loading its records
+        one at a time would.  The taken rows are then appended once per
+        subject, and late rows freeze into each cold partition once.  A row
+        that does not fit its schema raises SchemaError, and the call then
+        loads nothing."""
         with self._lock:
             clock, lead_refused = self.clock_s, self._lead_refused
             taken = any(s.appended_total for s in self._subjects.values())
@@ -339,8 +283,16 @@ class Warehouse:
                     sub, ti, retention_s, out = subjects[name]
                     row = sub.coerce(r)
                     t = row[ti]
-                    refusal = refusal or _refusal(t, clock, retention_s,
-                                                  lead_refused, taken)
+                    if refusal is None:
+                        if t < clock - retention_s:
+                            refusal = "late"
+                        # a row from far ahead would move the clock there
+                        # and push every later in-time row out of retention;
+                        # the first row ever sets the clock, whatever its
+                        # epoch
+                        elif (t > clock + 2 * retention_s and taken
+                              and not lead_refused):
+                            refusal = "ahead"
                     rows.append((out, row))
                     t_max = max(t_max, t)
                 if refusal is not None:

@@ -3,6 +3,7 @@ import io
 import socket
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -89,6 +90,28 @@ class TestIngestStream:
         assert pipe.counters["ingested"] == 10_000
         assert pipe.counters["kept"] == 10_000
         assert wh.row_count("beam-management") == 10_000
+
+    def test_dedup_check_and_add_hold_the_lock(self):
+        class SlowSet(set):
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                time.sleep(0.05)  # a thread switch between check and add
+                return found
+
+        pipe, wh = fresh_pipeline()
+        pipe._seen = SlowSet()
+        rec = RawRecord("drive-test", 1, meas_payload())
+        acks = []
+        threads = [threading.Thread(
+            target=lambda: acks.append(pipe.ingest_stream(rec)))
+            for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert sorted(acks) == ["accepted", "duplicate"]
+        assert wh.row_count("beam-management") == 1
 
     def test_per_source_order_preserved(self):
         pipe, wh = fresh_pipeline()

@@ -9,10 +9,13 @@ import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-# wrapped attributes the deleted surrogate search used to provide
+# wrapped attributes that are deleted: the surrogate search's three, and
+# Warehouse.append, whose warehouse.append.* metrics read 0 once the
+# pipeline loaded through Warehouse.load, now the only write path
 GONE = {"ranopt.ai.throughput.fit_surrogate",
         "ranopt.ai.throughput.optimize_config",
-        "ranopt.ai.surrogate._NormalizedSurrogate.predict"}
+        "ranopt.ai.surrogate._NormalizedSurrogate.predict",
+        "ranopt.warehouse.store.Warehouse.append"}
 
 
 def test_tracer_installs_and_restores_every_wrap():

@@ -32,6 +32,13 @@ class TestSimulate:
         # one measurement + one KPI file per window
         assert len(files) == 6
 
+    def test_windows_below_one_is_validation_error(self, scenario_file,
+                                                   tmp_path):
+        out = tmp_path / "drops"
+        assert run(["simulate", "--scenario", scenario_file, "--windows",
+                    "-3", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_missing_scenario_is_validation_error(self, tmp_path):
         assert run(["simulate", "--scenario", str(tmp_path / "nope.json"),
                     "--windows", "1", "--out", str(tmp_path / "o")]) == 1
@@ -122,6 +129,23 @@ class TestLoopAndReport:
         csv_out = capsys.readouterr().out.splitlines()
         assert csv_out[0].startswith("epoch,decision,cell_id")
         assert len(csv_out) == 2
+
+    def test_aborted_loop_saves_its_partial_report(self, tmp_path, capsys):
+        # c2 moved out of reach: the first epoch finds no usable measurement
+        scenario = engine.load_scenario(scenario_path("two_cell_detuned"))
+        scenario.cell("c2").site_pos = (20000.0, 20000.0, 25.0)
+        path = tmp_path / "far.json"
+        engine.save_scenario(scenario, path)
+        report = tmp_path / "report.json"
+        assert run(["loop", "--usecase", "throughput", "--scenario",
+                    str(path), "--epochs", "2", "--report", str(report)]) == 1
+        data = json.loads(report.read_text())
+        assert data["entries"] == []
+        assert data["error"] == ("InsufficientHistory: cell c2: 0 usable "
+                                 "measurements, need 8")
+        capsys.readouterr()
+        assert run(["report", "--from", str(report)]) == 0
+        assert f"aborted: {data['error']}" in capsys.readouterr().out
 
     def test_report_missing_file(self, tmp_path):
         assert run(["report", "--from", str(tmp_path / "nope.json")]) == 1

@@ -114,6 +114,23 @@ class TestEpoch:
         roundtrip = LoopReport.from_json(report.to_json())
         assert roundtrip.to_json() == report.to_json()
 
+    @pytest.mark.parametrize("error", [InsufficientHistory, KeyboardInterrupt])
+    def test_aborted_run_saves_the_epochs_before_it(self, tmp_path, error):
+        def fails_second_epoch(loop, before):
+            if loop.epoch == 1:
+                raise error("no data")
+            return noop_optimizer(loop, before)
+
+        loop = ClosedLoop(make_scenario(), "throughput", seed=1,
+                          optimizer_override=fails_second_epoch)
+        path = tmp_path / "report.json"
+        with pytest.raises(error):
+            loop.run(3, path)
+        saved = LoopReport.from_json(path.read_text())
+        assert [e["epoch"] for e in saved.entries] == [0]
+        assert saved.error == f"{error.__name__}: no data"
+        assert saved.to_json() == loop.report.to_json()
+
     def test_invalid_use_case_and_epochs(self):
         with pytest.raises(ValidationError):
             ClosedLoop(make_scenario(), "bogus")
