@@ -2,7 +2,8 @@
 
 Per cell, a GPR learns the residual between measured RSRP and the analytic
 antenna/propagation model at the config that was active when each sample was
-taken. A candidate config of one cell is scored by analytic model + learned
+taken; a cell with too few samples has no GPR and a zero residual. A
+candidate config of one cell is scored by analytic model + learned
 residual: users are re-attached and network throughput is predicted with the
 simulator's radio kernel and ``attach_and_rate``. Candidates are scored in
 batches of ``CANDIDATE_BATCH``: per batch, one radio-kernel call and one GPR
@@ -59,11 +60,16 @@ class ConfigLog:
 
 
 def fit_radio_maps(measurement_rows, cells: dict[str, CellConfig],
-                   config_log: ConfigLog, carrier_ghz: float
+                   config_log: ConfigLog, carrier_ghz: float,
+                   target_cell: str | None = None
                    ) -> dict[str, GprRegressor]:
     """One residual GPR per cell from warehouse measurement rows.
 
     measurement_rows: dicts with t_s, cell_id, rsrp_dbm, pos_x_m, pos_y_m.
+    A cell with fewer than MIN_SAMPLES_PER_CELL usable rows gets no GPR and
+    is predicted by the analytic model alone; InsufficientHistory is
+    raised if that cell is target_cell, whose candidates would go unscored
+    against any measurement.
     """
     per_cell: dict[str, list[list[float]]] = {cid: [] for cid in cells}
     for row in measurement_rows:
@@ -80,9 +86,11 @@ def fit_radio_maps(measurement_rows, cells: dict[str, CellConfig],
     maps: dict[str, GprRegressor] = {}
     for cid, rows in per_cell.items():
         if len(rows) < MIN_SAMPLES_PER_CELL:
-            raise InsufficientHistory(
-                f"cell {cid}: {len(rows)} usable measurements, "
-                f"need {MIN_SAMPLES_PER_CELL}")
+            if cid == target_cell:
+                raise InsufficientHistory(
+                    f"cell {cid}: {len(rows)} usable measurements, "
+                    f"need {MIN_SAMPLES_PER_CELL}")
+            continue
         arr = np.array(rows)
         base = cells[cid]
         resid = np.empty(arr.shape[0])
@@ -100,18 +108,21 @@ def fit_radio_maps(measurement_rows, cells: dict[str, CellConfig],
     return maps
 
 
-def predicted_rsrp(cell: CellConfig, gpr: GprRegressor, positions,
+def predicted_rsrp(cell: CellConfig, gpr: GprRegressor | None, positions,
                    carrier_ghz: float) -> np.ndarray:
-    """Analytic best-beam RSRP at the cell's current fields + GPR residual."""
+    """Analytic best-beam RSRP at the cell's current fields + GPR residual
+    (none without a GPR)."""
     return _predicted_rsrp([cell], gpr, positions, carrier_ghz)[0]
 
 
-def _predicted_rsrp(variants: list[CellConfig], gpr: GprRegressor,
+def _predicted_rsrp(variants: list[CellConfig], gpr: GprRegressor | None,
                     positions, carrier_ghz: float) -> np.ndarray:
     """(variants, users) predicted RSRP of one cell under each variant of
     its config, with one GPR query over every (variant, user) pair."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     analytic = best_beam_rsrp_dbm_variants(variants, pos, carrier_ghz)
+    if gpr is None:
+        return analytic
     angles = np.array([[c.azimuth_deg, c.tilt_deg] for c in variants])
     q = np.column_stack([np.tile(pos, (len(variants), 1)),
                          np.repeat(angles, pos.shape[0], axis=0)])
@@ -146,14 +157,14 @@ def _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
     rsrp = np.empty((len(candidates), len(ids), pos.shape[0]))
     for i, cid in enumerate(ids):
         if cid != target_cell:
-            rsrp[:, i] = predicted_rsrp(cells[cid], radio_maps[cid], pos,
-                                        carrier_ghz)
+            rsrp[:, i] = predicted_rsrp(cells[cid], radio_maps.get(cid),
+                                        pos, carrier_ghz)
     if target_cell is not None:
         t = ids.index(target_cell)
         variants = [cells[target_cell].replace(**f) for f in candidates]
         eval_cells[t] = variants[0]
-        rsrp[:, t] = _predicted_rsrp(variants, radio_maps[target_cell], pos,
-                                     carrier_ghz)
+        rsrp[:, t] = _predicted_rsrp(variants, radio_maps.get(target_cell),
+                                     pos, carrier_ghz)
     throughput = attach_and_rate(rsrp, eval_cells, bandwidth_mhz,
                                  demand_mbps)[4]
     return [sum(row) for row in throughput.tolist()]  # added in cell order
@@ -197,9 +208,11 @@ def recommend_config(measurement_rows, cells: dict[str, CellConfig],
 
     Every grid point is scored exactly, and the first maximum in np.ndindex
     order wins, so ties go to the smaller (azimuth, tilt, power) tuple.
-    Returns (fields, predicted_throughput_mbps).
+    Returns (fields, predicted_throughput_mbps).  Raises
+    InsufficientHistory if target_cell has too few usable measurements.
     """
-    maps = fit_radio_maps(measurement_rows, cells, config_log, carrier_ghz)
+    maps = fit_radio_maps(measurement_rows, cells, config_log, carrier_ghz,
+                          target_cell)
     t_latest = max(r["t_s"] for r in measurement_rows)
     latest = [r for r in measurement_rows if r["t_s"] == t_latest]
     positions = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in latest])

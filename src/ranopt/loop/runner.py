@@ -200,10 +200,13 @@ class ClosedLoop:
         target = self._target_cell()
         rows = self._scan_dicts(SUBJECT_BEAM, None, None)
         bounds, steps = self.default_bounds(target)
-        fields, _ = recommend_config(
-            rows, self._cells(), self.config_log, target, bounds,
-            self.scenario.bandwidth_mhz, self.scenario.carrier_ghz,
-            steps=steps)
+        try:
+            fields, _ = recommend_config(
+                rows, self._cells(), self.config_log, target, bounds,
+                self.scenario.bandwidth_mhz, self.scenario.carrier_ghz,
+                steps=steps)
+        except InsufficientHistory:  # too few measurements of the target
+            fields = {}
         return Command(target, fields, "throughput", self.epoch)
 
     def _optimize_mimo(self, before: KpiSnapshot) -> Command:

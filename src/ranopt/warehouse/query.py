@@ -13,6 +13,7 @@ from ..errors import SchemaError
 OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 AGGREGATES = ("count", "sum", "mean", "min", "max", "p50", "p95")
+_QUANTILES = {"p50": 0.5, "p95": 0.95}
 
 
 @dataclass
@@ -80,6 +81,8 @@ def aggregate_values(agg: str, values: list) -> float | int:
         return len(values)
     if not len(values):
         return float("nan")
+    if agg in _QUANTILES:  # on a copy, which the partition reorders
+        return _quantile(np.array(values, dtype=float), _QUANTILES[agg])
     a = np.asarray(values, dtype=float)
     # the ufunc reductions behind ndarray.sum, .mean, .min and .max,
     # without their Python-level wrappers
@@ -91,11 +94,28 @@ def aggregate_values(agg: str, values: list) -> float | int:
         return float(np.minimum.reduce(a))
     if agg == "max":
         return float(np.maximum.reduce(a))
-    if agg == "p50":
-        return float(np.percentile(a, 50))
-    if agg == "p95":
-        return float(np.percentile(a, 95))
     raise SchemaError(f"unknown aggregate {agg!r}")
+
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """The q-quantile of a's values by linear interpolation (Hyndman and
+    Fan's type 7), bit for bit what np.percentile(a, 100 * q) returns, NaN
+    and the sign of a zero included: numpy's own steps on the same data,
+    without its per-call set-up.  Partially sorts `a` in place."""
+    n = len(a)
+    v = (n - 1) * q
+    i = int(v)
+    j = min(i + 1, n - 1)
+    # numpy's kth set: which of -0.0 and 0.0 lands at i or j depends on it
+    a.partition(sorted({0, i, j, n - 1}))
+    last = a[-1]
+    if last != last:  # NaN sorts last
+        return float(last)
+    lo, hi = float(a[i]), float(a[j])
+    # numpy indexes a lone value as -1, so weighs it by v - (-1) = 1
+    g = v - i if n > 1 else 1.0
+    d = hi - lo  # numpy's _lerp
+    return hi - d * (1 - g) if g >= 0.5 else lo + d * g
 
 
 def run_query(task: QueryTask, columns: dict[str, np.ndarray],

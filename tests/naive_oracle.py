@@ -1,7 +1,8 @@
 """Naive reference implementations kept as oracles for the optimized code:
 
 * `run_aggregates`, the row-tuple query path, for the warehouse's columnar
-  engine: filter, group and aggregate Python row tuples one by one;
+  engine: filter, group and aggregate Python row tuples one by one, with
+  the percentiles `np.percentile` computes;
 * `attach_and_rate`, the per-cell loop that rated one network at a time,
   frozen with its SINR and scheduler arithmetic inlined, for the batched
   kernel in `ranopt.simcore.scheduler`;
@@ -16,6 +17,15 @@ from ranopt.simcore.radio import dbm_to_mw, noise_dbm
 from ranopt.simcore.types import RATE_CAP_MBPS, SINR_MAX_DB, SINR_MIN_DB
 from ranopt.warehouse.query import (OPS, QueryTask, ResultTable,
                                     aggregate_values)
+
+_PERCENTILES = {"p50": 50, "p95": 95}
+
+
+def _aggregate(agg: str, values: list):
+    if agg in _PERCENTILES and values:
+        return float(np.percentile(np.asarray(values, dtype=float),
+                                   _PERCENTILES[agg]))
+    return aggregate_values(agg, values)
 
 
 def run_aggregates(task: QueryTask, spec, rows: list[tuple]) -> ResultTable:
@@ -43,7 +53,7 @@ def run_aggregates(task: QueryTask, spec, rows: list[tuple]) -> ResultTable:
         vals = []
         for agg, col in task.aggregates:
             col_vals = grp if col == "*" else [r[idx[col]] for r in grp]
-            vals.append(aggregate_values(agg, col_vals))
+            vals.append(_aggregate(agg, col_vals))
         out.append(tuple(key) + tuple(vals))
     return ResultTable(header=header, rows=out)
 

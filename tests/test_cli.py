@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from ranopt.cli import main
+from ranopt.errors import InsufficientHistory
+from ranopt.loop import ClosedLoop, Command
 from ranopt.loop.runner import prepare_models
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
@@ -130,18 +132,25 @@ class TestLoopAndReport:
         assert csv_out[0].startswith("epoch,decision,cell_id")
         assert len(csv_out) == 2
 
-    def test_aborted_loop_saves_its_partial_report(self, tmp_path, capsys):
-        # c2 moved out of reach: the first epoch finds no usable measurement
-        scenario = engine.load_scenario(scenario_path("two_cell_detuned"))
-        scenario.cell("c2").site_pos = (20000.0, 20000.0, 25.0)
-        path = tmp_path / "far.json"
-        engine.save_scenario(scenario, path)
+    def test_aborted_loop_saves_its_partial_report(self, scenario_file,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        # the second epoch's optimizer raises; the first epoch is saved
+        def fails_second_epoch(loop, before):
+            if loop.epoch == 1:
+                raise InsufficientHistory("cell c1: 0 usable measurements, "
+                                          "need 8")
+            return Command("c1", {}, "throughput", loop.epoch)
+
+        monkeypatch.setitem(ClosedLoop._OPTIMIZERS, "throughput",
+                            fails_second_epoch)
         report = tmp_path / "report.json"
         assert run(["loop", "--usecase", "throughput", "--scenario",
-                    str(path), "--epochs", "2", "--report", str(report)]) == 1
+                    scenario_file, "--epochs", "3", "--report",
+                    str(report)]) == 1
         data = json.loads(report.read_text())
-        assert data["entries"] == []
-        assert data["error"] == ("InsufficientHistory: cell c2: 0 usable "
+        assert [e["epoch"] for e in data["entries"]] == [0]
+        assert data["error"] == ("InsufficientHistory: cell c1: 0 usable "
                                  "measurements, need 8")
         capsys.readouterr()
         assert run(["report", "--from", str(report)]) == 0

@@ -8,6 +8,8 @@ from ranopt.errors import InsufficientHistory, ValidationError
 from ranopt.loop import (ClosedLoop, Command, CommandLog, LoopReport,
                          rollback_if_worse, run_closed_loop, validate_command)
 from ranopt.loop.runner import KpiSnapshot
+from ranopt.scenarios import scenario_path
+from ranopt.simcore import engine
 from ranopt.simcore.types import HotspotCluster
 
 from conftest import make_cell, make_scenario
@@ -162,6 +164,20 @@ class TestUseCases:
         _, before, after = loop.run_epoch()
         assert after.objective > before.objective
 
+    @pytest.mark.parametrize("name,noop_epochs", [
+        ("toy_two_cell", [0]), ("three_cell_hotspot", []),
+        ("diurnal_energy", [0, 1, 2, 3])])
+    def test_throughput_loop_goes_on_past_sparse_cells(self, name,
+                                                       noop_epochs):
+        # each scenario has a cell with fewer than MIN_SAMPLES_PER_CELL
+        # usable measurements in an early epoch: as a target it gets a
+        # no-op command, otherwise the analytic model alone
+        sc = engine.load_scenario(scenario_path(name))
+        report = run_closed_loop(sc, "throughput", epochs=6, seed=1)
+        assert report.error is None and len(report.entries) == 6
+        assert [e["epoch"] for e in report.entries
+                if not e["command"]["fields"]] == noop_epochs
+
     def test_energy_requires_history(self):
         sc = make_scenario(profile=DIURNAL)
         loop = ClosedLoop(sc, "energy", seed=7)
@@ -215,10 +231,8 @@ class TestTempDir:
         loop.run_epoch()
         assert list(tmp_path.iterdir()) == []  # not even while it runs
         run_closed_loop(make_scenario(), "mimo", epochs=1)
-        few_users = make_scenario(clusters=[HotspotCluster(
-            center=(250.0, 0.0), std_m=40.0, mean_users=2.0)])
-        with pytest.raises(InsufficientHistory):
-            run_closed_loop(few_users, "throughput", epochs=1)
+        with pytest.raises(InsufficientHistory):  # no load history yet
+            ClosedLoop(make_scenario(profile=DIURNAL), "energy").run(1)
         assert list(tmp_path.iterdir()) == []
 
 

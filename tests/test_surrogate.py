@@ -82,10 +82,29 @@ class TestRadioMaps:
                 assert log.lookup(cid, t) == oracle.lookup(cid, t)
 
     def test_insufficient_history(self):
+        # only the target cell must have enough measurements
         sc = make_scenario()
+        cells = {c.cell_id: c for c in sc.cells}
+        assert fit_radio_maps([], cells, ConfigLog(), sc.carrier_ghz) == {}
         with pytest.raises(InsufficientHistory):
-            fit_radio_maps([], {c.cell_id: c for c in sc.cells},
-                           ConfigLog(), sc.carrier_ghz)
+            fit_radio_maps([], cells, ConfigLog(), sc.carrier_ghz,
+                           target_cell="c1")
+
+    def test_sparse_cell_predicted_by_the_analytic_model(self):
+        far = make_cell("c2", site_pos=(20000.0, 20000.0, 25.0))
+        sc = make_scenario(cells=[make_cell("c1"), far], shadow_sigma_db=4.0)
+        rows, log, state = simulate_history(sc, [{}, {}])
+        cells = {c.cell_id: c for c in state.cells}
+        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz,
+                              target_cell="c1")
+        assert set(maps) == {"c1"}  # c2 serves no user
+        pts = np.array([[200.0, 0.0], [260.0, 40.0]])
+        analytic, _ = best_beam_rsrp_dbm(cells["c2"], pts, sc.carrier_ghz)
+        assert np.array_equal(predicted_rsrp(cells["c2"], None, pts,
+                                             sc.carrier_ghz), analytic)
+        assert predict_network_throughput(
+            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
+            target_cell="c2", candidate_fields={"tilt_deg": 4.0}) > 0.0
 
     def test_predicted_rsrp_without_shadowing(self):
         # no shadowing: residual is ~0 and the prediction matches physics
