@@ -1,7 +1,7 @@
 """From-scratch multilayer perceptron with rectifier hidden layers.
 
-Heads: "linear" (MSE regression), "softmax" (cross-entropy classification)
-and "softmax_mse" (MSE against target fractions, used by the power policy).
+Heads: "linear" (MSE regression) and "softmax_mse" (MSE against target
+fractions, used by the power policy).
 Training is mini-batch gradient descent with momentum. The backward pass
 also returns gradients with respect to the inputs, which the policy
 fine-tuning needs to push gradients through a frozen estimator network.
@@ -28,7 +28,7 @@ class TrainConfig:
 
 class Mlp:
     def __init__(self, layer_sizes, head: str = "linear", seed: int = 0):
-        if head not in ("linear", "softmax", "softmax_mse"):
+        if head not in ("linear", "softmax_mse"):
             raise ValueError(f"unknown head {head!r}")
         self.layer_sizes = list(layer_sizes)
         self.head = head
@@ -51,7 +51,7 @@ class Mlp:
             z = a @ W + b
             a = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
             acts.append(a)
-        out = _softmax(a) if self.head in ("softmax", "softmax_mse") else a
+        out = _softmax(a) if self.head == "softmax_mse" else a
         return out, acts
 
     def predict(self, X):
@@ -60,16 +60,6 @@ class Mlp:
     # -- loss and gradients ---------------------------------------------
     def loss(self, X, Y) -> float:
         out, _ = self.forward(X)
-        return self._loss_from_output(out, np.asarray(Y))
-
-    def _loss_from_output(self, out, Y) -> float:
-        n = out.shape[0]
-        if self.head == "linear":
-            return float(np.mean((out - np.atleast_2d(Y)) ** 2))
-        if self.head == "softmax":
-            labels = Y.astype(int).ravel()
-            p = np.clip(out[np.arange(n), labels], 1e-12, None)
-            return float(-np.mean(np.log(p)))
         return float(np.mean((out - np.atleast_2d(Y)) ** 2))
 
     def loss_and_grads(self, X, Y):
@@ -77,29 +67,18 @@ class Mlp:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.asarray(Y)
         out, acts = self.forward(X)
-        n = X.shape[0]
-        if self.head == "linear":
-            target = np.atleast_2d(Y).reshape(out.shape)
-            loss = float(np.mean((out - target) ** 2))
-            delta = 2.0 * (out - target) / out.size
-        elif self.head == "softmax":
-            labels = Y.astype(int).ravel()
-            p = np.clip(out[np.arange(n), labels], 1e-12, None)
-            loss = float(-np.mean(np.log(p)))
-            delta = out.copy()
-            delta[np.arange(n), labels] -= 1.0
-            delta /= n
-        else:  # softmax_mse
-            target = np.atleast_2d(Y).reshape(out.shape)
-            loss = float(np.mean((out - target) ** 2))
-            d_out = 2.0 * (out - target) / out.size
-            delta = _softmax_backward(out, d_out)
+        target = np.atleast_2d(Y).reshape(out.shape)
+        loss = float(np.mean((out - target) ** 2))
+        delta = 2.0 * (out - target) / out.size
+        if self.head == "softmax_mse":
+            delta = _softmax_backward(out, delta)
         d_in = self.backprop_from_delta(acts, delta, accumulate=True)
         return loss, self._gw, self._gb, d_in
 
     def backprop_from_delta(self, acts, delta, accumulate: bool = False):
-        """Propagate an output-layer (pre-head for softmax) delta back to
-        the inputs; optionally accumulate parameter gradients."""
+        """Propagate an output-layer delta (taken before the softmax of the
+        softmax_mse head) back to the inputs; optionally accumulate
+        parameter gradients."""
         if accumulate:
             self._gw = [None] * len(self.weights)
             self._gb = [None] * len(self.biases)
@@ -115,12 +94,13 @@ class Mlp:
     def input_gradient(self, X, d_out):
         """Gradient of sum(output * d_out) with respect to X.
 
-        For softmax heads d_out is taken with respect to the softmax output.
+        For the softmax_mse head d_out is taken with respect to the softmax
+        output.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out, acts = self.forward(X)
         delta = _softmax_backward(out, d_out) \
-            if self.head in ("softmax", "softmax_mse") else np.asarray(d_out)
+            if self.head == "softmax_mse" else np.asarray(d_out)
         return self.backprop_from_delta(acts, delta, accumulate=False)
 
     # -- training -------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 from ..simcore.energy import energy_step
 from ..simcore.types import CellConfig
-from .mlp import Mlp, TrainConfig
 
 STRATEGIES = ("none", "ESS", "ESS+ECS", "ESS+ECS+CWS")
 
@@ -84,55 +83,3 @@ def recommend_strategy(cell: CellConfig, forecast_rbur
     return chosen, dict(STRATEGY_FIELDS[chosen]), \
         expected_saving_wh(cell, chosen, f)
 
-
-# -- learned classifier mirroring the rules -------------------------------
-
-def _features(forecast_rbur) -> np.ndarray:
-    """Order statistics of the forecast: permutation-invariant, so the
-    thresholds on the peak become thresholds on the first feature."""
-    f = np.sort(np.asarray(forecast_rbur, dtype=float))[::-1]
-    return f
-
-
-def sample_forecasts(n: int, horizon: int, seed: int) -> np.ndarray:
-    """Synthetic load forecasts spanning all four strategy regimes."""
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, horizon))
-    for i in range(n):
-        kind = i % 4
-        if kind == 0:  # near-idle night
-            out[i] = rng.uniform(0.0, 0.05, horizon)
-        elif kind == 1:  # light
-            out[i] = rng.uniform(0.0, 0.20, horizon)
-        elif kind == 2:  # moderate
-            out[i] = rng.uniform(0.0, 0.60, horizon)
-        else:  # broad mix including busy hours
-            out[i] = rng.uniform(0.0, 1.0, horizon)
-    return out
-
-
-def train_strategy_classifier(n_samples: int = 2000, horizon: int = 24,
-                              seed: int = 0):
-    """Train a softmax MLP to reproduce the rule labels.
-
-    Returns (model, holdout_accuracy).
-    """
-    forecasts = sample_forecasts(n_samples, horizon, seed)
-    X = np.stack([_features(f) for f in forecasts])
-    y = np.array([STRATEGIES.index(qos_filter(rule_strategy(f), f))
-                  for f in forecasts])
-    n_train = int(0.8 * n_samples)
-    model = Mlp([horizon, 32, 32, len(STRATEGIES)], head="softmax", seed=seed)
-    model.fit(X[:n_train], y[:n_train],
-              TrainConfig(learning_rate=0.05, epochs=300, batch_size=64,
-                          seed=seed))
-    pred = model.predict(X[n_train:]).argmax(axis=1)
-    acc = float(np.mean(pred == y[n_train:]))
-    return model, acc
-
-
-def classify_strategy(model: Mlp, forecast_rbur) -> str:
-    """Classifier label with the capacity check always enforced on top."""
-    f = np.asarray(forecast_rbur, dtype=float)
-    raw = STRATEGIES[int(model.predict(_features(f)[None, :]).argmax())]
-    return qos_filter(raw, f)

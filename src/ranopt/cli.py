@@ -10,8 +10,6 @@ from pathlib import Path
 
 from .acquisition.pipeline import AcquisitionPipeline
 from .acquisition.sources import watch_directory
-from .ai import mimo as mimo_mod
-from .ai.strategy import train_strategy_classifier
 from .errors import EXIT_OK, RanOptError, ValidationError, exit_code_for
 from .loop.runner import LoopReport, prepare_models, run_closed_loop
 from .simcore import engine
@@ -49,9 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--scenario", required=True)
     q.add_argument("--out", required=True)
 
-    s = sub.add_parser("optimize", help="train a use-case model offline")
+    s = sub.add_parser("optimize",
+                       help="write the models the loop's offline phase trains")
     s.add_argument("--usecase", required=True,
-                   choices=["mimo", "interference", "energy"])
+                   choices=["mimo", "interference"])
     s.add_argument("--scenario", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
@@ -142,31 +141,25 @@ def cmd_warehouse_query(args) -> int:
     return EXIT_OK
 
 
+# each model prepare_models returns, by its key: its name in the export
+# and its JSON form
+_EXPORTS = {
+    "dqn_agents": ("agents", lambda agents: {cid: a.q.to_dict()
+                                             for cid, a in agents.items()}),
+    "dqn_curve": ("learning_curve", lambda curve: curve),
+    "mimo_estimator": ("estimator", lambda net: net.to_dict()),
+    "mimo_policy": ("policy", lambda net: net.to_dict()),
+    "mimo_rates": ("rates", lambda rates: rates),
+}
+
+
 def cmd_optimize(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
     out: dict = {"use_case": args.usecase, "seed": args.seed}
-    if args.usecase == "mimo":
-        k = max(len(scenario.cells), 2)
-        states = mimo_mod.sample_states(300, seed=args.seed, k=k)
-        estimator = mimo_mod.train_rate_estimator(states, seed=args.seed)
-        policy = mimo_mod.pretrain_policy(states, seed=args.seed)
-        tuned = mimo_mod.finetune_policy(estimator, policy, states,
-                                         steps=200, seed=args.seed)
-        eval_states = mimo_mod.sample_states(100, seed=args.seed + 1, k=k)
-        chosen, r_pre, r_fine = mimo_mod.select_policy(policy, tuned,
-                                                       eval_states)
-        out["estimator"] = estimator.to_dict()
-        out["policy"] = chosen.to_dict()
-        out["rates"] = {"pretrained": r_pre, "finetuned": r_fine}
-    elif args.usecase == "interference":
-        models = prepare_models(scenario, args.usecase, args.seed)
-        out["agents"] = {cid: a.q.to_dict()
-                         for cid, a in models["dqn_agents"].items()}
-        out["learning_curve"] = models["dqn_curve"]
-    else:  # energy
-        model, acc = train_strategy_classifier(seed=args.seed)
-        out["classifier"] = model.to_dict()
-        out["holdout_accuracy"] = acc
+    models = prepare_models(scenario, args.usecase, args.seed)
+    for key, model in models.items():
+        name, to_json = _EXPORTS[key]
+        out[name] = to_json(model)
     Path(args.out).write_text(json.dumps(out, sort_keys=True))
     print(f"wrote {args.usecase} model to {args.out}")
     return EXIT_OK

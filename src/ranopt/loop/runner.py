@@ -41,6 +41,9 @@ QOS_SERVED_FLOOR = 0.99
 ENERGY_FORECAST_HORIZON = 4
 DQN_EPISODES = 12
 DQN_EPISODE_LEN = 25
+MIMO_TRAIN_STATES = 300
+MIMO_EVAL_STATES = 100
+MIMO_FINETUNE_STEPS = 200
 _SENSE_HEADERS = (parse_header(MeasurementRecord.CSV_HEADER),
                   parse_header(KpiRecord.CSV_HEADER))
 
@@ -214,13 +217,16 @@ class ClosedLoop:
 
         Cross-cell coupling is estimated with the analytic antenna model at
         the warehouse-observed user positions; only the measured positions
-        come from the sensing pipeline."""
+        come from the sensing pipeline.  Without a policy from the offline
+        phase (a network of fewer than two cells has none) the command is
+        a no-op."""
+        policy = self.models.get("mimo_policy")
+        if policy is None:
+            return Command(self._target_cell(), {}, "mimo", self.epoch)
         cells = self._cells()
         ids = sorted(cells)
         k = len(ids)
         rows = self._scan_dicts(SUBJECT_BEAM, before.t0_s, before.t1_s)
-        if k < 2 or not rows:
-            return Command(self._target_cell(), {}, "mimo", self.epoch)
         pos_by_cell = {cid: np.array([[r["pos_x_m"], r["pos_y_m"]]
                                       for r in rows if r["cell_id"] == cid])
                        for cid in ids}
@@ -235,11 +241,6 @@ class ClosedLoop:
                 gains[j, u] = float(np.mean(dbm_to_mw(rsrp))) / tx_mw[j]
         scale = gains.max()
         state = mimo_mod.MimoState(gains=gains / scale)
-        policy = self.models.get(f"mimo_policy_{k}")
-        if policy is None:
-            states = mimo_mod.sample_states(150, seed=self.seed, k=k)
-            policy = mimo_mod.pretrain_policy(states, seed=self.seed)
-            self.models[f"mimo_policy_{k}"] = policy
         fracs = policy.predict(state.features()[None, :])[0]
         total_mw = tx_mw.sum()
         target = self._target_cell()
@@ -297,15 +298,16 @@ class ClosedLoop:
             cmd = self._OPTIMIZERS[self.use_case](self, before)
         validate_command(cmd, self.scenario)               # 4. deploy
         prior_cells = {c.cell_id: c for c in self.scenario.cells}
+        # a no-op changes no config: nothing to snapshot or to restore
         if not cmd.is_noop():
             self.scenario = engine.apply_command(self.scenario, cmd.cell_id,
                                                  cmd.fields)
+            self.config_log.record(self.t, self._cells())
         self.command_log.record(cmd)
-        self.config_log.record(self.t, self._cells())
         v0, v1 = self._sense_window()                      # 5. verify
         after = self.snapshot(v0, v1)
         decision = self._decide(before, after, prior_cells)
-        if decision == "rolled_back":
+        if decision == "rolled_back" and not cmd.is_noop():
             self.scenario = copy.deepcopy(self.scenario)
             self.scenario.cells = [prior_cells[c.cell_id]
                                    for c in self.scenario.cells]
@@ -379,14 +381,30 @@ class ClosedLoop:
 
 
 def prepare_models(scenario: Scenario, use_case: str, seed: int) -> dict:
-    """Offline training phase run before the loop (not during epochs):
-    the interference use case's DQN agents and their learning curve."""
-    if use_case != "interference":
+    """Offline training phase run before the loop (not during epochs),
+    the one place that trains a use case's models.
+
+    interference: the DQN agents and their learning curve.  mimo, for k >= 2
+    cells: the dual network at k, that is the rate estimator, the policy
+    `select_policy` keeps and the true rates of both candidate policies.
+    Any other use case, or a network of one cell, trains nothing."""
+    if use_case == "interference":
+        agents, curve = dqn_mod.dqn_train(
+            copy.deepcopy(scenario), DQN_EPISODES,
+            dqn_mod.DqnConfig(episode_len=DQN_EPISODE_LEN), seed=seed)
+        return {"dqn_agents": agents, "dqn_curve": curve}
+    k = len(scenario.cells)
+    if use_case != "mimo" or k < 2:
         return {}
-    agents, curve = dqn_mod.dqn_train(
-        copy.deepcopy(scenario), DQN_EPISODES,
-        dqn_mod.DqnConfig(episode_len=DQN_EPISODE_LEN), seed=seed)
-    return {"dqn_agents": agents, "dqn_curve": curve}
+    states = mimo_mod.sample_states(MIMO_TRAIN_STATES, seed=seed, k=k)
+    estimator = mimo_mod.train_rate_estimator(states, seed=seed)
+    policy = mimo_mod.pretrain_policy(states, seed=seed)
+    tuned = mimo_mod.finetune_policy(estimator, policy, states,
+                                     steps=MIMO_FINETUNE_STEPS, seed=seed)
+    eval_states = mimo_mod.sample_states(MIMO_EVAL_STATES, seed=seed + 1, k=k)
+    chosen, r_pre, r_fine = mimo_mod.select_policy(policy, tuned, eval_states)
+    return {"mimo_estimator": estimator, "mimo_policy": chosen,
+            "mimo_rates": {"pretrained": r_pre, "finetuned": r_fine}}
 
 
 def run_closed_loop(scenario: Scenario, use_case: str, epochs: int,

@@ -20,7 +20,7 @@ from ranopt.ai.forecast import TrafficForecaster
 from ranopt.ai.gpr import GprRegressor
 from ranopt.ai.mlp import Mlp, gradient_check
 from ranopt.ai.strategy import (CAPACITY_FRACTION, QOS_HEADROOM,
-                                recommend_strategy, sample_forecasts)
+                                recommend_strategy)
 from ranopt.ai import throughput
 from ranopt.ai.surrogate import build_grid_axes
 from ranopt.ai.throughput import ConfigLog, recommend_config
@@ -44,6 +44,23 @@ def true_throughput(scenario, windows=(0.0, 3600.0, 7200.0)):
         _, kpis = engine.step(copy.deepcopy(scenario), 3600.0, t)
         total += sum(k.throughput_mbps for k in kpis)
     return total / len(windows)
+
+
+def sample_forecasts(n: int, horizon: int, seed: int) -> np.ndarray:
+    """Synthetic load forecasts spanning all four strategy regimes."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, horizon))
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:  # near-idle night
+            out[i] = rng.uniform(0.0, 0.05, horizon)
+        elif kind == 1:  # light
+            out[i] = rng.uniform(0.0, 0.20, horizon)
+        elif kind == 2:  # moderate
+            out[i] = rng.uniform(0.0, 0.60, horizon)
+        else:  # broad mix including busy hours
+            out[i] = rng.uniform(0.0, 1.0, horizon)
+    return out
 
 
 def with_final_config(scenario, final_config):
@@ -163,15 +180,16 @@ class TestGradients:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
-            head = "linear" if trial % 2 == 0 else "softmax"
+            head = "linear" if trial % 2 == 0 else "softmax_mse"
             sizes = [int(rng.integers(2, 5)), int(rng.integers(3, 7)),
                      int(rng.integers(2, 4))]
             net = Mlp(sizes, head=head, seed=trial)
             X = rng.normal(size=(4, sizes[0]))
             if head == "linear":
                 y = rng.normal(size=(4, sizes[-1]))
-            else:
-                y = rng.integers(0, sizes[-1], size=4)
+            else:  # power fractions: each row sums to one
+                raw = rng.uniform(0.1, 1.0, size=(4, sizes[-1]))
+                y = raw / raw.sum(axis=1, keepdims=True)
             assert gradient_check(net, X, y) < 1e-4
 
 

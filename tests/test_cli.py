@@ -1,9 +1,10 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from ranopt.cli import main
+from ranopt.cli import build_parser, main
 from ranopt.errors import InsufficientHistory
 from ranopt.loop import ClosedLoop, Command
 from ranopt.loop.runner import prepare_models
@@ -11,7 +12,9 @@ from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
 from ranopt.warehouse.query import QueryTask
 
-from conftest import make_scenario
+from conftest import MIMO_SEED, make_scenario, two_cell_scenario
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -91,12 +94,26 @@ class TestWarehouseQuery:
 
 
 class TestOptimize:
-    def test_energy_model_export(self, scenario_file, tmp_path):
+    def test_mimo_export_is_the_loops_offline_training(self, tmp_path,
+                                                        mimo_models):
+        path = tmp_path / "scenario.json"
+        engine.save_scenario(two_cell_scenario(), path)
         out = tmp_path / "model.json"
-        assert run(["optimize", "--usecase", "energy", "--scenario",
-                    scenario_file, "--seed", "0", "--out", str(out)]) == 0
-        model = json.loads(out.read_text())
-        assert model["holdout_accuracy"] >= 0.8
+        assert run(["optimize", "--usecase", "mimo", "--scenario", str(path),
+                    "--seed", str(MIMO_SEED), "--out", str(out)]) == 0
+        expected = {"use_case": "mimo", "seed": MIMO_SEED,
+                    "estimator": mimo_models["mimo_estimator"].to_dict(),
+                    "policy": mimo_models["mimo_policy"].to_dict(),
+                    "rates": mimo_models["mimo_rates"]}
+        assert json.loads(out.read_text()) == json.loads(json.dumps(expected))
+
+    def test_one_cell_mimo_export_holds_no_model(self, scenario_file,
+                                                  tmp_path):
+        # the loop only issues no-ops on one cell, so nothing is trained
+        out = tmp_path / "model.json"
+        assert run(["optimize", "--usecase", "mimo", "--scenario",
+                    scenario_file, "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"use_case": "mimo", "seed": 0}
 
     def test_interference_export_is_the_loops_offline_training(
             self, scenario_file, tmp_path):
@@ -158,3 +175,15 @@ class TestLoopAndReport:
 
     def test_report_missing_file(self, tmp_path):
         assert run(["report", "--from", str(tmp_path / "nope.json")]) == 1
+
+
+def test_readme_cli_examples_parse():
+    block = README.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ranopt ")]
+    assert {argv[1] for argv in commands} == {
+        "simulate", "ingest", "warehouse", "optimize", "loop", "report"}
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # exits on an unknown option

@@ -7,12 +7,14 @@ import pytest
 from ranopt.errors import InsufficientHistory, ValidationError
 from ranopt.loop import (ClosedLoop, Command, CommandLog, LoopReport,
                          rollback_if_worse, run_closed_loop, validate_command)
+from ranopt.loop import runner
 from ranopt.loop.runner import KpiSnapshot
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
+from ranopt.simcore.radio import dbm_to_mw
 from ranopt.simcore.types import HotspotCluster
 
-from conftest import make_cell, make_scenario
+from conftest import MIMO_SEED, make_cell, make_scenario, two_cell_scenario
 
 DIURNAL = [0.1, 0.05, 0.05, 0.05, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0, 1.0, 0.9,
            0.8, 0.8, 0.9, 1.0, 1.0, 0.9, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1]
@@ -24,6 +26,19 @@ def snap(objective):
 
 def noop_optimizer(loop, before):
     return Command(loop.scenario.cells[0].cell_id, {}, "stub", loop.epoch)
+
+
+class SpyPolicy:
+    """A policy that keeps the power split of each of its predictions."""
+
+    def __init__(self, net):
+        self.net = net
+        self.splits = []
+
+    def predict(self, X):
+        out = self.net.predict(X)
+        self.splits.append(out[0])
+        return out
 
 
 class TestCommands:
@@ -90,6 +105,21 @@ class TestEpoch:
         report = loop.run(3)
         assert all(e["decision"] == "accepted" for e in report.entries)
         assert report.final_config == [c.to_dict() for c in sc.cells]
+
+    @pytest.mark.parametrize("decision", ["accepted", "rolled_back"])
+    def test_noop_epoch_records_no_config_snapshot(self, monkeypatch,
+                                                    decision):
+        # a no-op changes no config, so neither deploying nor rolling it
+        # back snapshots or copies the scenario
+        monkeypatch.setattr(runner, "rollback_if_worse",
+                            lambda before, after: decision)
+        loop = ClosedLoop(make_scenario(), "throughput", seed=1,
+                          optimizer_override=noop_optimizer)
+        scenario, snapshots = loop.scenario, len(loop.config_log._entries)
+        loop.run_epoch()
+        assert loop.entries[0]["decision"] == decision
+        assert len(loop.config_log._entries) == snapshots
+        assert loop.scenario is scenario
 
     def test_forced_regression_rolls_back_and_restores(self):
         # coverage-limited fixture: dropping power far below need regresses
@@ -197,16 +227,58 @@ class TestUseCases:
             or fields.get("symbol_fraction") == 0.5
 
     def test_mimo_loop_runs(self):
-        cells = [make_cell("c1"), make_cell("c2", site_pos=(500.0, 0.0, 25.0),
-                                            azimuth_deg=180.0)]
-        clusters = [HotspotCluster((200.0, 50.0), 30.0, 6.0),
-                    HotspotCluster((300.0, -50.0), 30.0, 6.0)]
-        sc = make_scenario(cells=cells, clusters=clusters)
-        report = run_closed_loop(sc, "mimo", epochs=2, seed=9)
+        report = run_closed_loop(two_cell_scenario(), "mimo", epochs=2,
+                                 seed=9)
         assert len(report.entries) == 2
         for e in report.entries:
             if e["command"]["fields"]:
                 assert 30.0 <= e["command"]["fields"]["tx_power_dbm"] <= 53.0
+
+    def test_mimo_loop_deploys_the_offline_policy_split(self, mimo_models,
+                                                         monkeypatch):
+        # the offline phase is the session's; a spy sees each split
+        spy = SpyPolicy(mimo_models["mimo_policy"])
+        calls = []
+
+        def offline_phase(scenario, use_case, seed):
+            calls.append((len(scenario.cells), use_case, seed))
+            return {**mimo_models, "mimo_policy": spy}
+
+        monkeypatch.setattr(runner, "prepare_models", offline_phase)
+        sc = two_cell_scenario()
+        report = run_closed_loop(sc, "mimo", epochs=3, seed=MIMO_SEED)
+        assert calls == [(2, "mimo", MIMO_SEED)]
+        assert len(spy.splits) == 3  # each epoch sees both cells' users
+        ids = sorted(c.cell_id for c in sc.cells)
+        power = {c.cell_id: c.tx_power_dbm for c in sc.cells}
+        for e, split in zip(report.entries, spy.splits):
+            target = e["command"]["cell_id"]
+            total_mw = sum(dbm_to_mw(power[cid]) for cid in ids)
+            dbm = np.clip(10.0 * np.log10(split[ids.index(target)]
+                                          * total_mw), 30.0, 53.0)
+            assert e["command"]["fields"] == {
+                "tx_power_dbm": round(float(dbm), 2)}
+            if e["decision"] == "accepted":
+                power[target] = e["command"]["fields"]["tx_power_dbm"]
+        assert {c["cell_id"]: c["tx_power_dbm"]
+                for c in report.final_config} == power
+
+    def test_mimo_epoch_leaves_the_callers_models_unchanged(self,
+                                                            mimo_models):
+        models = dict(mimo_models)
+        loop = ClosedLoop(two_cell_scenario(), "mimo", seed=MIMO_SEED,
+                          models=models)
+        cmd, _, _ = loop.run_epoch()
+        assert not cmd.is_noop()
+        assert models == mimo_models
+
+    def test_mimo_loop_without_models_issues_noop(self):
+        sc = two_cell_scenario()
+        loop = ClosedLoop(sc, "mimo", seed=MIMO_SEED)
+        cmd, _, _ = loop.run_epoch()
+        assert cmd.is_noop()
+        assert [c.to_dict() for c in loop.scenario.cells] \
+            == [c.to_dict() for c in sc.cells]
 
     def test_interference_loop_with_pretrained_agents(self):
         cells = [make_cell("c1"), make_cell("c2", site_pos=(500.0, 0.0, 25.0),

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from ranopt.ai.strategy import (CAPACITY_FRACTION, QOS_HEADROOM, STRATEGIES,
-                                STRATEGY_FIELDS, classify_strategy,
-                                expected_saving_wh, qos_filter,
-                                recommend_strategy, rule_strategy,
-                                train_strategy_classifier)
+                                STRATEGY_FIELDS, expected_saving_wh,
+                                qos_filter, recommend_strategy, rule_strategy)
 from ranopt.simcore.energy import energy_step
 
 from conftest import make_cell
@@ -68,17 +66,3 @@ class TestSaving:
         savings = [expected_saving_wh(cell, s, f) for s in STRATEGIES]
         assert savings == sorted(savings)
 
-
-class TestClassifier:
-    def test_holdout_accuracy(self):
-        model, acc = train_strategy_classifier(n_samples=2000, seed=0)
-        assert acc >= 0.95
-
-    def test_classifier_respects_capacity(self):
-        model, _ = train_strategy_classifier(n_samples=800, seed=1)
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            f = rng.uniform(0.0, rng.uniform(0.02, 1.0), 24)
-            name = classify_strategy(model, f)
-            if name != "none":
-                assert CAPACITY_FRACTION[name] >= QOS_HEADROOM * f.max()
