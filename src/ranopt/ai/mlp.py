@@ -58,16 +58,18 @@ class Mlp:
         return self.forward(X)[0]
 
     # -- loss and gradients ---------------------------------------------
+    def _target(self, Y, out):
+        """Y in the output's shape: a 1-D Y of a one-output net is a column."""
+        return np.atleast_2d(Y).reshape(out.shape)
+
     def loss(self, X, Y) -> float:
         out, _ = self.forward(X)
-        return float(np.mean((out - np.atleast_2d(Y)) ** 2))
+        return float(np.mean((out - self._target(Y, out)) ** 2))
 
     def loss_and_grads(self, X, Y):
         """(loss, weight grads, bias grads, input grads)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.asarray(Y)
         out, acts = self.forward(X)
-        target = np.atleast_2d(Y).reshape(out.shape)
+        target = self._target(Y, out)
         loss = float(np.mean((out - target) ** 2))
         delta = 2.0 * (out - target) / out.size
         if self.head == "softmax_mse":
@@ -113,7 +115,6 @@ class Mlp:
             raise ValueError("need at least one sample")
         rng = np.random.default_rng(config.seed)
         velocity: list = []
-        loss = self.loss(X, Y)
         for _ in range(config.epochs):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):

@@ -1,4 +1,5 @@
-"""Command-line entry point: simulate, ingest, query, optimize, loop, report."""
+"""Command-line entry point: simulate, ingest, query, optimize, loop, report;
+`optimize` and `loop` take the use cases of the `loop.usecases` registry."""
 from __future__ import annotations
 
 import argparse
@@ -11,7 +12,8 @@ from pathlib import Path
 from .acquisition.pipeline import AcquisitionPipeline
 from .acquisition.sources import watch_directory
 from .errors import EXIT_OK, RanOptError, ValidationError, exit_code_for
-from .loop.runner import LoopReport, prepare_models, run_closed_loop
+from .loop.runner import LoopReport, run_closed_loop
+from .loop.usecases import USE_CASES
 from .simcore import engine
 from .warehouse.query import QueryTask
 from .warehouse.store import Warehouse
@@ -50,14 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("optimize",
                        help="write the models the loop's offline phase trains")
     s.add_argument("--usecase", required=True,
-                   choices=["mimo", "interference"])
+                   choices=[n for n, uc in USE_CASES.items() if uc.exports])
     s.add_argument("--scenario", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
 
     s = sub.add_parser("loop", help="run the closed optimization loop")
-    s.add_argument("--usecase", required=True,
-                   choices=["throughput", "mimo", "interference", "energy"])
+    s.add_argument("--usecase", required=True, choices=list(USE_CASES))
     s.add_argument("--scenario", required=True)
     s.add_argument("--epochs", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
@@ -141,24 +142,12 @@ def cmd_warehouse_query(args) -> int:
     return EXIT_OK
 
 
-# each model prepare_models returns, by its key: its name in the export
-# and its JSON form
-_EXPORTS = {
-    "dqn_agents": ("agents", lambda agents: {cid: a.q.to_dict()
-                                             for cid, a in agents.items()}),
-    "dqn_curve": ("learning_curve", lambda curve: curve),
-    "mimo_estimator": ("estimator", lambda net: net.to_dict()),
-    "mimo_policy": ("policy", lambda net: net.to_dict()),
-    "mimo_rates": ("rates", lambda rates: rates),
-}
-
-
 def cmd_optimize(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
     out: dict = {"use_case": args.usecase, "seed": args.seed}
-    models = prepare_models(scenario, args.usecase, args.seed)
-    for key, model in models.items():
-        name, to_json = _EXPORTS[key]
+    use_case = USE_CASES[args.usecase]
+    for key, model in use_case.offline(scenario, args.seed).items():
+        name, to_json = use_case.exports[key]
         out[name] = to_json(model)
     Path(args.out).write_text(json.dumps(out, sort_keys=True))
     print(f"wrote {args.usecase} model to {args.out}")

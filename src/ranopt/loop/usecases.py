@@ -1,0 +1,242 @@
+"""The loop's use cases, one object each, named by one registry.
+
+This is the one place that knows what differs between use cases: the
+objective, the command an epoch proposes, the verify decision, the offline
+models and their export, and the history needed first.  `ClosedLoop` holds
+its use case's object and calls it."""
+from __future__ import annotations
+
+import copy
+from dataclasses import replace
+from operator import attrgetter
+from types import SimpleNamespace
+
+import numpy as np
+
+from ..ai import dqn as dqn_mod
+from ..ai import mimo as mimo_mod
+from ..ai.forecast import MIN_HISTORY, TrafficForecaster
+from ..ai.strategy import recommend_strategy
+from ..ai.throughput import recommend_config
+from ..errors import InsufficientHistory
+from ..simcore.energy import energy_step
+from ..simcore.radio import best_beam_rsrp_dbm, dbm_to_mw
+from ..warehouse.subjects import SUBJECT_BEAM, SUBJECT_ENERGY
+from .commands import Command
+
+ROLLBACK_TOLERANCE = 0.01
+QOS_SERVED_FLOOR = 0.99
+ENERGY_FORECAST_HORIZON = 4
+DQN_EPISODES = 12
+DQN_EPISODE_LEN = 25
+MIMO_TRAIN_STATES = 300
+MIMO_EVAL_STATES = 100
+MIMO_FINETUNE_STEPS = 200
+_capacity_rank = attrgetter("carrier_on", "channel_fraction",
+                            "symbol_fraction")
+
+
+def rollback_if_worse(before, after) -> str:
+    """"accepted" unless the objective dropped more than 1% below baseline.
+
+    The margin scales with |objective| so the rule also behaves for
+    negative objectives (collision, energy)."""
+    margin = ROLLBACK_TOLERANCE * abs(before.objective)
+    return "rolled_back" if after.objective < before.objective - margin \
+        else "accepted"
+
+
+def _qos_holds(before, after) -> bool:
+    """Load-normalized realized-throughput guard for shutdown commands."""
+    def per_user(snap):
+        users = sum(v.get("num_users", 0) for v in snap.per_cell.values())
+        tput = sum(v.get("throughput_mbps", 0.0)
+                   for v in snap.per_cell.values())
+        return (tput / users) if users else None
+    b, a = per_user(before), per_user(after)
+    if b is None or a is None or b <= 0.0:
+        return True
+    return a >= QOS_SERVED_FLOOR * b
+
+
+class UseCase:
+    # model key -> (its name in the `ranopt optimize` export, its JSON form)
+    exports: dict = {}
+    warm_up_windows = 0
+
+    def objective(self, per_cell: dict) -> float:
+        return sum(v.get("throughput_mbps", 0.0) for v in per_cell.values())
+
+    def optimize(self, loop, before) -> Command:
+        """The epoch's command, from warehouse reads only; here a no-op."""
+        return Command(loop.target_cell(), {}, loop.use_case, loop.epoch)
+
+    def decide(self, loop, before, after, prior_cells: dict) -> str:
+        return rollback_if_worse(before, after)
+
+    def offline(self, scenario, seed: int) -> dict:
+        """Models trained once before the loop, never during epochs."""
+        return {}
+
+
+class Throughput(UseCase):
+    def optimize(self, loop, before) -> Command:
+        target = loop.target_cell()
+        rows = loop.scan_dicts(SUBJECT_BEAM, None, None)
+        # the search box is centered on the target's current pointing
+        cell = loop.scenario.cell(target)
+        az_lo = max(0.0, cell.azimuth_deg - 40.0)
+        az_hi = min(355.0, cell.azimuth_deg + 40.0)
+        bounds = {"azimuth_deg": (az_lo, az_hi), "tilt_deg": (0.0, 14.0),
+                  "tx_power_dbm": (cell.tx_power_dbm, cell.tx_power_dbm)}
+        steps = {"azimuth_deg": 10.0, "tilt_deg": 2.0, "tx_power_dbm": 1.0}
+        try:
+            fields, _ = recommend_config(
+                rows, loop.cells(), loop.config_log, target, bounds,
+                loop.scenario.bandwidth_mhz, loop.scenario.carrier_ghz,
+                steps=steps)
+        except InsufficientHistory:  # too few measurements of the target
+            return super().optimize(loop, before)
+        return Command(target, fields, loop.use_case, loop.epoch)
+
+
+class Mimo(UseCase):
+    exports = {"mimo_estimator": ("estimator", lambda net: net.to_dict()),
+               "mimo_policy": ("policy", lambda net: net.to_dict()),
+               "mimo_rates": ("rates", lambda rates: rates)}
+
+    def optimize(self, loop, before) -> Command:
+        """Re-split the network power budget with the allocation policy.
+
+        Cross-cell coupling is estimated with the analytic antenna model at
+        the warehouse-observed user positions.  Without a policy from the
+        offline phase (a network of fewer than two cells has none) the
+        command is a no-op."""
+        policy = loop.models.get("mimo_policy")
+        if policy is None:
+            return super().optimize(loop, before)
+        cells = loop.cells()
+        ids = sorted(cells)
+        k = len(ids)
+        rows = loop.scan_dicts(SUBJECT_BEAM, before.t0_s, before.t1_s)
+        pos_by_cell = {cid: np.array([[r["pos_x_m"], r["pos_y_m"]]
+                                      for r in rows if r["cell_id"] == cid])
+                       for cid in ids}
+        if any(p.size == 0 for p in pos_by_cell.values()):
+            return super().optimize(loop, before)
+        tx_mw = np.array([dbm_to_mw(cells[cid].tx_power_dbm) for cid in ids])
+        gains = np.empty((k, k))
+        for j, cj in enumerate(ids):
+            for u, cu in enumerate(ids):
+                rsrp, _ = best_beam_rsrp_dbm(cells[cj], pos_by_cell[cu],
+                                             loop.scenario.carrier_ghz)
+                gains[j, u] = float(np.mean(dbm_to_mw(rsrp))) / tx_mw[j]
+        scale = gains.max()
+        state = mimo_mod.MimoState(gains=gains / scale)
+        fracs = policy.predict(state.features()[None, :])[0]
+        total_mw = tx_mw.sum()
+        target = loop.target_cell()
+        new_dbm = float(np.clip(
+            10.0 * np.log10(max(fracs[ids.index(target)] * total_mw, 1e-9)),
+            30.0, 53.0))
+        return Command(target, {"tx_power_dbm": round(new_dbm, 2)},
+                       loop.use_case, loop.epoch)
+
+    def offline(self, scenario, seed: int) -> dict:
+        """For k >= 2 cells, the dual network at k: the rate estimator, the
+        policy `select_policy` keeps and the true rates of both candidate
+        policies.  A network of one cell trains nothing."""
+        k = len(scenario.cells)
+        if k < 2:
+            return {}
+        states = mimo_mod.sample_states(MIMO_TRAIN_STATES, seed=seed, k=k)
+        estimator = mimo_mod.train_rate_estimator(states, seed=seed)
+        policy = mimo_mod.pretrain_policy(states, seed=seed)
+        tuned = mimo_mod.finetune_policy(estimator, policy, states,
+                                         steps=MIMO_FINETUNE_STEPS, seed=seed)
+        held_out = mimo_mod.sample_states(MIMO_EVAL_STATES, seed=seed + 1, k=k)
+        chosen, r_pre, r_fine = mimo_mod.select_policy(policy, tuned, held_out)
+        return {"mimo_estimator": estimator, "mimo_policy": chosen,
+                "mimo_rates": {"pretrained": r_pre, "finetuned": r_fine}}
+
+
+class Interference(UseCase):
+    exports = {"dqn_agents": ("agents", lambda agents: {
+                   cid: a.q.to_dict() for cid, a in agents.items()}),
+               "dqn_curve": ("learning_curve", lambda curve: curve)}
+
+    def objective(self, per_cell: dict) -> float:
+        users = sum(v.get("num_users", 0) for v in per_cell.values())
+        if users == 0:
+            return 0.0
+        coll = sum(v.get("collision_ratio", 0.0) * v.get("num_users", 0)
+                   for v in per_cell.values())
+        return -coll / users
+
+    def optimize(self, loop, before) -> Command:
+        agents = loop.models.get("dqn_agents")
+        target = loop.target_cell()
+        if not agents or target not in agents:
+            return super().optimize(loop, before)
+        rows = loop.scan_dicts(SUBJECT_BEAM, before.t0_s, before.t1_s)
+        meas = [SimpleNamespace(cell_id=r["cell_id"],
+                                pos=(r["pos_x_m"], r["pos_y_m"]))
+                for r in rows]
+        cell_index = [c.cell_id for c in loop.scenario.cells].index(target)
+        obs = dqn_mod.observe(loop.scenario, cell_index, meas)
+        action = agents[target].greedy(obs)
+        pattern, cio = dqn_mod.ACTION_TABLE[action]
+        return Command(target, {"pattern_id": pattern, "cio_db": cio},
+                       loop.use_case, loop.epoch)
+
+    def offline(self, scenario, seed: int) -> dict:
+        """The DQN agents and their learning curve."""
+        agents, curve = dqn_mod.dqn_train(
+            copy.deepcopy(scenario), DQN_EPISODES,
+            dqn_mod.DqnConfig(episode_len=DQN_EPISODE_LEN), seed=seed)
+        return {"dqn_agents": agents, "dqn_curve": curve}
+
+
+class Energy(UseCase):
+    warm_up_windows = MIN_HISTORY
+
+    def objective(self, per_cell: dict) -> float:
+        return -sum(v.get("energy_wh", 0.0) for v in per_cell.values())
+
+    def optimize(self, loop, before) -> Command:
+        target = loop.target_cell()
+        rows = loop.scan_dicts(SUBJECT_ENERGY, None, None)
+        history = [r["rbur"] for r in sorted(
+            (r for r in rows if r["cell_id"] == target),
+            key=lambda r: r["t_s"])]
+        if len(history) < MIN_HISTORY:
+            raise InsufficientHistory(
+                f"energy use case needs {MIN_HISTORY} windows of load "
+                f"history, have {len(history)}; warm the loop up first")
+        forecaster = TrafficForecaster().fit(history)
+        forecast = forecaster.predict(ENERGY_FORECAST_HORIZON)
+        cell = loop.scenario.cell(target)
+        _, fields, _saving = recommend_strategy(cell, np.clip(forecast, 0, 1))
+        delta = {k: v for k, v in fields.items() if getattr(cell, k) != v}
+        return Command(target, delta, loop.use_case, loop.epoch)
+
+    def decide(self, loop, before, after, prior_cells: dict) -> str:
+        if not _qos_holds(before, after):
+            return "rolled_back"
+        # a capacity-restoring command is driven by the QoS floor and
+        # necessarily spends more energy; it must not be vetoed for that
+        if any(_capacity_rank(loop.scenario.cell(cid)) > _capacity_rank(prior)
+               for cid, prior in prior_cells.items()):
+            return "accepted"
+        # load-matched counterfactual: what the prior config would have
+        # burned while serving the verification window's load
+        cf = 0.0
+        for cid, prior in prior_cells.items():
+            rbur = after.per_cell.get(cid, {}).get("rbur", 0.0)
+            cf -= energy_step(prior, rbur, loop.window_len_s)[1]
+        return rollback_if_worse(replace(before, objective=cf), after)
+
+
+USE_CASES: dict[str, UseCase] = {"throughput": Throughput(), "mimo": Mimo(),
+                                 "interference": Interference(),
+                                 "energy": Energy()}

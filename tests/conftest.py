@@ -1,6 +1,6 @@
 import pytest
 
-from ranopt.loop import prepare_models
+from ranopt.loop import USE_CASES
 from ranopt.simcore import CellConfig, HotspotCluster, Scenario
 
 FLAT_PROFILE = [1.0] * 24
@@ -46,4 +46,4 @@ def two_cell_scenario():
 def mimo_models():
     """The MIMO offline phase on two_cell_scenario() at MIMO_SEED, trained
     once per session (about 5 s); tests must not change the models."""
-    return prepare_models(two_cell_scenario(), "mimo", MIMO_SEED)
+    return USE_CASES["mimo"].offline(two_cell_scenario(), MIMO_SEED)

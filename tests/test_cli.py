@@ -6,8 +6,8 @@ import pytest
 
 from ranopt.cli import build_parser, main
 from ranopt.errors import InsufficientHistory
-from ranopt.loop import ClosedLoop, Command
-from ranopt.loop.runner import prepare_models
+from ranopt.loop import USE_CASES, Command
+from ranopt.loop.usecases import Throughput
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
 from ranopt.warehouse.query import QueryTask
@@ -123,7 +123,7 @@ class TestOptimize:
         model = json.loads(out.read_text())
         scenario = engine.load_scenario(scenario_file)
         scenario.seed = 2
-        models = prepare_models(scenario, "interference", 2)
+        models = USE_CASES["interference"].offline(scenario, 2)
         assert model["learning_curve"] == models["dqn_curve"]
         agents = {cid: a.q.to_dict()
                   for cid, a in models["dqn_agents"].items()}
@@ -153,14 +153,14 @@ class TestLoopAndReport:
                                                     tmp_path, capsys,
                                                     monkeypatch):
         # the second epoch's optimizer raises; the first epoch is saved
-        def fails_second_epoch(loop, before):
-            if loop.epoch == 1:
-                raise InsufficientHistory("cell c1: 0 usable measurements, "
-                                          "need 8")
-            return Command("c1", {}, "throughput", loop.epoch)
+        class FailsSecondEpoch(Throughput):
+            def optimize(self, loop, before):
+                if loop.epoch == 1:
+                    raise InsufficientHistory("cell c1: 0 usable "
+                                              "measurements, need 8")
+                return Command("c1", {}, "throughput", loop.epoch)
 
-        monkeypatch.setitem(ClosedLoop._OPTIMIZERS, "throughput",
-                            fails_second_epoch)
+        monkeypatch.setitem(USE_CASES, "throughput", FailsSecondEpoch())
         report = tmp_path / "report.json"
         assert run(["loop", "--usecase", "throughput", "--scenario",
                     scenario_file, "--epochs", "3", "--report",

@@ -1,16 +1,19 @@
 import copy
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ranopt.errors import InsufficientHistory, ValidationError
-from ranopt.loop import (ClosedLoop, Command, CommandLog, LoopReport,
-                         rollback_if_worse, run_closed_loop, validate_command)
-from ranopt.loop import runner
+from ranopt.loop import (USE_CASES, ClosedLoop, Command, CommandLog,
+                         LoopReport, UseCase, rollback_if_worse,
+                         run_closed_loop, validate_command)
 from ranopt.loop.runner import KpiSnapshot
+from ranopt.loop.usecases import Energy, Mimo
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
+from ranopt.simcore.energy import energy_step
 from ranopt.simcore.radio import dbm_to_mw
 from ranopt.simcore.types import HotspotCluster
 
@@ -26,6 +29,31 @@ def snap(objective):
 
 def noop_optimizer(loop, before):
     return Command(loop.scenario.cells[0].cell_id, {}, "stub", loop.epoch)
+
+
+class Stub(UseCase):
+    """The throughput objective and rollback rule around a test's optimizer;
+    a test swaps it in for the throughput use case through the registry.
+    A given decision replaces the rollback rule."""
+
+    def __init__(self, optimizer=noop_optimizer, decision=None):
+        self.optimizer, self.decision = optimizer, decision
+
+    def optimize(self, loop, before):
+        return self.optimizer(loop, before)
+
+    def decide(self, loop, before, after, prior_cells):
+        return self.decision or super().decide(loop, before, after,
+                                               prior_cells)
+
+
+def interference_scenario():
+    """Two facing cells with a hotspot between them."""
+    cells = [make_cell("c1"), make_cell("c2", site_pos=(500.0, 0.0, 25.0),
+                                        azimuth_deg=180.0)]
+    clusters = [HotspotCluster((230.0, 60.0), 30.0, 8.0),
+                HotspotCluster((270.0, -60.0), 30.0, 8.0)]
+    return make_scenario(cells=cells, clusters=clusters, seed=11)
 
 
 class SpyPolicy:
@@ -84,7 +112,7 @@ class TestRollbackRule:
 
 
 class TestEpoch:
-    def test_stage_ordering_sense_before_optimize(self):
+    def test_stage_ordering_sense_before_optimize(self, monkeypatch):
         seen = {}
 
         def optimizer(loop, before):
@@ -92,16 +120,16 @@ class TestEpoch:
             seen["objective"] = before.objective
             return noop_optimizer(loop, before)
 
-        loop = ClosedLoop(make_scenario(), "throughput", seed=0,
-                          optimizer_override=optimizer)
+        monkeypatch.setitem(USE_CASES, "throughput", Stub(optimizer))
+        loop = ClosedLoop(make_scenario(), "throughput", seed=0)
         loop.run_epoch()
         assert seen["rows"] > 0
         assert seen["objective"] > 0.0
 
-    def test_noop_command_accepted_and_config_unchanged(self):
+    def test_noop_command_accepted_and_config_unchanged(self, monkeypatch):
         sc = make_scenario()
-        loop = ClosedLoop(sc, "throughput", seed=1,
-                          optimizer_override=noop_optimizer)
+        monkeypatch.setitem(USE_CASES, "throughput", Stub())
+        loop = ClosedLoop(sc, "throughput", seed=1)
         report = loop.run(3)
         assert all(e["decision"] == "accepted" for e in report.entries)
         assert report.final_config == [c.to_dict() for c in sc.cells]
@@ -111,17 +139,16 @@ class TestEpoch:
                                                     decision):
         # a no-op changes no config, so neither deploying nor rolling it
         # back snapshots or copies the scenario
-        monkeypatch.setattr(runner, "rollback_if_worse",
-                            lambda before, after: decision)
-        loop = ClosedLoop(make_scenario(), "throughput", seed=1,
-                          optimizer_override=noop_optimizer)
+        monkeypatch.setitem(USE_CASES, "throughput",
+                            Stub(decision=decision))
+        loop = ClosedLoop(make_scenario(), "throughput", seed=1)
         scenario, snapshots = loop.scenario, len(loop.config_log._entries)
         loop.run_epoch()
         assert loop.entries[0]["decision"] == decision
         assert len(loop.config_log._entries) == snapshots
         assert loop.scenario is scenario
 
-    def test_forced_regression_rolls_back_and_restores(self):
+    def test_forced_regression_rolls_back_and_restores(self, monkeypatch):
         # coverage-limited fixture: dropping power far below need regresses
         cluster = HotspotCluster(center=(900.0, 0.0), std_m=30.0,
                                  mean_users=10.0, demand_mbps=100.0)
@@ -130,8 +157,8 @@ class TestEpoch:
         def bad_optimizer(loop, before):
             return Command("c1", {"tx_power_dbm": 30.0}, "stub", loop.epoch)
 
-        loop = ClosedLoop(sc, "throughput", seed=2,
-                          optimizer_override=bad_optimizer)
+        monkeypatch.setitem(USE_CASES, "throughput", Stub(bad_optimizer))
+        loop = ClosedLoop(sc, "throughput", seed=2)
         _, before, after = loop.run_epoch()
         assert after.objective < before.objective
         assert loop.entries[0]["decision"] == "rolled_back"
@@ -147,14 +174,16 @@ class TestEpoch:
         assert roundtrip.to_json() == report.to_json()
 
     @pytest.mark.parametrize("error", [InsufficientHistory, KeyboardInterrupt])
-    def test_aborted_run_saves_the_epochs_before_it(self, tmp_path, error):
+    def test_aborted_run_saves_the_epochs_before_it(self, tmp_path, error,
+                                                     monkeypatch):
         def fails_second_epoch(loop, before):
             if loop.epoch == 1:
                 raise error("no data")
             return noop_optimizer(loop, before)
 
-        loop = ClosedLoop(make_scenario(), "throughput", seed=1,
-                          optimizer_override=fails_second_epoch)
+        monkeypatch.setitem(USE_CASES, "throughput",
+                            Stub(fails_second_epoch))
+        loop = ClosedLoop(make_scenario(), "throughput", seed=1)
         path = tmp_path / "report.json"
         with pytest.raises(error):
             loop.run(3, path)
@@ -240,14 +269,15 @@ class TestUseCases:
         spy = SpyPolicy(mimo_models["mimo_policy"])
         calls = []
 
-        def offline_phase(scenario, use_case, seed):
-            calls.append((len(scenario.cells), use_case, seed))
-            return {**mimo_models, "mimo_policy": spy}
+        class SpyMimo(Mimo):
+            def offline(self, scenario, seed):
+                calls.append((len(scenario.cells), seed))
+                return {**mimo_models, "mimo_policy": spy}
 
-        monkeypatch.setattr(runner, "prepare_models", offline_phase)
+        monkeypatch.setitem(USE_CASES, "mimo", SpyMimo())
         sc = two_cell_scenario()
         report = run_closed_loop(sc, "mimo", epochs=3, seed=MIMO_SEED)
-        assert calls == [(2, "mimo", MIMO_SEED)]
+        assert calls == [(2, MIMO_SEED)]
         assert len(spy.splits) == 3  # each epoch sees both cells' users
         ids = sorted(c.cell_id for c in sc.cells)
         power = {c.cell_id: c.tx_power_dbm for c in sc.cells}
@@ -281,16 +311,59 @@ class TestUseCases:
             == [c.to_dict() for c in sc.cells]
 
     def test_interference_loop_with_pretrained_agents(self):
-        cells = [make_cell("c1"), make_cell("c2", site_pos=(500.0, 0.0, 25.0),
-                                            azimuth_deg=180.0)]
-        clusters = [HotspotCluster((230.0, 60.0), 30.0, 8.0),
-                    HotspotCluster((270.0, -60.0), 30.0, 8.0)]
-        sc = make_scenario(cells=cells, clusters=clusters, seed=11)
-        report = run_closed_loop(sc, "interference", epochs=2, seed=10)
+        report = run_closed_loop(interference_scenario(), "interference",
+                                 epochs=2, seed=10)
         assert len(report.entries) == 2
         for e in report.entries:
             f = e["command"]["fields"]
             assert set(f) == {"pattern_id", "cio_db"}
+
+
+def energy_snap(tput_mbps, users, rbur, cell):
+    """One window of cell c1 at this load, burning what `cell` burns."""
+    energy_wh = energy_step(cell, rbur, 3600.0)[1]
+    per_cell = {"c1": {"throughput_mbps": tput_mbps, "num_users": users,
+                       "rbur": rbur, "energy_wh": energy_wh}}
+    return KpiSnapshot(0.0, 3600.0, per_cell, -energy_wh)
+
+
+class TestEnergyDecide:
+    """Each of Energy.decide's rules on hand-built snapshots, where each
+    of the other rules would decide the other way."""
+
+    FULL = make_cell()
+    ESS = make_cell(symbol_fraction=0.5)  # a shutdown: symbols switched off
+
+    def decide(self, prior, deployed, before, after):
+        loop = SimpleNamespace(scenario=make_scenario(cells=[deployed]),
+                               window_len_s=3600.0)
+        return Energy().decide(loop, before, after, {"c1": prior})
+
+    def test_qos_guard_rolls_back_a_per_user_drop(self):
+        # energy fell at equal load, but each user gets 2% less
+        before = energy_snap(100.0, 10, 0.4, self.FULL)
+        after = energy_snap(98.0, 10, 0.4, self.ESS)
+        assert self.decide(self.FULL, self.ESS, before, after) \
+            == "rolled_back"
+        # the guard is per user: 10% less throughput for 10% fewer users
+        after = energy_snap(90.0, 9, 0.4, self.ESS)
+        assert self.decide(self.FULL, self.ESS, before, after) == "accepted"
+
+    def test_capacity_restoring_command_accepted_though_energy_rose(self):
+        half = make_cell(channel_fraction=0.5)
+        before = energy_snap(100.0, 10, 0.4, half)
+        after = energy_snap(100.0, 10, 0.4, self.FULL)
+        assert after.objective < before.objective  # more energy spent
+        assert self.decide(half, self.FULL, before, after) == "accepted"
+
+    def test_counterfactual_accepts_a_saving_at_equal_load(self):
+        # the verify window is busier than the baseline one, so it burns
+        # more than the baseline did, but less than the prior config
+        # would have burned at its load
+        before = energy_snap(100.0, 10, 0.2, self.FULL)
+        after = energy_snap(100.0, 10, 0.6, self.ESS)
+        assert rollback_if_worse(before, after) == "rolled_back"
+        assert self.decide(self.FULL, self.ESS, before, after) == "accepted"
 
 
 class TestTempDir:
@@ -309,9 +382,18 @@ class TestTempDir:
 
 
 class TestDeterminism:
-    def test_replay_byte_identical(self):
+    @pytest.mark.parametrize("use_case", list(USE_CASES))
+    def test_replay_byte_identical(self, use_case, request, monkeypatch):
         cell = make_cell(azimuth_deg=30.0, tilt_deg=12.0)
-        sc = make_scenario(cells=[cell], shadow_sigma_db=4.0)
-        a = run_closed_loop(copy.deepcopy(sc), "throughput", epochs=2, seed=12)
-        b = run_closed_loop(copy.deepcopy(sc), "throughput", epochs=2, seed=12)
+        sc = {"throughput": make_scenario(cells=[cell], shadow_sigma_db=4.0),
+              "mimo": two_cell_scenario(),
+              "interference": interference_scenario(),
+              "energy": make_scenario(profile=DIURNAL, seed=5)}[use_case]
+        if use_case == "mimo":  # the fixture's dual network, not a new one
+            models = request.getfixturevalue("mimo_models")
+            monkeypatch.setattr(USE_CASES["mimo"], "offline",
+                                lambda scenario, seed: models)
+        a = run_closed_loop(copy.deepcopy(sc), use_case, epochs=2, seed=12)
+        b = run_closed_loop(copy.deepcopy(sc), use_case, epochs=2, seed=12)
         assert a.to_json() == b.to_json()
+        assert any(e["command"]["fields"] for e in a.entries)

@@ -28,6 +28,15 @@ class TestGradients:
                 Y = rng.normal(size=(7, out_dim))
             assert gradient_check(model, X, Y) < 1e-4
 
+    def test_one_output_target_shapes_agree(self):
+        # a 1-D target of a one-output net is a column, in the loss that
+        # fit returns and gradient_check differentiates as in training
+        model = Mlp([2, 4, 1], seed=0)
+        X = np.random.default_rng(0).normal(size=(5, 2))
+        y = np.arange(5.0)
+        assert model.loss(X, y) == model.loss(X, y[:, None]) \
+            == model.loss_and_grads(X, y)[0]
+
     def test_input_gradient_matches_fd(self):
         model = Mlp([4, 8, 2], head="linear", seed=3)
         rng = np.random.default_rng(0)
