@@ -27,12 +27,24 @@ class GprRegressor:
     def _kernel(self, A, B):
         a = A / self.length_scales
         b = B / self.length_scales
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        return self.signal_std ** 2 * np.exp(-0.5 * d2)
+        # squared distances one input dimension at a time, over (rows, n)
+        # blocks, added left to right: ((d0 + d1) + d2) + d3 is the order
+        # numpy's reduce adds a short axis in, so each value equals, to the
+        # last bit, a sum over the input axis of all the differences at once
+        d2 = (a[:, 0, None] - b[None, :, 0]) ** 2
+        for j in range(1, a.shape[1]):
+            d2 += (a[:, j, None] - b[None, :, j]) ** 2
+        d2 *= -0.5
+        np.exp(d2, out=d2)
+        d2 *= self.signal_std ** 2
+        return d2
 
     def fit(self, X, y) -> "GprRegressor":
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
+        if y.size != X.shape[0]:
+            raise ValueError(f"X has {X.shape[0]} rows but y has "
+                             f"{y.size} values")
         if X.shape[0] < 2:
             raise ValueError("need at least 2 samples")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
@@ -57,8 +69,10 @@ class GprRegressor:
         if Xq.shape[1] != self.length_scales.size:
             raise ValueError(f"expected {self.length_scales.size} query dims")
         mean, var = np.empty(Xq.shape[0]), np.empty(Xq.shape[0])
-        # query rows go in chunks, so _kernel's (rows, n, 4) broadcast
-        # stays bounded however many rows a caller batches
+        # query rows go in chunks of PREDICT_CHUNK_ROWS. That bounds the
+        # (rows, n) kernel block and fixes the rows in each Ks @ alpha
+        # call; BLAS splits a product by its row count, so another chunk
+        # size could change the last bits of predictions and loop reports
         for i in range(0, Xq.shape[0], PREDICT_CHUNK_ROWS):
             rows = slice(i, i + PREDICT_CHUNK_ROWS)
             Ks = self._kernel(Xq[rows], self._X)

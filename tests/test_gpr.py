@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ranopt.ai.gpr import GprRegressor
+from ranopt.ai.gpr import PREDICT_CHUNK_ROWS, GprRegressor
 from ranopt.simcore import ShadowField, compute_rsrp_dbm
 from ranopt.simcore.types import PATTERN_CODEBOOK
 
@@ -15,7 +16,64 @@ def grid_inputs(n_side=8, extent=200.0, az=0.0, tilt=6.0):
     return pts
 
 
+def loop_scale_inputs(rng, n):
+    """Rows as the throughput loop feeds them: positions within +-1,500 m,
+    azimuth 0-360 deg, tilt 0-15 deg."""
+    return np.column_stack([rng.uniform(-1500.0, 1500.0, (n, 2)),
+                            rng.uniform(0.0, 360.0, n),
+                            rng.uniform(0.0, 15.0, n)])
+
+
+def broadcast_kernel(m, A, B):
+    """The kernel as one (rows, n, dims) broadcast summed over its last
+    axis: the reference every value of _kernel must match bit for bit."""
+    a = A / m.length_scales
+    b = B / m.length_scales
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return m.signal_std ** 2 * np.exp(-0.5 * d2)
+
+
+class TestKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, PREDICT_CHUNK_ROWS + 64),
+           n=st.integers(2, 500),
+           seed=st.integers(0, 2 ** 32 - 1),
+           length_scales=st.one_of(
+               st.none(),
+               st.tuples(*[st.floats(0.5, 500.0)] * 4)),
+           signal_std=st.floats(0.5, 20.0))
+    def test_equals_broadcast_reference_bit_for_bit(self, rows, n, seed,
+                                                    length_scales,
+                                                    signal_std):
+        rng = np.random.default_rng(seed)
+        m = (GprRegressor(signal_std=signal_std) if length_scales is None
+             else GprRegressor(length_scales, signal_std=signal_std))
+        A, B = loop_scale_inputs(rng, rows), loop_scale_inputs(rng, n)
+        assert np.array_equal(m._kernel(A, B), broadcast_kernel(m, A, B))
+
+
 class TestFitPredict:
+    def test_fit_rejects_mismatched_lengths(self):
+        X = grid_inputs(4)[:10]
+        with pytest.raises(ValueError, match="10 rows but y has 8 values"):
+            GprRegressor().fit(X, np.full(8, -70.0))
+
+    def test_predict_is_chunked_products_bit_for_bit(self):
+        # the rows in each Ks @ alpha call can decide the last bits of the
+        # mean, so predict keeps 256 rows per product: another chunk size
+        # could change the loop's reports
+        assert PREDICT_CHUNK_ROWS == 256
+        rng = np.random.default_rng(3)
+        X = loop_scale_inputs(rng, 400)
+        y = -80.0 + rng.normal(0.0, 6.0, 400)
+        m = GprRegressor().fit(X, y)
+        Xq = loop_scale_inputs(rng, 600)
+        expected = np.concatenate([
+            m._y_mean + m._kernel(Xq[i:i + PREDICT_CHUNK_ROWS], m._X)
+            @ m._alpha
+            for i in range(0, 600, PREDICT_CHUNK_ROWS)])
+        assert np.array_equal(m.predict(Xq), expected)
+
     def test_constant_targets(self):
         X = grid_inputs(4)
         y = np.full(X.shape[0], -70.0)
