@@ -3,9 +3,9 @@
 One agent per cell. Each action picks a (broadcast pattern, cell offset)
 pair; all agents share the network-level reward -collision ratio, so they
 learn to keep their broadcast beams out of each other's user clusters.
-Observations are built from the measurement batch of the previous window:
-octant counts of the cell's attached users plus a summary of the neighbor
-cells' current pattern and offset.
+Observations are built from the previous window's measurements, as arrays
+of serving cell ids and positions: octant counts of the cell's attached
+users plus a summary of the neighbor cells' current pattern and offset.
 """
 from __future__ import annotations
 
@@ -56,6 +56,9 @@ class DqnAgent:
         self.config = config or DqnConfig()
         self.allowed = tuple(allowed_actions) if allowed_actions is not None \
             else tuple(range(N_ACTIONS))
+        # 0 on allowed actions and -inf elsewhere, added to Q-values
+        self._mask = np.full(N_ACTIONS, -np.inf)
+        self._mask[list(self.allowed)] = 0.0
         self.q = Mlp([obs_dim, *self.config.hidden, N_ACTIONS],
                      head="linear", seed=seed)
         self.target = self.q.copy()
@@ -69,9 +72,7 @@ class DqnAgent:
 
     def greedy(self, obs) -> int:
         qvals = self.q.predict(np.asarray(obs)[None, :])[0]
-        mask = np.full(N_ACTIONS, -np.inf)
-        mask[list(self.allowed)] = 0.0
-        return int(np.argmax(qvals + mask))
+        return int(np.argmax(qvals + self._mask))
 
     def remember(self, obs, action, reward, next_obs) -> None:
         self.replay.append((np.asarray(obs, dtype=float), int(action),
@@ -89,9 +90,7 @@ class DqnAgent:
         rewards = np.array([b[2] for b in batch])
         next_obs = np.stack([b[3] for b in batch])
         q_next = self.target.predict(next_obs)
-        mask = np.full(N_ACTIONS, -np.inf)
-        mask[list(self.allowed)] = 0.0
-        best_next = (q_next + mask).max(axis=1)
+        best_next = (q_next + self._mask).max(axis=1)
         targets = self.q.predict(obs).copy()
         targets[np.arange(len(batch)), actions] = \
             rewards + self.config.gamma * best_next
@@ -104,17 +103,18 @@ class DqnAgent:
         self.target = self.q.copy()
 
 
-def observe(scenario: Scenario, cell_index: int, measurements) -> np.ndarray:
-    """Observation for one cell from the last window's measurement batch."""
+def observe(scenario: Scenario, cell_index: int, cell_ids,
+            positions) -> np.ndarray:
+    """Observation for one cell from the last window's measurements, given
+    by their serving cell ids and (n, 2) positions."""
     cell = scenario.cells[cell_index]
-    counts = np.zeros(N_SECTORS)
-    for m in measurements:
-        if m.cell_id != cell.cell_id:
-            continue
-        dx = m.pos[0] - cell.site_pos[0]
-        dy = m.pos[1] - cell.site_pos[1]
-        rel = wrap_deg(np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg)
-        counts[int((rel + 180.0) // (360.0 / N_SECTORS)) % N_SECTORS] += 1.0
+    mine = np.asarray(cell_ids, dtype=object) == cell.cell_id
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)[mine]
+    rel = wrap_deg(np.degrees(np.arctan2(pos[:, 1] - cell.site_pos[1],
+                                         pos[:, 0] - cell.site_pos[0]))
+                   - cell.azimuth_deg)
+    sector = ((rel + 180.0) // (360.0 / N_SECTORS)).astype(int) % N_SECTORS
+    counts = np.bincount(sector, minlength=N_SECTORS).astype(float)
     others = [c for i, c in enumerate(scenario.cells) if i != cell_index]
     neighbor = []
     for c in others:
@@ -123,6 +123,14 @@ def observe(scenario: Scenario, cell_index: int, measurements) -> np.ndarray:
     if not others:
         neighbor = [0.0, 0.0]
     return np.concatenate([counts / USER_COUNT_SCALE, neighbor])
+
+
+def _observe_all(scenario: Scenario, meas) -> dict[str, np.ndarray]:
+    """Every cell's observation from one window's measurement records."""
+    ids = np.array([m.cell_id for m in meas], dtype=object)
+    pos = np.reshape([m.pos for m in meas], (-1, 2))
+    return {c.cell_id: observe(scenario, i, ids, pos)
+            for i, c in enumerate(scenario.cells)}
 
 
 def network_collision(kpis) -> float:
@@ -162,8 +170,7 @@ def dqn_train(scenario: Scenario, episodes: int,
     for _ in range(episodes):
         state = copy.deepcopy(scenario)
         meas, _ = engine.step(state, config.window_len_s, t)
-        obs = {c.cell_id: observe(state, i, meas)
-               for i, c in enumerate(state.cells)}
+        obs = _observe_all(state, meas)
         ep_rewards = []
         for _ in range(config.episode_len):
             frac = min(global_step / explore_steps, 1.0)
@@ -175,8 +182,7 @@ def dqn_train(scenario: Scenario, episodes: int,
             t += config.window_len_s
             meas, kpis = engine.step(state, config.window_len_s, t)
             reward = -network_collision(kpis)
-            next_obs = {c.cell_id: observe(state, i, meas)
-                        for i, c in enumerate(state.cells)}
+            next_obs = _observe_all(state, meas)
             for cid, agent in agents.items():
                 agent.remember(obs[cid], actions[cid], reward, next_obs[cid])
                 agent.learn(rng)
@@ -193,8 +199,8 @@ def dqn_train(scenario: Scenario, episodes: int,
 def greedy_actions(agents: dict[str, DqnAgent], scenario: Scenario,
                    t_s: float, window_len_s: float = 3600.0) -> dict[str, int]:
     meas, _ = engine.step(scenario, window_len_s, t_s)
-    return {c.cell_id: agents[c.cell_id].greedy(observe(scenario, i, meas))
-            for i, c in enumerate(scenario.cells)}
+    return {cid: agents[cid].greedy(obs)
+            for cid, obs in _observe_all(scenario, meas).items()}
 
 
 def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
@@ -212,8 +218,8 @@ def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
     collisions = []
     actions: dict[str, int] = {}
     for w in range(n_windows):
-        actions = {c.cell_id: agents[c.cell_id].greedy(observe(state, i, meas))
-                   for i, c in enumerate(state.cells)}
+        actions = {cid: agents[cid].greedy(obs)
+                   for cid, obs in _observe_all(state, meas).items()}
         state = apply_actions(state, actions)
         meas, kpis = engine.step(state, window_len_s,
                                  t0_s + (w + 1) * window_len_s)

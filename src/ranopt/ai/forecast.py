@@ -24,9 +24,6 @@ class TrafficForecaster:
         self._history = None
         self._coefs = np.zeros(self.ar_order)
 
-    def get_params(self) -> dict:
-        return {"period": self.period, "ar_order": self.ar_order}
-
     def fit(self, history) -> "TrafficForecaster":
         y = np.asarray(history, dtype=float).ravel()
         if y.size < MIN_HISTORY:

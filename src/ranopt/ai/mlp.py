@@ -131,12 +131,9 @@ class Mlp:
         return final
 
     # -- (de)serialization ----------------------------------------------
-    def get_params(self) -> dict:
-        return {"layer_sizes": self.layer_sizes, "head": self.head,
-                "seed": self.seed}
-
     def to_dict(self) -> dict:
-        return {"kind": "mlp", **self.get_params(),
+        return {"kind": "mlp", "layer_sizes": self.layer_sizes,
+                "head": self.head, "seed": self.seed,
                 "weights": [W.tolist() for W in self.weights],
                 "biases": [b.tolist() for b in self.biases]}
 

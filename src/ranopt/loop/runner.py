@@ -2,16 +2,19 @@
 
 Each epoch simulates one sense window, ingests it through the acquisition
 pipeline into the warehouse, computes a baseline KPI snapshot from warehouse
-queries alone, asks the use case's object (`usecases.py`) for one command,
+scans alone, asks the use case's object (`usecases.py`) for one command,
 applies it, then verifies over one more window and rolls the command back
-if the use case decides so.  Sensing stays in memory: the simulator's rows
-go straight to the pipeline's row parser, with no file.
+if the use case decides so.  The use cases read their model inputs from
+the warehouse as column arrays (`Warehouse.read`), never as rows.  Sensing
+stays in memory: the simulator's rows go straight to the pipeline's row
+parser, with no file.
 """
 from __future__ import annotations
 
 import copy
 import json
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from ..acquisition.pipeline import AcquisitionPipeline, parse_header
@@ -28,6 +31,11 @@ from .usecases import USE_CASES
 WINDOW_LEN_S = 3600.0
 _SENSE_HEADERS = (parse_header(MeasurementRecord.CSV_HEADER),
                   parse_header(KpiRecord.CSV_HEADER))
+# the KPI subjects a snapshot reads, and the fields it takes of each
+_SNAPSHOT_FIELDS = ((SUBJECT_THROUGHPUT, ("throughput_mbps", "rbur",
+                                          "num_users")),
+                    (SUBJECT_INTERFERENCE, ("collision_ratio",)),
+                    (SUBJECT_ENERGY, ("power_w", "energy_wh")))
 
 
 @dataclass
@@ -114,23 +122,14 @@ class ClosedLoop:
         self.t += self.window_len_s
         return t0, self.t
 
-    def scan_dicts(self, subject: str, t0: float, t1: float) -> list[dict]:
-        cols = [c.name for c in self.warehouse.subject_spec(subject).columns]
-        return [dict(zip(cols, row))
-                for row in self.warehouse.scan(subject, t0, t1)]
-
     def snapshot(self, t0: float, t1: float) -> KpiSnapshot:
         per_cell: dict[str, dict] = {}
-        for row in self.scan_dicts(SUBJECT_THROUGHPUT, t0, t1):
-            per_cell.setdefault(row["cell_id"], {}).update(
-                throughput_mbps=row["throughput_mbps"], rbur=row["rbur"],
-                num_users=row["num_users"])
-        for row in self.scan_dicts(SUBJECT_INTERFERENCE, t0, t1):
-            per_cell.setdefault(row["cell_id"], {}).update(
-                collision_ratio=row["collision_ratio"])
-        for row in self.scan_dicts(SUBJECT_ENERGY, t0, t1):
-            per_cell.setdefault(row["cell_id"], {}).update(
-                power_w=row["power_w"], energy_wh=row["energy_wh"])
+        wh = self.warehouse
+        for subject, names in _SNAPSHOT_FIELDS:
+            cols = [c.name for c in wh.subject_spec(subject).columns]
+            pick = itemgetter(*(cols.index(c) for c in ("cell_id", *names)))
+            for cid, *values in map(pick, wh.scan(subject, t0, t1)):
+                per_cell.setdefault(cid, {}).update(zip(names, values))
         return KpiSnapshot(t0, t1, per_cell,
                            self.case.objective(per_cell))
 

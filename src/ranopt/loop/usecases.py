@@ -9,7 +9,6 @@ from __future__ import annotations
 import copy
 from dataclasses import replace
 from operator import attrgetter
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from ..ai import dqn as dqn_mod
 from ..ai import mimo as mimo_mod
 from ..ai.forecast import MIN_HISTORY, TrafficForecaster
 from ..ai.strategy import recommend_strategy
-from ..ai.throughput import recommend_config
+from ..ai.throughput import MEASUREMENT_COLUMNS, recommend_config
 from ..errors import InsufficientHistory
 from ..simcore.energy import energy_step
 from ..simcore.radio import best_beam_rsrp_dbm, dbm_to_mw
@@ -34,6 +33,14 @@ MIMO_EVAL_STATES = 100
 MIMO_FINETUNE_STEPS = 200
 _capacity_rank = attrgetter("carrier_on", "channel_fraction",
                             "symbol_fraction")
+
+
+def _window_positions(loop, snap) -> tuple[np.ndarray, np.ndarray]:
+    """Serving cell ids and (n, 2) positions of the window's measurements."""
+    beam = loop.warehouse.read(SUBJECT_BEAM, ("cell_id", "pos_x_m", "pos_y_m"),
+                               snap.t0_s, snap.t1_s)
+    return beam["cell_id"], np.column_stack([beam["pos_x_m"],
+                                             beam["pos_y_m"]])
 
 
 def rollback_if_worse(before, after) -> str:
@@ -82,7 +89,7 @@ class UseCase:
 class Throughput(UseCase):
     def optimize(self, loop, before) -> Command:
         target = loop.target_cell()
-        rows = loop.scan_dicts(SUBJECT_BEAM, None, None)
+        columns = loop.warehouse.read(SUBJECT_BEAM, MEASUREMENT_COLUMNS)
         # the search box is centered on the target's current pointing
         cell = loop.scenario.cell(target)
         az_lo = max(0.0, cell.azimuth_deg - 40.0)
@@ -92,7 +99,7 @@ class Throughput(UseCase):
         steps = {"azimuth_deg": 10.0, "tilt_deg": 2.0, "tx_power_dbm": 1.0}
         try:
             fields, _ = recommend_config(
-                rows, loop.cells(), loop.config_log, target, bounds,
+                columns, loop.cells(), loop.config_log, target, bounds,
                 loop.scenario.bandwidth_mhz, loop.scenario.carrier_ghz,
                 steps=steps)
         except InsufficientHistory:  # too few measurements of the target
@@ -118,10 +125,8 @@ class Mimo(UseCase):
         cells = loop.cells()
         ids = sorted(cells)
         k = len(ids)
-        rows = loop.scan_dicts(SUBJECT_BEAM, before.t0_s, before.t1_s)
-        pos_by_cell = {cid: np.array([[r["pos_x_m"], r["pos_y_m"]]
-                                      for r in rows if r["cell_id"] == cid])
-                       for cid in ids}
+        cell_ids, positions = _window_positions(loop, before)
+        pos_by_cell = {cid: positions[cell_ids == cid] for cid in ids}
         if any(p.size == 0 for p in pos_by_cell.values()):
             return super().optimize(loop, before)
         tx_mw = np.array([dbm_to_mw(cells[cid].tx_power_dbm) for cid in ids])
@@ -178,12 +183,9 @@ class Interference(UseCase):
         target = loop.target_cell()
         if not agents or target not in agents:
             return super().optimize(loop, before)
-        rows = loop.scan_dicts(SUBJECT_BEAM, before.t0_s, before.t1_s)
-        meas = [SimpleNamespace(cell_id=r["cell_id"],
-                                pos=(r["pos_x_m"], r["pos_y_m"]))
-                for r in rows]
         cell_index = [c.cell_id for c in loop.scenario.cells].index(target)
-        obs = dqn_mod.observe(loop.scenario, cell_index, meas)
+        obs = dqn_mod.observe(loop.scenario, cell_index,
+                              *_window_positions(loop, before))
         action = agents[target].greedy(obs)
         pattern, cio = dqn_mod.ACTION_TABLE[action]
         return Command(target, {"pattern_id": pattern, "cio_db": cio},
@@ -205,10 +207,11 @@ class Energy(UseCase):
 
     def optimize(self, loop, before) -> Command:
         target = loop.target_cell()
-        rows = loop.scan_dicts(SUBJECT_ENERGY, None, None)
-        history = [r["rbur"] for r in sorted(
-            (r for r in rows if r["cell_id"] == target),
-            key=lambda r: r["t_s"])]
+        energy = loop.warehouse.read(SUBJECT_ENERGY,
+                                     ("t_s", "cell_id", "rbur"))
+        mine = energy["cell_id"] == target
+        history = energy["rbur"][mine][np.argsort(energy["t_s"][mine],
+                                                  kind="stable")]
         if len(history) < MIN_HISTORY:
             raise InsufficientHistory(
                 f"energy use case needs {MIN_HISTORY} windows of load "

@@ -1,7 +1,8 @@
 """Propagation, antenna gain, RSRP and SINR models.
 
 All functions accept scalars or numpy arrays and are deterministic.  One
-RSRP kernel serves one beam or all of a cell's beams at once.
+RSRP kernel serves one beam or all of a cell's beams at once, at the
+cell's own pointing or at each row of an array of (azimuth, tilt, power).
 """
 from __future__ import annotations
 
@@ -96,51 +97,52 @@ def user_geometry(cell: CellConfig, pos_xy):
 def compute_rsrp_dbm(cell: CellConfig, beam: Beam, pos_xy, carrier_ghz: float,
                      shadow: ShadowField | None = None):
     """Per-RE received power of one SSB beam at the given positions."""
-    rsrp = _rsrp_dbm([cell], [beam], pos_xy, carrier_ghz, shadow)[0, 0]
+    rsrp = _rsrp_dbm(cell, pointing(cell), [beam], pos_xy, carrier_ghz,
+                     shadow)[0, 0]
     return rsrp if np.ndim(pos_xy) > 1 else float(rsrp[0])
 
 
 def best_beam_rsrp_dbm(cell: CellConfig, pos_xy, carrier_ghz: float,
                        shadow: ShadowField | None = None):
     """(best rsrp dBm, best beam index) over the cell's 8 SSB beams."""
-    per_beam = _rsrp_dbm([cell], cell.beams, pos_xy, carrier_ghz, shadow)[0]
+    per_beam = _rsrp_dbm(cell, pointing(cell), cell.beams, pos_xy,
+                         carrier_ghz, shadow)[0]
     best, idx = per_beam.max(axis=0), per_beam.argmax(axis=0)
     return (best, idx) if np.ndim(pos_xy) > 1 else (best[0], idx[0])
 
 
-def best_beam_rsrp_dbm_variants(variants, pos_xy, carrier_ghz: float
-                                ) -> np.ndarray:
-    """(variants, users) unshadowed best-beam RSRP of one cell under each
-    variant of its azimuth, tilt and power, each row equal to what
+def pointing(cell: CellConfig) -> np.ndarray:
+    """The cell's (azimuth, tilt, power) as a (1, 3) array."""
+    return np.array([[cell.azimuth_deg, cell.tilt_deg, cell.tx_power_dbm]],
+                    dtype=float)
+
+
+def best_beam_rsrp_dbm_variants(cell: CellConfig, pointings, pos_xy,
+                                carrier_ghz: float) -> np.ndarray:
+    """(variants, users) unshadowed best-beam RSRP of the cell at each
+    (azimuth, tilt, power) row of pointings, each row equal to what
     `best_beam_rsrp_dbm` gives for that variant alone."""
-    first = variants[0]
-    if any((c.site_pos, c.pattern_id, c.carrier_on)
-           != (first.site_pos, first.pattern_id, first.carrier_on)
-           for c in variants):
-        raise ValueError("variants must share site, beam pattern and "
-                         "carrier state")
-    return _rsrp_dbm(variants, first.beams, pos_xy, carrier_ghz,
+    return _rsrp_dbm(cell, pointings, cell.beams, pos_xy, carrier_ghz,
                      None).max(axis=1)
 
 
-def _rsrp_dbm(variants, beams, pos_xy, carrier_ghz: float,
+def _rsrp_dbm(cell: CellConfig, pointings, beams, pos_xy, carrier_ghz: float,
               shadow: ShadowField | None):
-    """(variants, beams, users) RSRP of configs of one cell that differ at
-    most in azimuth, tilt and power; geometry, loss and shadowing computed
-    once.  Each value is computed by the same operations whatever the
-    number of variants, beams and users."""
+    """(variants, beams, users) RSRP of the cell with its azimuth, tilt and
+    power set to each row of pointings; geometry, loss and shadowing
+    computed once.  Each value is computed by the same operations whatever
+    the number of variants, beams and users."""
     p = np.atleast_2d(np.asarray(pos_xy, dtype=float))
-    cell = variants[0]
+    fields = np.asarray(pointings, dtype=float).T[:, :, None, None]
     if not cell.carrier_on:
-        return np.full((len(variants), len(beams), p.shape[0]), NO_SIGNAL_DBM)
+        return np.full((fields.shape[1], len(beams), p.shape[0]),
+                       NO_SIGNAL_DBM)
     dist, az, el = user_geometry(cell, p)
     # one Beam of (beams, 1) columns broadcasts the gain over every beam,
     # one cell of (variants, 1, 1) columns over every variant
     stacked = Beam(-1, *np.array([[b.az_offset_deg, b.el_offset_deg,
                                    b.az_bw_deg, b.el_bw_deg]
                                   for b in beams]).T[:, :, None])
-    fields = np.array([[c.azimuth_deg, c.tilt_deg, c.tx_power_dbm]
-                       for c in variants]).T[:, :, None, None]
     gain = antenna_gain_dbi(cell.replace(azimuth_deg=fields[0],
                                          tilt_deg=fields[1]), stacked, az, el)
     tx_re = fields[2] - 10.0 * np.log10(N_RE)

@@ -3,14 +3,16 @@
 Rows are loaded by `Warehouse.load`, one record at a time against the
 running clock.  Partitions are keyed by (subject, hour bucket).  Hot
 partitions keep the rows as plain tuples, and numpy column arrays of them
-built when a query first reads a column.  Cold partitions hold one block
+built when a read first asks for a column.  Cold partitions hold one block
 per column of raw numpy bytes (float64, int64, or int32 codes for a string
 column), zlib-compressed when that at least halves them.  Each subject
 keeps one append-only dictionary per string column, so a code means the
 same value in every partition; when partitions expire, the dictionaries
-are re-coded to the values the retained cold partitions hold.  Queries read
-only the columns they reference, from both tiers alike, and run vectorized
-(`query.run_query`); `scan` returns rows as tuples of Python values.
+are re-coded to the values the retained cold partitions hold.  Every read
+goes through one columnar path that reads only the columns asked for, from
+both tiers alike: `read` returns them as arrays, `query` filters, groups
+and aggregates them vectorized (`query.run_query`), and `scan` is the row
+view of `read`, tuples of Python values.
 """
 from __future__ import annotations
 
@@ -191,17 +193,6 @@ class _Subject:
                 part.blocks[name] = _block(new_code[a])
         self.strings, self.codes = strings, codes
 
-    def cold_rows(self, part: Partition, keep=None) -> list[tuple]:
-        """A cold partition's rows (those `keep` selects) as Python tuples."""
-        cols = []
-        for name in self.col_index:
-            a = self.column(part, name)
-            values = (a if keep is None else a[keep]).tolist()
-            if name in self.strings:
-                values = list(map(self.strings[name].__getitem__, values))
-            cols.append(values)
-        return list(zip(*cols))
-
 
 def _cast(cast, v):
     return cast(v)
@@ -374,26 +365,33 @@ class Warehouse:
             yield sub.partitions[bucket], ((t0 is not None and lo < t0)
                                            or (t1 is not None and hi > t1))
 
+    def read(self, subject: str, columns, t0: float | None = None,
+             t1: float | None = None) -> dict[str, np.ndarray]:
+        """The named columns of a subject's rows within [t0, t1), in scan
+        order: numbers as read-only float64 or int64 arrays; strings as
+        object arrays, decoded by the dictionaries they were read under.
+        An unknown column raises SchemaError."""
+        sub = self._get(subject)
+        names = list(dict.fromkeys(columns))
+        for col in names:
+            if col not in sub.col_index:
+                raise SchemaError(
+                    f"subject {subject!r}: unknown column {col!r}")
+        arrays, _, strings = self._columns(sub, names, t0, t1)
+        for name, a in arrays.items():
+            if name in strings:
+                arrays[name] = np.array(strings[name], dtype=object)[a]
+            else:  # it may be a partition's own array
+                a.flags.writeable = False
+        return arrays
+
     def scan(self, subject: str, t0: float | None = None,
              t1: float | None = None) -> list[tuple]:
-        """All retained rows of a subject within [t0, t1), partition-pruned,
-        as tuples of Python values in partition and append order."""
-        sub = self._get(subject)
-        ti = sub.col_index["t_s"]
-        rows = []
-        with self._lock:
-            for part, straddles in self._buckets(sub, t0, t1):
-                if part.tier == "cold":
-                    rows += sub.cold_rows(part, _in_range(
-                        sub.column(part, "t_s"), t0, t1) if straddles
-                        else None)
-                elif not straddles:
-                    rows += part.rows
-                else:
-                    rows += [r for r in part.rows
-                             if (t0 is None or r[ti] >= t0)
-                             and (t1 is None or r[ti] < t1)]
-        return rows
+        """All retained rows of a subject within [t0, t1), as `read` gives
+        them, as tuples of Python values."""
+        names = list(self._get(subject).col_index)
+        columns = self.read(subject, names, t0, t1)
+        return list(zip(*(columns[c].tolist() for c in names)))
 
     def _columns(self, sub: _Subject, names: list[str], t0: float | None,
                  t1: float | None) -> tuple[dict[str, np.ndarray], int, dict]:
@@ -437,17 +435,14 @@ class Warehouse:
 
     def correlate(self, subject: str, col_a: str, col_b: str,
                   t0: float | None = None, t1: float | None = None) -> float:
-        sub = self._get(subject)
-        for col in (col_a, col_b):
-            if col not in sub.col_index:
-                raise SchemaError(f"unknown column {col!r}")
-            if col in sub.strings:
+        columns = self.read(subject, [col_a, col_b], t0, t1)
+        for col, values in columns.items():
+            if values.dtype == object:
                 raise SchemaError(f"column {col!r} is not numeric")
-        columns, n, _ = self._columns(sub, [col_a, col_b], t0, t1)
-        if n < 2:
-            raise DegenerateColumn("correlation needs at least 2 rows")
         a = np.asarray(columns[col_a], dtype=float)
         b = np.asarray(columns[col_b], dtype=float)
+        if a.size < 2:
+            raise DegenerateColumn("correlation needs at least 2 rows")
         if np.std(a) == 0.0 or np.std(b) == 0.0:
             raise DegenerateColumn("zero variance column")
         return float(np.corrcoef(a, b)[0, 1])

@@ -7,14 +7,18 @@
   frozen with its SINR and scheduler arithmetic inlined, for the batched
   kernel in `ranopt.simcore.scheduler`;
 * `LinearConfigLog`, the config log that re-sorts on every record and
-  scans every entry on lookup, for `ranopt.ai.throughput.ConfigLog`.
+  scans every entry on lookup, for `ranopt.ai.throughput.ConfigLog`;
+* `observe_per_record`, the DQN observation that counted a cell's users
+  one measurement record at a time, for `ranopt.ai.dqn.observe`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ranopt.simcore.radio import dbm_to_mw, noise_dbm
-from ranopt.simcore.types import RATE_CAP_MBPS, SINR_MAX_DB, SINR_MIN_DB
+from ranopt.ai.dqn import N_SECTORS, USER_COUNT_SCALE
+from ranopt.simcore.radio import dbm_to_mw, noise_dbm, wrap_deg
+from ranopt.simcore.types import (ALLOWED_CIO_DB, N_PATTERNS, RATE_CAP_MBPS,
+                                  SINR_MAX_DB, SINR_MIN_DB)
 from ranopt.warehouse.query import (OPS, QueryTask, ResultTable,
                                     aggregate_values)
 
@@ -124,3 +128,24 @@ class LinearConfigLog:
             if t0 <= t_s and cell_id in snap:
                 best = snap[cell_id]
         return best
+
+
+def observe_per_record(scenario, cell_index: int, measurements) -> np.ndarray:
+    """One cell's observation from records with .cell_id and .pos."""
+    cell = scenario.cells[cell_index]
+    counts = np.zeros(N_SECTORS)
+    for m in measurements:
+        if m.cell_id != cell.cell_id:
+            continue
+        dx = m.pos[0] - cell.site_pos[0]
+        dy = m.pos[1] - cell.site_pos[1]
+        rel = wrap_deg(np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg)
+        counts[int((rel + 180.0) // (360.0 / N_SECTORS)) % N_SECTORS] += 1.0
+    others = [c for i, c in enumerate(scenario.cells) if i != cell_index]
+    neighbor = []
+    for c in others:
+        neighbor += [c.pattern_id / (N_PATTERNS - 1),
+                     c.cio_db / max(ALLOWED_CIO_DB)]
+    if not others:
+        neighbor = [0.0, 0.0]
+    return np.concatenate([counts / USER_COUNT_SCALE, neighbor])

@@ -137,7 +137,8 @@ class TestGridSearchOracle:
         # recommend_config's grid order and first-maximum rule, with a
         # random MLP surface standing in for the radio-map scores
         monkeypatch.setattr(throughput, "fit_radio_maps", lambda *a: {})
-        rows = [{"t_s": 0.0, "pos_x_m": 0.0, "pos_y_m": 0.0}]
+        columns = {name: np.zeros(1) for name in
+                   ("t_s", "pos_x_m", "pos_y_m", "rate_mbps")}
         cells = {"c1": make_cell()}
         rng = np.random.default_rng(0)
         for trial in range(50):
@@ -162,8 +163,8 @@ class TestGridSearchOracle:
                         for c in candidates]
 
             monkeypatch.setattr(throughput, "_candidate_throughputs", score)
-            fields, value = recommend_config(rows, cells, ConfigLog(), "c1",
-                                             bounds, 20.0, 3.5, steps)
+            fields, value = recommend_config(columns, cells, ConfigLog(),
+                                             "c1", bounds, 20.0, 3.5, steps)
             # independent oracle: enumerate every grid point
             best_v, best_f = -np.inf, None
             for combo in itertools.product(*axes.values()):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranopt.ai.dqn import (ACTION_TABLE, DqnAgent, DqnConfig, N_ACTIONS,
                            OBS_DIM, apply_actions, dqn_train, evaluate_joint,
@@ -8,6 +9,7 @@ from ranopt.simcore import engine
 from ranopt.simcore.types import HotspotCluster, KpiRecord, MeasurementRecord
 
 from conftest import make_cell, make_scenario
+from naive_oracle import observe_per_record
 
 
 def kpi(cell_id, users, coll):
@@ -49,21 +51,57 @@ class TestPrimitives:
               meas("c1", (0.0, 100.0)),   # +90 deg
               meas("c1", (-100.0, 1.0)),  # 180 deg
               meas("other", (100.0, 0.0))]
-        obs = observe(sc, 0, ms)
+        ids, pos = [m.cell_id for m in ms], [m.pos for m in ms]
+        obs = observe(sc, 0, ids, pos)
         assert obs.shape == (OBS_DIM,)
         counts = obs[:8] * 10.0
         assert counts.sum() == pytest.approx(3.0)  # foreign cell ignored
         # rotating the cell rotates the octants
         sc2 = make_scenario(cells=[make_cell("c1", azimuth_deg=90.0)])
-        obs2 = observe(sc2, 0, ms)
+        obs2 = observe(sc2, 0, ids, pos)
         assert not np.allclose(obs[:8], obs2[:8])
 
     def test_observe_neighbor_summary(self):
         sc = make_scenario(cells=[make_cell("c1"),
                                   make_cell("c2", pattern_id=3, cio_db=3.0)])
-        obs = observe(sc, 0, [])
+        obs = observe(sc, 0, [], np.empty((0, 2)))
         assert obs[8] == pytest.approx(1.0)   # neighbor pattern 3 / 3
         assert obs[9] == pytest.approx(1.0)   # neighbor cio 3 / 3
+
+    # directions whose angle from a site at the origin is an exact multiple
+    # of 45 degrees: with an azimuth that is one too, a user sits exactly
+    # on a sector boundary
+    BOUNDARY = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0), (1.0, -1.0)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_observe_equals_the_per_record_loop(self, data):
+        n_cells = data.draw(st.integers(1, 3), label="cells")
+        azimuth = st.one_of(st.sampled_from([0.0, 22.5, 45.0, 90.0, 135.0,
+                                             180.0, 270.0, 315.0]),
+                            st.floats(0.0, 359.999))
+        cells = [make_cell(f"c{i}", azimuth_deg=data.draw(azimuth),
+                           site_pos=(0.0, 0.0, 25.0) if i == 0 else (
+                               data.draw(st.floats(-500.0, 500.0)),
+                               data.draw(st.floats(-500.0, 500.0)), 25.0))
+                 for i in range(n_cells)]
+        sc = make_scenario(cells=cells)
+        # users of some cells, of no cell in the network, or of none at all
+        user = st.tuples(
+            st.sampled_from([c.cell_id for c in cells] + ["other"]),
+            st.one_of(st.builds(lambda d, r: (d[0] * r, d[1] * r),
+                                st.sampled_from(self.BOUNDARY),
+                                st.sampled_from([1.0, 37.5, 250.0])),
+                      st.tuples(st.floats(-2000.0, 2000.0),
+                                st.floats(-2000.0, 2000.0))))
+        ms = [meas(cid, pos) for cid, pos in
+              data.draw(st.lists(user, max_size=40), label="users")]
+        ids = [m.cell_id for m in ms]
+        pos = np.array([m.pos for m in ms]).reshape(-1, 2)
+        for i in range(n_cells):
+            assert np.array_equal(observe(sc, i, ids, pos),
+                                  observe_per_record(sc, i, ms))
 
 
 class TestAgent:

@@ -146,20 +146,17 @@ class TestBestBeam:
         rng = np.random.default_rng(seed)
         cell = make_cell(site_pos=(*rng.uniform(-300.0, 300.0, 2), 25.0),
                          pattern_id=pattern_id, carrier_on=carrier_on)
-        variants = [cell.replace(azimuth_deg=float(a), tilt_deg=float(t),
-                                 tx_power_dbm=float(p))
-                    for a, t, p in zip(rng.uniform(0.0, 360.0, n_variants),
-                                       rng.integers(0, 16, n_variants),
-                                       rng.uniform(30.0, 53.0, n_variants))]
+        pointings = np.column_stack([rng.uniform(0.0, 360.0, n_variants),
+                                     rng.integers(0, 16, n_variants),
+                                     rng.uniform(30.0, 53.0, n_variants)])
         pos = rng.uniform(-1500.0, 1500.0, (n_users, 2))
-        one_each = [best_beam_rsrp_dbm(c, pos, 3.55)[0] for c in variants]
-        assert np.array_equal(best_beam_rsrp_dbm_variants(variants, pos, 3.55),
-                              np.array(one_each))
-
-    def test_variants_must_share_the_beam_pattern(self):
-        with pytest.raises(ValueError):
-            best_beam_rsrp_dbm_variants(
-                [make_cell(), make_cell(pattern_id=1)], [[0.0, 1.0]], 3.55)
+        one_each = [best_beam_rsrp_dbm(
+                        cell.replace(azimuth_deg=a, tilt_deg=t,
+                                     tx_power_dbm=p), pos, 3.55)[0]
+                    for a, t, p in pointings.tolist()]
+        assert np.array_equal(
+            best_beam_rsrp_dbm_variants(cell, pointings, pos, 3.55),
+            np.array(one_each))
 
     def test_carrier_off_reports_no_signal_on_beam_zero(self):
         pos = np.array([[100.0, 0.0], [0.0, 100.0]])

@@ -36,8 +36,9 @@ class TestGridAxes:
 
 
 def simulate_history(scenario, config_plan, window_len_s=3600.0):
-    """Run windows under a sequence of configs; returns rows + config log."""
-    rows = []
+    """Run windows under a sequence of configs; returns the measurements as
+    the warehouse's columns, the config log and the final scenario."""
+    meas = []
     log = ConfigLog()
     state = scenario
     t = 0.0
@@ -45,13 +46,23 @@ def simulate_history(scenario, config_plan, window_len_s=3600.0):
         for cid, fields in fields_by_cell.items():
             state = engine.apply_command(state, cid, fields)
         log.record(t, {c.cell_id: c for c in state.cells})
-        meas, _ = engine.step(state, window_len_s, t)
-        for m in meas:
-            rows.append({"t_s": m.timestamp_s, "cell_id": m.cell_id,
-                         "rsrp_dbm": m.rsrp_dbm, "pos_x_m": m.pos[0],
-                         "pos_y_m": m.pos[1]})
+        meas += engine.step(state, window_len_s, t)[0]
         t += window_len_s
-    return rows, log, state
+    columns = {"t_s": [m.timestamp_s for m in meas],
+               "cell_id": [m.cell_id for m in meas],
+               "rsrp_dbm": [m.rsrp_dbm for m in meas],
+               "pos_x_m": [m.pos[0] for m in meas],
+               "pos_y_m": [m.pos[1] for m in meas],
+               "rate_mbps": [m.rate_mbps for m in meas]}
+    columns = {name: np.array(values, dtype=object if name == "cell_id"
+                              else float)
+               for name, values in columns.items()}
+    return columns, log, state
+
+
+def positions(columns, keep=slice(None)):
+    return np.column_stack([columns["pos_x_m"][keep],
+                            columns["pos_y_m"][keep]])
 
 
 class TestRadioMaps:
@@ -85,17 +96,18 @@ class TestRadioMaps:
         # only the target cell must have enough measurements
         sc = make_scenario()
         cells = {c.cell_id: c for c in sc.cells}
-        assert fit_radio_maps([], cells, ConfigLog(), sc.carrier_ghz) == {}
+        none, _, _ = simulate_history(sc, [])
+        assert fit_radio_maps(none, cells, ConfigLog(), sc.carrier_ghz) == {}
         with pytest.raises(InsufficientHistory):
-            fit_radio_maps([], cells, ConfigLog(), sc.carrier_ghz,
+            fit_radio_maps(none, cells, ConfigLog(), sc.carrier_ghz,
                            target_cell="c1")
 
     def test_sparse_cell_predicted_by_the_analytic_model(self):
         far = make_cell("c2", site_pos=(20000.0, 20000.0, 25.0))
         sc = make_scenario(cells=[make_cell("c1"), far], shadow_sigma_db=4.0)
-        rows, log, state = simulate_history(sc, [{}, {}])
+        meas, log, state = simulate_history(sc, [{}, {}])
         cells = {c.cell_id: c for c in state.cells}
-        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz,
+        maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz,
                               target_cell="c1")
         assert set(maps) == {"c1"}  # c2 serves no user
         pts = np.array([[200.0, 0.0], [260.0, 40.0]])
@@ -109,9 +121,9 @@ class TestRadioMaps:
     def test_predicted_rsrp_without_shadowing(self):
         # no shadowing: residual is ~0 and the prediction matches physics
         sc = make_scenario(shadow_sigma_db=0.0)
-        rows, log, state = simulate_history(sc, [{}, {}, {}])
+        meas, log, state = simulate_history(sc, [{}, {}, {}])
         cells = {c.cell_id: c for c in state.cells}
-        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
+        maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         pts = np.array([[220.0, 10.0], [300.0, -30.0]])
         truth, _ = best_beam_rsrp_dbm(cells["c1"], pts, sc.carrier_ghz)
         pred = predicted_rsrp(cells["c1"], maps["c1"], pts, sc.carrier_ghz)
@@ -119,9 +131,9 @@ class TestRadioMaps:
 
     def test_predicted_rsrp_with_shadowing(self):
         sc = make_scenario(shadow_sigma_db=4.0)
-        rows, log, state = simulate_history(sc, [{}] * 6)
+        meas, log, state = simulate_history(sc, [{}] * 6)
         cells = {c.cell_id: c for c in state.cells}
-        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
+        maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         # held-out window from the same hotspot
         users = engine.draw_users(sc, 7 * 3600.0)
         pts = np.array([u.pos for u in users])
@@ -133,9 +145,9 @@ class TestRadioMaps:
 
     def test_throughput_prediction_single_cell_oracle(self):
         sc = make_scenario(shadow_sigma_db=0.0)
-        rows, log, state = simulate_history(sc, [{}, {}])
+        meas, log, state = simulate_history(sc, [{}, {}])
         cells = {c.cell_id: c for c in state.cells}
-        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
+        maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         pts = np.array([[200.0, 0.0], [260.0, 40.0], [320.0, -60.0]])
         got = predict_network_throughput(cells, maps, pts, sc.bandwidth_mhz,
                                          sc.carrier_ghz)
@@ -154,25 +166,34 @@ class TestRecommendConfig:
         # recommendation should steer the azimuth back toward it
         cell = make_cell(azimuth_deg=30.0)
         sc = make_scenario(cells=[cell], shadow_sigma_db=0.0)
-        rows, log, state = simulate_history(sc, [{}] * 3)
+        meas, log, state = simulate_history(sc, [{}] * 3)
         cells = {c.cell_id: c for c in state.cells}
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (4.0, 8.0),
                   "tx_power_dbm": (50.0, 50.0)}
         fields, predicted = recommend_config(
-            rows, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
+            meas, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
             steps={"azimuth_deg": 10.0, "tilt_deg": 2.0})
         assert abs(fields["azimuth_deg"]) <= 10.0  # hotspot sits at 0 degrees
         assert predicted > 0.0
 
+    def test_candidates_set_only_pointing_and_power(self):
+        # the radio kernel takes azimuth, tilt and power per candidate; any
+        # other field would be dropped without a word
+        cells = {"c1": make_cell()}
+        with pytest.raises(ValueError, match="may set only"):
+            predict_network_throughput(
+                cells, {}, [[200.0, 0.0]], 20.0, 3.5, target_cell="c1",
+                candidate_fields={"tilt_deg": 4.0, "cio_db": 3.0})
+
     def test_ties_go_to_the_smallest_tuple(self, monkeypatch):
         sc = make_scenario(cells=[make_cell()], shadow_sigma_db=0.0)
-        rows, log, state = simulate_history(sc, [{}] * 3)
+        meas, log, state = simulate_history(sc, [{}] * 3)
         monkeypatch.setattr(throughput, "_candidate_throughputs",
                             lambda *args: [1.0] * len(args[6]))
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (4.0, 8.0),
                   "tx_power_dbm": (48.0, 50.0)}
         fields, predicted = recommend_config(
-            rows, {c.cell_id: c for c in state.cells}, log, "c1", bounds,
+            meas, {c.cell_id: c for c in state.cells}, log, "c1", bounds,
             sc.bandwidth_mhz, sc.carrier_ghz)
         assert (fields, predicted) == ({"azimuth_deg": 0.0, "tilt_deg": 4.0,
                                         "tx_power_dbm": 48.0}, 1.0)
@@ -182,10 +203,10 @@ class TestRecommendConfig:
                       make_cell("c2", site_pos=(500.0, 0.0, 25.0),
                                 azimuth_deg=180.0)]
         sc = make_scenario(cells=cells_list, shadow_sigma_db=3.0)
-        rows, log, state = simulate_history(sc, [{}] * 3)
+        meas, log, state = simulate_history(sc, [{}] * 3)
         cells = {c.cell_id: c for c in state.cells}
-        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
-        pts = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in rows[-20:]])
+        maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
+        pts = positions(meas, slice(-20, None))
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (2.0, 10.0),
                   "tx_power_dbm": (48.0, 50.0)}
         X, y, names = build_surrogate_dataset(
@@ -202,7 +223,7 @@ class TestRecommendConfig:
     def test_grid_above_batch_size_scored_exactly(self, monkeypatch):
         cell = make_cell(azimuth_deg=30.0)
         sc = make_scenario(cells=[cell], shadow_sigma_db=0.0)
-        rows, log, state = simulate_history(sc, [{}] * 3)
+        meas, log, state = simulate_history(sc, [{}] * 3)
         cells = {c.cell_id: c for c in state.cells}
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (0.0, 14.0),
                   "tx_power_dbm": (40.0, 52.0)}
@@ -221,19 +242,19 @@ class TestRecommendConfig:
 
         monkeypatch.setattr(throughput, "_candidate_throughputs", counted)
         fields, predicted = recommend_config(
-            rows, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
+            meas, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
             steps)
         monkeypatch.undo()
         assert sum(batches) == 1755
         assert max(batches) == throughput.CANDIDATE_BATCH
 
-        maps = fit_radio_maps(rows, cells, log, sc.carrier_ghz)
-        latest = [r for r in rows if r["t_s"] == rows[-1]["t_s"]]
-        pts = np.array([[r["pos_x_m"], r["pos_y_m"]] for r in latest])
+        maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
+        pts = positions(meas, meas["t_s"] == meas["t_s"][-1])
         exact = [predict_network_throughput(
             cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
             target_cell="c1", candidate_fields=p,
-            demand_mbps=estimate_demand_cap(rows)) for p in points]
+            demand_mbps=estimate_demand_cap(meas["rate_mbps"]))
+            for p in points]
         best = max(exact)
         assert predicted == pytest.approx(best, rel=1e-12)
         first = next(p for p, v in zip(points, exact)

@@ -187,6 +187,8 @@ class TestQuery:
         wh = fresh()
         with pytest.raises(SchemaError):
             wh.query(QueryTask(subject="kpi", aggregates=[("mean", "bogus")]))
+        with pytest.raises(SchemaError, match="'bogus'"):
+            wh.read("kpi", ["t_s", "bogus"])
 
     def test_only_count_takes_a_string_column_or_star(self):
         wh = fresh()
@@ -366,6 +368,29 @@ class TestTiering:
         assert wh.scan("kpi", 24 * 3600.0, 25 * 3600.0) == [
             r for r in scan if 24 * 3600.0 <= r[0] < 25 * 3600.0] + [late]
 
+    def test_read_decodes_by_the_dictionaries_it_read_under(self,
+                                                             monkeypatch):
+        # an expiry that re-codes between reading the codes and decoding
+        # them must not shift the values
+        wh = Warehouse(hot_window_s=4 * 3600.0)
+        wh.create_subject(SubjectSpec("kpi", kpi_spec().columns,
+                                      retention_hours=24))
+        rows = [(h * 3600.0, f"early{h}" if h < 12 else f"c{h % 3}",
+                 float(h), 0.1) for h in range(48)]
+        put(wh, "kpi", rows)
+        wh.migrate_tiers(24.5 * 3600.0)
+        columns = Warehouse._columns
+
+        def then_expire(self, *args):
+            out = columns(self, *args)
+            self.migrate_tiers(36.5 * 3600.0)  # expires hours 0-11
+            return out
+
+        monkeypatch.setattr(Warehouse, "_columns", then_expire)
+        got = wh.read("kpi", ["cell_id"], 12 * 3600.0)["cell_id"]
+        assert wh._get("kpi").strings["cell_id"] == ["c0", "c1", "c2"]
+        assert got.tolist() == [r[1] for r in rows[12:]]
+
     def test_retention_expiry(self):
         wh = fresh()
         put(wh, "kpi", [(0.0, "c1", 5.0, 0.1)])
@@ -514,5 +539,15 @@ class TestColumnarEngine:
                      if (task.t0 is None or r[0] >= task.t0)
                      and (task.t1 is None or r[0] < task.t1)]
             assert repr(wh.scan("s", task.t0, task.t1)) == repr(naive)
+            names = [c.name for c in spec.columns]
+            got = wh.read("s", names, task.t0, task.t1)
+            assert list(got) == names
+            for i, c in enumerate(spec.columns):
+                assert got[c.name].dtype == {"str": object, "int": np.int64,
+                                             "float": np.float64}[c.dtype]
+                assert repr(got[c.name].tolist()) == repr([r[i]
+                                                           for r in naive])
+                # a caller cannot write into a partition's own array
+                assert c.dtype == "str" or not got[c.name].flags.writeable
             assert wh.query(task).to_csv() == \
                 run_aggregates(task, spec, naive).to_csv()
