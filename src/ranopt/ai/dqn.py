@@ -10,7 +10,6 @@ users plus a summary of the neighbor cells' current pattern and offset.
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,56 +50,142 @@ class DqnConfig:
 
 
 class DqnAgent:
+    """One cell's Q-network, target network and replay ring.  A new agent
+    is the one row of its own `_Learner`; `dqn_train` joins the agents
+    into one learner, and each agent is then its row of that learner."""
+
     def __init__(self, obs_dim: int = OBS_DIM, allowed_actions=None,
                  config: DqnConfig | None = None, seed: int = 0):
         self.config = config or DqnConfig()
         self.allowed = tuple(allowed_actions) if allowed_actions is not None \
             else tuple(range(N_ACTIONS))
-        # 0 on allowed actions and -inf elsewhere, added to Q-values
-        self._mask = np.full(N_ACTIONS, -np.inf)
-        self._mask[list(self.allowed)] = 0.0
         self.q = Mlp([obs_dim, *self.config.hidden, N_ACTIONS],
                      head="linear", seed=seed)
         self.target = self.q.copy()
-        self.replay = deque(maxlen=self.config.replay_capacity)
-        self._velocity: list = []
+        self._learner = _Learner.of([self])
 
     def act(self, obs, epsilon: float, rng) -> int:
-        if rng.random() < epsilon:
-            return int(rng.choice(self.allowed))
-        return self.greedy(obs)
+        return self._learner.act(np.asarray(obs)[None], epsilon, rng)[0]
 
     def greedy(self, obs) -> int:
-        qvals = self.q.predict(np.asarray(obs)[None, :])[0]
-        return int(np.argmax(qvals + self._mask))
+        return self._learner.greedy(np.asarray(obs)[None])[0]
 
     def remember(self, obs, action, reward, next_obs) -> None:
-        self.replay.append((np.asarray(obs, dtype=float), int(action),
-                            float(reward), np.asarray(next_obs, dtype=float)))
+        self._learner.remember(np.asarray(obs)[None], [action], reward,
+                               np.asarray(next_obs)[None])
 
     def learn(self, rng) -> float | None:
         """One TD(0) update on a replay minibatch; returns the loss."""
-        if len(self.replay) < self.config.batch_size:
+        loss = self._learner.learn(rng)
+        return None if loss is None else float(loss[0])
+
+    def sync_target(self) -> None:
+        self._learner.sync_target()
+
+
+class _Learner:
+    """k agents trained as one: their Q and target networks stacked on a
+    leading agent axis (each agent's `Mlp` holds views into them), their
+    momentum, action masks and replay rings, row j of every array being
+    agent j's.  Each call does every agent's work in one pass, with each
+    agent's arithmetic exactly that of its own pass; the minibatches are
+    drawn from the one rng in agent order."""
+
+    def __init__(self, config: DqnConfig, q: Mlp, target: Mlp, allowed,
+                 masks, velocity: list, ring: dict):
+        self.config, self.q, self.target = config, q, target
+        self.allowed, self.masks = allowed, masks
+        self.velocity, self.ring = velocity, ring
+
+    @classmethod
+    def of(cls, agents: list[DqnAgent]) -> "_Learner":
+        """Stack the agents' networks; each agent then learns through its
+        row of the stack."""
+        config = agents[0].config
+        q = Mlp.stack([a.q for a in agents])
+        target = Mlp.stack([a.target for a in agents])
+        # 0 on allowed actions and -inf elsewhere, added to Q-values
+        masks = np.full((len(agents), N_ACTIONS), -np.inf)
+        for mask, a in zip(masks, agents):
+            mask[list(a.allowed)] = 0.0
+        k, cap = len(agents), config.replay_capacity
+        obs_shape = (k, cap, q.layer_sizes[0])
+        # each row a ring of `size` transitions, the next written at `head`
+        ring = {"obs": np.empty(obs_shape), "next_obs": np.empty(obs_shape),
+                "actions": np.empty((k, cap), dtype=int),
+                "rewards": np.empty((k, cap)),
+                "size": np.zeros(k, dtype=int), "head": np.zeros(k, dtype=int)}
+        learner = cls(config, q, target, [a.allowed for a in agents], masks,
+                      [np.zeros_like(p) for p in q.weights + q.biases], ring)
+        for j, a in enumerate(agents):
+            a._learner = learner.row(j)
+        return learner
+
+    def row(self, j: int) -> "_Learner":
+        """Agent j's learner: views of row j of every array."""
+        rows = slice(j, j + 1)
+        return _Learner(self.config, _rows(self.q, rows),
+                        _rows(self.target, rows), self.allowed[rows],
+                        self.masks[rows], [v[rows] for v in self.velocity],
+                        {name: a[rows] for name, a in self.ring.items()})
+
+    def greedy(self, obs) -> list[int]:
+        """Each agent's best allowed action for its row of obs (k, dim)."""
+        qvals = self.q.predict(np.asarray(obs, dtype=float)[:, None, :])
+        return (qvals[:, 0] + self.masks).argmax(axis=1).tolist()
+
+    def act(self, obs, epsilon: float, rng) -> list[int]:
+        """Epsilon-greedy actions, agent by agent: a uniform allowed action
+        with probability epsilon, else the greedy one."""
+        return [int(rng.choice(allowed)) if rng.random() < epsilon else g
+                for allowed, g in zip(self.allowed, self.greedy(obs))]
+
+    def remember(self, obs, actions, reward: float, next_obs) -> None:
+        """Each agent's transition, its row of obs and next_obs (k, dim)."""
+        ring, cap = self.ring, self.config.replay_capacity
+        agent, head = np.arange(len(self.allowed)), ring["head"]
+        ring["obs"][agent, head] = obs
+        ring["next_obs"][agent, head] = next_obs
+        ring["actions"][agent, head] = actions
+        ring["rewards"][agent, head] = reward
+        head[...] = (head + 1) % cap
+        np.minimum(ring["size"] + 1, cap, out=ring["size"])
+
+    def learn(self, rng):
+        """One TD(0) update of every agent on a replay minibatch; returns
+        each agent's loss, or None while a ring holds less than a batch."""
+        config, ring = self.config, self.ring
+        batch, cap = config.batch_size, config.replay_capacity
+        if (ring["size"] < batch).any():
             return None
-        idx = rng.choice(len(self.replay), size=self.config.batch_size,
-                         replace=False)
-        batch = [self.replay[i] for i in idx]
-        obs = np.stack([b[0] for b in batch])
-        actions = np.array([b[1] for b in batch])
-        rewards = np.array([b[2] for b in batch])
-        next_obs = np.stack([b[3] for b in batch])
-        q_next = self.target.predict(next_obs)
-        best_next = (q_next + self._mask).max(axis=1)
-        targets = self.q.predict(obs).copy()
-        targets[np.arange(len(batch)), actions] = \
-            rewards + self.config.gamma * best_next
-        loss, gw, gb, _ = self.q.loss_and_grads(obs, targets)
-        momentum_step(self.q, self._velocity, gw, gb,
-                      -self.config.learning_rate)
+        # index i of a ring is its i-th oldest transition
+        idx = np.stack([rng.choice(n, size=batch, replace=False)
+                        for n in ring["size"].tolist()])
+        slot = (idx + (ring["head"] - ring["size"])[:, None]) % cap
+        agent = np.arange(len(self.allowed))[:, None]
+        q_next = self.target.predict(ring["next_obs"][agent, slot])
+        best_next = (q_next + self.masks[:, None, :]).max(axis=-1)
+        # the forward pass that gives the gradient gives the targets too
+        out, acts = self.q.forward(ring["obs"][agent, slot])
+        targets = out.copy()
+        targets[agent, np.arange(batch), ring["actions"][agent, slot]] = \
+            ring["rewards"][agent, slot] + config.gamma * best_next
+        loss, gw, gb, _ = self.q.grads_at(out, acts, targets)
+        momentum_step(self.q, self.velocity, gw, gb, -config.learning_rate)
         return loss
 
     def sync_target(self) -> None:
-        self.target = self.q.copy()
+        for t, q in zip(self.target.weights + self.target.biases,
+                        self.q.weights + self.q.biases):
+            t[...] = q
+
+
+def _rows(net: Mlp, rows: slice) -> Mlp:
+    """A stacked network's rows, as views."""
+    out = copy.copy(net)
+    out.weights = [W[rows] for W in net.weights]
+    out.biases = [b[rows] for b in net.biases]
+    return out
 
 
 def observe(scenario: Scenario, cell_index: int, cell_ids,
@@ -125,20 +210,29 @@ def observe(scenario: Scenario, cell_index: int, cell_ids,
     return np.concatenate([counts / USER_COUNT_SCALE, neighbor])
 
 
-def _observe_all(scenario: Scenario, meas) -> dict[str, np.ndarray]:
-    """Every cell's observation from one window's measurement records."""
-    ids = np.array([m.cell_id for m in meas], dtype=object)
-    pos = np.reshape([m.pos for m in meas], (-1, 2))
-    return {c.cell_id: observe(scenario, i, ids, pos)
-            for i, c in enumerate(scenario.cells)}
+def _observe_all(scenario: Scenario, w: engine.Window) -> np.ndarray:
+    """Every cell's observation of one window, (cells, obs_dim)."""
+    ids = w.serving_ids()
+    return np.stack([observe(scenario, i, ids, w.pos)
+                     for i in range(len(scenario.cells))])
 
 
 def network_collision(kpis) -> float:
     """User-weighted collision ratio across all cells in one window."""
-    users = sum(k.num_users for k in kpis)
-    if users == 0:
+    return _network_collision([k.collision_ratio for k in kpis],
+                              [k.num_users for k in kpis])
+
+
+def window_collision(w: engine.Window) -> float:
+    """`network_collision` of a window's per-cell arrays."""
+    return _network_collision(w.collision.tolist(), w.num_users.tolist())
+
+
+def _network_collision(ratios, users) -> float:
+    total = sum(users)
+    if total == 0:
         return 0.0
-    return sum(k.collision_ratio * k.num_users for k in kpis) / users
+    return sum(r * n for r, n in zip(ratios, users)) / total
 
 
 def apply_actions(scenario: Scenario, actions: dict[str, int]) -> Scenario:
@@ -154,13 +248,17 @@ def dqn_train(scenario: Scenario, episodes: int,
               config: DqnConfig | None = None,
               allowed_actions: dict[str, list[int]] | None = None,
               seed: int = 0):
-    """Train one agent per cell; returns (agents, per-episode mean reward)."""
+    """Train one agent per cell; returns (agents, per-episode mean reward).
+
+    The agents learn as one `_Learner`: each step acts, remembers and
+    updates all of them in one pass."""
     config = config or DqnConfig()
     allowed_actions = allowed_actions or {}
     agents = {c.cell_id: DqnAgent(obs_dim(len(scenario.cells)),
                                   allowed_actions.get(c.cell_id),
                                   config, seed=seed + i)
               for i, c in enumerate(scenario.cells)}
+    learner = _Learner.of(list(agents.values()))
     rng = np.random.default_rng(seed)
     total_steps = episodes * config.episode_len
     explore_steps = max(1, total_steps // 2)
@@ -169,38 +267,39 @@ def dqn_train(scenario: Scenario, episodes: int,
     t = 0.0
     for _ in range(episodes):
         state = copy.deepcopy(scenario)
-        meas, _ = engine.step(state, config.window_len_s, t)
-        obs = _observe_all(state, meas)
+        obs = _observe_all(state, engine.window(state, config.window_len_s, t))
         ep_rewards = []
         for _ in range(config.episode_len):
             frac = min(global_step / explore_steps, 1.0)
             eps = config.epsilon_start \
                 + frac * (config.epsilon_end - config.epsilon_start)
-            actions = {cid: agents[cid].act(obs[cid], eps, rng)
-                       for cid in agents}
-            state = apply_actions(state, actions)
+            actions = learner.act(obs, eps, rng)
+            state = apply_actions(state, dict(zip(agents, actions)))
             t += config.window_len_s
-            meas, kpis = engine.step(state, config.window_len_s, t)
-            reward = -network_collision(kpis)
-            next_obs = _observe_all(state, meas)
-            for cid, agent in agents.items():
-                agent.remember(obs[cid], actions[cid], reward, next_obs[cid])
-                agent.learn(rng)
+            w = engine.window(state, config.window_len_s, t)
+            reward = -window_collision(w)
+            next_obs = _observe_all(state, w)
+            learner.remember(obs, actions, reward, next_obs)
+            learner.learn(rng)
             obs = next_obs
             ep_rewards.append(reward)
             global_step += 1
             if global_step % config.target_sync_every == 0:
-                for agent in agents.values():
-                    agent.sync_target()
+                learner.sync_target()
         curve.append(float(np.mean(ep_rewards)))
     return agents, curve
 
 
 def greedy_actions(agents: dict[str, DqnAgent], scenario: Scenario,
                    t_s: float, window_len_s: float = 3600.0) -> dict[str, int]:
-    meas, _ = engine.step(scenario, window_len_s, t_s)
+    return _greedy(agents, scenario,
+                   engine.window(scenario, window_len_s, t_s))
+
+
+def _greedy(agents, scenario: Scenario, w: engine.Window) -> dict[str, int]:
+    """Every agent's greedy action on its observation of window w."""
     return {cid: agents[cid].greedy(obs)
-            for cid, obs in _observe_all(scenario, meas).items()}
+            for cid, obs in zip(w.cell_ids, _observe_all(scenario, w))}
 
 
 def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
@@ -214,16 +313,14 @@ def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
     the windows, actions of the final window).
     """
     state = copy.deepcopy(scenario)
-    meas, _ = engine.step(state, window_len_s, t0_s)
+    w = engine.window(state, window_len_s, t0_s)
     collisions = []
     actions: dict[str, int] = {}
-    for w in range(n_windows):
-        actions = {cid: agents[cid].greedy(obs)
-                   for cid, obs in _observe_all(state, meas).items()}
+    for i in range(n_windows):
+        actions = _greedy(agents, state, w)
         state = apply_actions(state, actions)
-        meas, kpis = engine.step(state, window_len_s,
-                                 t0_s + (w + 1) * window_len_s)
-        collisions.append(network_collision(kpis))
+        w = engine.window(state, window_len_s, t0_s + (i + 1) * window_len_s)
+        collisions.append(window_collision(w))
     return float(np.mean(collisions)), actions
 
 
@@ -232,7 +329,7 @@ def evaluate_joint(scenario: Scenario, actions: dict[str, int], t0_s: float,
     """Mean reward of a fixed joint action over evaluation windows."""
     state = apply_actions(copy.deepcopy(scenario), actions)
     rewards = []
-    for w in range(n_windows):
-        _, kpis = engine.step(state, window_len_s, t0_s + w * window_len_s)
-        rewards.append(-network_collision(kpis))
+    for i in range(n_windows):
+        w = engine.window(state, window_len_s, t0_s + i * window_len_s)
+        rewards.append(-window_collision(w))
     return float(np.mean(rewards))

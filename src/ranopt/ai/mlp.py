@@ -5,9 +5,15 @@ fractions, used by the power policy).
 Training is mini-batch gradient descent with momentum. The backward pass
 also returns gradients with respect to the inputs, which the policy
 fine-tuning needs to push gradients through a frozen estimator network.
+
+`stack` joins k networks of one shape into one whose parameters carry a
+leading network axis, and makes each network's parameters views into it.
+Forward and backward passes of the stack take (k, batch, features) inputs
+and give every network exactly what its own pass would.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -48,7 +54,7 @@ class Mlp:
         a = np.atleast_2d(np.asarray(X, dtype=float))
         acts = [a]
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
+            z = a @ W + b[..., None, :]
             a = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
             acts.append(a)
         out = _softmax(a) if self.head == "softmax_mse" else a
@@ -68,10 +74,16 @@ class Mlp:
 
     def loss_and_grads(self, X, Y):
         """(loss, weight grads, bias grads, input grads)."""
-        out, acts = self.forward(X)
+        return self.grads_at(*self.forward(X), Y)
+
+    def grads_at(self, out, acts, Y):
+        """`loss_and_grads` of the forward pass that gave (out, acts).  For
+        a stack, the loss is an array of each network's loss."""
         target = self._target(Y, out)
-        loss = float(np.mean((out - target) ** 2))
-        delta = 2.0 * (out - target) / out.size
+        sq = (out - target) ** 2
+        loss = float(np.mean(sq)) if out.ndim == 2 \
+            else np.mean(sq, axis=(-2, -1))
+        delta = 2.0 * (out - target) / (out.shape[-2] * out.shape[-1])
         if self.head == "softmax_mse":
             delta = _softmax_backward(out, delta)
         d_in = self.backprop_from_delta(acts, delta, accumulate=True)
@@ -86,9 +98,9 @@ class Mlp:
             self._gb = [None] * len(self.biases)
         for i in reversed(range(len(self.weights))):
             if accumulate:
-                self._gw[i] = acts[i].T @ delta
-                self._gb[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
+                self._gw[i] = np.swapaxes(acts[i], -1, -2) @ delta
+                self._gb[i] = delta.sum(axis=-2)
+            delta = delta @ np.swapaxes(self.weights[i], -1, -2)
             if i > 0:
                 delta = delta * (acts[i] > 0.0)
         return delta
@@ -147,29 +159,43 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp.from_dict(self.to_dict())
 
+    @classmethod
+    def stack(cls, models: list["Mlp"]) -> "Mlp":
+        """One network of the models' parameters stacked on a leading axis;
+        each model's parameters become views into it, so updating the stack
+        updates every model."""
+        out = copy.copy(models[0])
+        out.weights = [np.stack(w) for w in zip(*(m.weights for m in models))]
+        out.biases = [np.stack(b) for b in zip(*(m.biases for m in models))]
+        for j, m in enumerate(models):
+            m.weights = [W[j] for W in out.weights]
+            m.biases = [b[j] for b in out.biases]
+        return out
+
 
 def momentum_step(model: Mlp, velocity: list, gw, gb, step: float) -> None:
     """One momentum update in place: v = MOMENTUM * v + step * g, then each
     parameter moves by its v.  A negative step (-learning rate) descends
     the gradient, a positive one ascends it.  `velocity` holds v between
-    calls; pass an empty list to start from rest."""
+    calls, updated in place; pass an empty list to start from rest."""
     params = model.weights + model.biases
     if not velocity:
         velocity.extend(np.zeros_like(p) for p in params)
-    for i, (p, g) in enumerate(zip(params, gw + gb)):
-        velocity[i] = MOMENTUM * velocity[i] + step * g
-        p += velocity[i]
+    for v, p, g in zip(velocity, params, gw + gb):
+        v *= MOMENTUM
+        v += step * g
+        p += v
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_backward(p, d_out):
     d_out = np.asarray(d_out, dtype=float)
-    dot = (d_out * p).sum(axis=1, keepdims=True)
+    dot = (d_out * p).sum(axis=-1, keepdims=True)
     return p * (d_out - dot)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,22 +34,34 @@ def hour_bucket(t_s: float) -> int:
     return int(t_s // 3600) % 24
 
 
-def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
-    """Seeded hotspot draw for the window starting at t_s."""
+def draw_positions(scenario: Scenario, t_s: float) -> list[np.ndarray]:
+    """Seeded hotspot draw for the window starting at t_s: the (n, 2)
+    positions of each cluster's users, cluster by cluster."""
     rng = np.random.default_rng(
         np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, int(t_s) & 0xFFFFFFFF]))
     mult = scenario.traffic_profile[hour_bucket(t_s)]
-    users: list[UserState] = []
-    for ci, cl in enumerate(scenario.clusters):
+    per_cluster = []
+    for cl in scenario.clusters:
         n = int(round(cl.mean_users * mult))
-        offsets = rng.normal(0.0, cl.std_m, size=(n, 2))
-        for i in range(n):
-            users.append(UserState(
-                user_id=f"u{ci}-{i:03d}",
-                pos=(float(cl.center[0] + offsets[i, 0]),
-                     float(cl.center[1] + offsets[i, 1])),
-                demand_mbps=cl.demand_mbps))
-    return users
+        per_cluster.append(np.asarray(cl.center, dtype=float)
+                           + rng.normal(0.0, cl.std_m, size=(n, 2)))
+    return per_cluster
+
+
+def user_ids(users_per_cluster) -> list[str]:
+    """User ids of a draw: u<cluster>-<index within the cluster>."""
+    return [f"u{ci}-{i:03d}" for ci, n in enumerate(users_per_cluster)
+            for i in range(n)]
+
+
+def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
+    """The draw of `draw_positions` as one record per user."""
+    per_cluster = draw_positions(scenario, t_s)
+    ids = iter(user_ids(len(pos) for pos in per_cluster))
+    return [UserState(user_id=next(ids), pos=(x, y),
+                      demand_mbps=cl.demand_mbps)
+            for cl, pos in zip(scenario.clusters, per_cluster)
+            for x, y in pos.tolist()]
 
 
 def shadow_fields(scenario: Scenario) -> dict[str, ShadowField | None]:
@@ -68,43 +81,97 @@ def _shadow_field(seed: int, cell_id: str, sigma_db: float,
     return ShadowField(seed, cell_id, sigma_db, corr_m)
 
 
+@dataclass(eq=False)
+class Window:
+    """One simulated window as arrays, users in draw order.
+
+    Per user: position (n, 2), serving cell index (-1 with every
+    carrier off), SINR (NaN if unattached), rate and strongest interferer
+    RSRP (-inf if none); per (cell, user): best-beam RSRP and beam index;
+    per cell: throughput, rbur, attached users, site power and collision
+    ratio.  `users_per_cluster` names the users (`user_ids`)."""
+    t_s: float
+    window_len_s: float
+    cell_ids: tuple
+    users_per_cluster: tuple
+    pos: np.ndarray
+    serving: np.ndarray
+    rsrp: np.ndarray
+    beam: np.ndarray
+    sinr: np.ndarray
+    rate: np.ndarray
+    best_interferer: np.ndarray
+    throughput: np.ndarray
+    rbur: np.ndarray
+    num_users: np.ndarray
+    power_w: np.ndarray
+    collision: np.ndarray
+
+    def serving_ids(self) -> np.ndarray:
+        """Each user's serving cell id as an object array; None where
+        unattached (serving -1 picks the None appended last)."""
+        return np.array([*self.cell_ids, None], dtype=object)[self.serving]
+
+
+def window(scenario: Scenario, window_len_s: float, t_s: float) -> Window:
+    """Simulate one window as arrays; deterministic per (scenario, t)."""
+    per_cluster = draw_positions(scenario, t_s)
+    pos = np.concatenate([np.empty((0, 2)), *per_cluster])
+    sizes = tuple(len(p) for p in per_cluster)
+    demand = np.repeat([float(cl.demand_mbps) for cl in scenario.clusters],
+                       sizes)
+    shadows = shadow_fields(scenario)
+    cells = scenario.cells
+    rsrp = np.empty((len(cells), len(pos)))
+    beam = np.empty((len(cells), len(pos)), dtype=int)
+    for i, c in enumerate(cells):
+        rsrp[i], beam[i] = best_beam_rsrp_dbm(
+            c, pos, scenario.carrier_ghz, shadows[c.cell_id])
+    serving, sinr, rate, best_int, throughput, rbur = attach_and_rate(
+        rsrp, cells, scenario.bandwidth_mhz, demand)
+    num_users = np.zeros(len(cells), dtype=int)
+    power_w, collision = np.zeros(len(cells)), np.zeros(len(cells))
+    for i, c in enumerate(cells):
+        idx = np.flatnonzero(serving == i)
+        num_users[i] = idx.size
+        collision[i] = collision_ratio(rsrp[i, idx], best_int[idx])
+        power_w[i], _ = energy_model.energy_step(c, float(rbur[i]),
+                                                 window_len_s)
+    return Window(float(t_s), float(window_len_s),
+                  tuple(c.cell_id for c in cells), sizes, pos, serving, rsrp,
+                  beam, sinr, rate, best_int, throughput, rbur, num_users,
+                  power_w, collision)
+
+
 def step(scenario: Scenario, window_len_s: float, t_s: float
          ) -> tuple[list[MeasurementRecord], list[KpiRecord]]:
-    """Simulate one window: returns (measurement batch, KPI batch).
+    """Simulate one window: returns (measurement batch, KPI batch), the
+    record view of `window`: measurements cell by cell, each cell's users
+    in draw order.
 
     Deterministic per (scenario, t): identical inputs give identical batches.
     """
-    users = draw_users(scenario, t_s)
-    shadows = shadow_fields(scenario)
-    cells = scenario.cells
-    pos = np.array([u.pos for u in users]).reshape(-1, 2)
-    rsrp = np.empty((len(cells), len(users)))
-    beam_idx = np.empty((len(cells), len(users)), dtype=int)
-    for i, c in enumerate(cells):
-        rsrp[i], beam_idx[i] = best_beam_rsrp_dbm(
-            c, pos, scenario.carrier_ghz, shadows[c.cell_id])
-    serving, sinr, rate, best_int, throughput, rbur = attach_and_rate(
-        rsrp, cells, scenario.bandwidth_mhz, [u.demand_mbps for u in users])
-
-    measurements: list[MeasurementRecord] = []
-    kpis: list[KpiRecord] = []
-    for i, c in enumerate(cells):
-        idx = np.flatnonzero(serving == i)
-        for k in idx:
-            u = users[k]
-            measurements.append(MeasurementRecord(
-                timestamp_s=float(t_s), user_id=u.user_id, cell_id=c.cell_id,
-                beam_id=int(beam_idx[i, k]), signal_type="SSB",
-                rsrp_dbm=float(rsrp[i, k]), sinr_db=float(sinr[k]),
-                rate_mbps=float(rate[k]), pos=u.pos))
-        coll = collision_ratio(rsrp[i, idx], best_int[idx])
-        power_w, _ = energy_model.energy_step(c, float(rbur[i]), window_len_s)
-        kpis.append(KpiRecord(
-            cell_id=c.cell_id, window_start_s=float(t_s),
-            window_len_s=float(window_len_s),
-            throughput_mbps=float(throughput[i]), rbur=float(rbur[i]),
-            num_users=int(idx.size), power_w=float(power_w),
-            collision_ratio=float(coll)))
+    w = window(scenario, window_len_s, t_s)
+    # a stable sort keeps each cell's users in draw order
+    order = np.argsort(w.serving, kind="stable")
+    order = order[w.serving[order] >= 0]
+    cell = w.serving[order]
+    ids, pos = user_ids(w.users_per_cluster), w.pos.tolist()
+    sinr, rate = w.sinr.tolist(), w.rate.tolist()
+    measurements = [MeasurementRecord(
+        timestamp_s=w.t_s, user_id=ids[k], cell_id=w.cell_ids[i],
+        beam_id=b, signal_type="SSB", rsrp_dbm=r, sinr_db=sinr[k],
+        rate_mbps=rate[k], pos=tuple(pos[k]))
+        for k, i, r, b in zip(order.tolist(), cell.tolist(),
+                              w.rsrp[cell, order].tolist(),
+                              w.beam[cell, order].tolist())]
+    kpis = [KpiRecord(cell_id=cid, window_start_s=w.t_s,
+                      window_len_s=w.window_len_s, throughput_mbps=tp,
+                      rbur=rb, num_users=n, power_w=pw, collision_ratio=cr)
+            for cid, tp, rb, n, pw, cr in zip(
+                w.cell_ids, w.throughput.tolist(), w.rbur.tolist(),
+                w.num_users.tolist(), w.power_w.tolist(),
+                w.collision.tolist())]
     return measurements, kpis
 
 

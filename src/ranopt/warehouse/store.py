@@ -16,6 +16,7 @@ view of `read`, tuples of Python values.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 import zlib
@@ -95,6 +96,7 @@ class _Subject:
     def __init__(self, spec: SubjectSpec):
         self.spec = spec
         self.partitions: dict[int, Partition] = {}
+        self.buckets: list[int] = []  # the partitions' keys, sorted
         self.col_index = {c.name: i for i, c in enumerate(spec.columns)}
         self.dtypes = {c.name: c.dtype for c in spec.columns}
         self.casts = tuple(_DTYPES[c.dtype] for c in spec.columns)
@@ -320,6 +322,7 @@ class Warehouse:
             if part is None:
                 part = Partition(hour_bucket=bucket)
                 sub.partitions[bucket] = part
+                bisect.insort(sub.buckets, bucket)
             if part.tier == "cold":
                 late.setdefault(bucket, []).append(row)
             else:
@@ -337,12 +340,13 @@ class Warehouse:
             for name, sub in self._subjects.items():
                 retention_s = sub.spec.retention_hours * 3600.0
                 expired = False
-                for bucket in sorted(sub.partitions):
+                for bucket in list(sub.buckets):
                     part = sub.partitions[bucket]
                     bucket_end = (bucket + 1) * 3600.0
                     if now_s - bucket_end >= retention_s:
                         sub.expired_total += part.row_count
                         del sub.partitions[bucket]
+                        sub.buckets.remove(bucket)
                         expired = True
                         continue
                     # ties at the boundary stay hot
@@ -357,11 +361,15 @@ class Warehouse:
     def _buckets(self, sub: _Subject, t0: float | None, t1: float | None):
         """(partition, straddles) of each partition that may hold rows in
         [t0, t1), in bucket order; a partition that straddles t0 or t1
-        also holds rows outside."""
-        for bucket in sorted(sub.partitions):
+        also holds rows outside.  The keys are bisected: partition b spans
+        [3600 b, 3600 (b + 1))."""
+        keys = sub.buckets
+        first = 0 if t0 is None else bisect.bisect_right(
+            keys, t0, key=lambda b: (b + 1) * 3600.0)
+        end = len(keys) if t1 is None else bisect.bisect_left(
+            keys, t1, key=lambda b: b * 3600.0)
+        for bucket in keys[first:end]:
             lo, hi = bucket * 3600.0, (bucket + 1) * 3600.0
-            if (t0 is not None and hi <= t0) or (t1 is not None and lo >= t1):
-                continue
             yield sub.partitions[bucket], ((t0 is not None and lo < t0)
                                            or (t1 is not None and hi > t1))
 

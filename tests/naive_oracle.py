@@ -9,16 +9,33 @@
 * `LinearConfigLog`, the config log that re-sorts on every record and
   scans every entry on lookup, for `ranopt.ai.throughput.ConfigLog`;
 * `observe_per_record`, the DQN observation that counted a cell's users
-  one measurement record at a time, for `ranopt.ai.dqn.observe`.
+  one measurement record at a time, for `ranopt.ai.dqn.observe`;
+* `step_per_user`, the simulator window built one user and one record at
+  a time, for `ranopt.simcore.engine.step`, the record view of the
+  columnar window;
+* `dqn_train_per_agent`, the DQN trainer that updated one agent at a time
+  from a deque replay and observed the window's records, for the stacked
+  learner of `ranopt.ai.dqn.dqn_train`.
 """
 from __future__ import annotations
 
+import copy
+from collections import deque
+
 import numpy as np
 
-from ranopt.ai.dqn import N_SECTORS, USER_COUNT_SCALE
-from ranopt.simcore.radio import dbm_to_mw, noise_dbm, wrap_deg
+from ranopt.ai.dqn import (N_ACTIONS, N_SECTORS, USER_COUNT_SCALE, DqnConfig,
+                           apply_actions, obs_dim)
+from ranopt.ai.mlp import Mlp, momentum_step
+from ranopt.simcore import energy as energy_model
+from ranopt.simcore.engine import hour_bucket, shadow_fields
+from ranopt.simcore.radio import (best_beam_rsrp_dbm, dbm_to_mw, noise_dbm,
+                                  wrap_deg)
+from ranopt.simcore.scheduler import attach_and_rate as batched_attach
+from ranopt.simcore.scheduler import collision_ratio
 from ranopt.simcore.types import (ALLOWED_CIO_DB, N_PATTERNS, RATE_CAP_MBPS,
-                                  SINR_MAX_DB, SINR_MIN_DB)
+                                  SINR_MAX_DB, SINR_MIN_DB, KpiRecord,
+                                  MeasurementRecord, UserState)
 from ranopt.warehouse.query import (OPS, QueryTask, ResultTable,
                                     aggregate_values)
 
@@ -149,3 +166,158 @@ def observe_per_record(scenario, cell_index: int, measurements) -> np.ndarray:
     if not others:
         neighbor = [0.0, 0.0]
     return np.concatenate([counts / USER_COUNT_SCALE, neighbor])
+
+
+def draw_users_per_user(scenario, t_s: float) -> list[UserState]:
+    """The seeded hotspot draw, one UserState built per user."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([scenario.seed & 0xFFFFFFFF,
+                                int(t_s) & 0xFFFFFFFF]))
+    mult = scenario.traffic_profile[hour_bucket(t_s)]
+    users = []
+    for ci, cl in enumerate(scenario.clusters):
+        n = int(round(cl.mean_users * mult))
+        offsets = rng.normal(0.0, cl.std_m, size=(n, 2))
+        for i in range(n):
+            users.append(UserState(
+                user_id=f"u{ci}-{i:03d}",
+                pos=(float(cl.center[0] + offsets[i, 0]),
+                     float(cl.center[1] + offsets[i, 1])),
+                demand_mbps=cl.demand_mbps))
+    return users
+
+
+def step_per_user(scenario, window_len_s: float, t_s: float):
+    """(measurement batch, KPI batch) of one window, records built cell by
+    cell and user by user."""
+    users = draw_users_per_user(scenario, t_s)
+    shadows = shadow_fields(scenario)
+    cells = scenario.cells
+    pos = np.array([u.pos for u in users]).reshape(-1, 2)
+    rsrp = np.empty((len(cells), len(users)))
+    beam_idx = np.empty((len(cells), len(users)), dtype=int)
+    for i, c in enumerate(cells):
+        rsrp[i], beam_idx[i] = best_beam_rsrp_dbm(
+            c, pos, scenario.carrier_ghz, shadows[c.cell_id])
+    serving, sinr, rate, best_int, throughput, rbur = batched_attach(
+        rsrp, cells, scenario.bandwidth_mhz, [u.demand_mbps for u in users])
+    measurements, kpis = [], []
+    for i, c in enumerate(cells):
+        idx = np.flatnonzero(serving == i)
+        for k in idx:
+            u = users[k]
+            measurements.append(MeasurementRecord(
+                timestamp_s=float(t_s), user_id=u.user_id, cell_id=c.cell_id,
+                beam_id=int(beam_idx[i, k]), signal_type="SSB",
+                rsrp_dbm=float(rsrp[i, k]), sinr_db=float(sinr[k]),
+                rate_mbps=float(rate[k]), pos=u.pos))
+        coll = collision_ratio(rsrp[i, idx], best_int[idx])
+        power_w, _ = energy_model.energy_step(c, float(rbur[i]), window_len_s)
+        kpis.append(KpiRecord(
+            cell_id=c.cell_id, window_start_s=float(t_s),
+            window_len_s=float(window_len_s),
+            throughput_mbps=float(throughput[i]), rbur=float(rbur[i]),
+            num_users=int(idx.size), power_w=float(power_w),
+            collision_ratio=float(coll)))
+    return measurements, kpis
+
+
+class PerAgentDqn:
+    """One DQN agent with a deque replay, updated on its own."""
+
+    def __init__(self, obs_dim: int, allowed_actions, config: DqnConfig,
+                 seed: int):
+        self.config = config
+        self.allowed = tuple(allowed_actions) if allowed_actions is not None \
+            else tuple(range(N_ACTIONS))
+        self._mask = np.full(N_ACTIONS, -np.inf)
+        self._mask[list(self.allowed)] = 0.0
+        self.q = Mlp([obs_dim, *config.hidden, N_ACTIONS], head="linear",
+                     seed=seed)
+        self.target = self.q.copy()
+        self.replay = deque(maxlen=config.replay_capacity)
+        self._velocity: list = []
+
+    def act(self, obs, epsilon: float, rng) -> int:
+        if rng.random() < epsilon:
+            return int(rng.choice(self.allowed))
+        return self.greedy(obs)
+
+    def greedy(self, obs) -> int:
+        qvals = self.q.predict(np.asarray(obs)[None, :])[0]
+        return int(np.argmax(qvals + self._mask))
+
+    def remember(self, obs, action, reward, next_obs) -> None:
+        self.replay.append((np.asarray(obs, dtype=float), int(action),
+                            float(reward), np.asarray(next_obs, dtype=float)))
+
+    def learn(self, rng) -> None:
+        if len(self.replay) < self.config.batch_size:
+            return
+        idx = rng.choice(len(self.replay), size=self.config.batch_size,
+                         replace=False)
+        batch = [self.replay[i] for i in idx]
+        obs = np.stack([b[0] for b in batch])
+        actions = np.array([b[1] for b in batch])
+        rewards = np.array([b[2] for b in batch])
+        next_obs = np.stack([b[3] for b in batch])
+        q_next = self.target.predict(next_obs)
+        best_next = (q_next + self._mask).max(axis=1)
+        targets = self.q.predict(obs).copy()
+        targets[np.arange(len(batch)), actions] = \
+            rewards + self.config.gamma * best_next
+        _, gw, gb, _ = self.q.loss_and_grads(obs, targets)
+        momentum_step(self.q, self._velocity, gw, gb,
+                      -self.config.learning_rate)
+
+    def sync_target(self) -> None:
+        self.target = self.q.copy()
+
+
+def dqn_train_per_agent(scenario, episodes: int, config=None,
+                        allowed_actions=None, seed: int = 0):
+    """(agents, per-episode mean reward), each agent acting, remembering
+    and learning in turn, observing the window's records."""
+    config = config or DqnConfig()
+    allowed_actions = allowed_actions or {}
+    agents = {c.cell_id: PerAgentDqn(obs_dim(len(scenario.cells)),
+                                     allowed_actions.get(c.cell_id),
+                                     config, seed + i)
+              for i, c in enumerate(scenario.cells)}
+
+    def observe_all(state, meas):
+        return {c.cell_id: observe_per_record(state, i, meas)
+                for i, c in enumerate(state.cells)}
+
+    rng = np.random.default_rng(seed)
+    explore_steps = max(1, episodes * config.episode_len // 2)
+    curve, global_step, t = [], 0, 0.0
+    for _ in range(episodes):
+        state = copy.deepcopy(scenario)
+        meas, _ = step_per_user(state, config.window_len_s, t)
+        obs = observe_all(state, meas)
+        ep_rewards = []
+        for _ in range(config.episode_len):
+            frac = min(global_step / explore_steps, 1.0)
+            eps = config.epsilon_start \
+                + frac * (config.epsilon_end - config.epsilon_start)
+            actions = {cid: agents[cid].act(obs[cid], eps, rng)
+                       for cid in agents}
+            state = apply_actions(state, actions)
+            t += config.window_len_s
+            meas, kpis = step_per_user(state, config.window_len_s, t)
+            users = sum(k.num_users for k in kpis)
+            reward = -(sum(k.collision_ratio * k.num_users for k in kpis)
+                       / users if users else 0.0)
+            next_obs = observe_all(state, meas)
+            for cid, agent in agents.items():
+                agent.remember(obs[cid], actions[cid], reward, next_obs[cid])
+                agent.learn(rng)
+            obs = next_obs
+            ep_rewards.append(reward)
+            global_step += 1
+            if global_step % config.target_sync_every == 0:
+                for agent in agents.values():
+                    agent.sync_target()
+        curve.append(float(np.mean(ep_rewards)))
+    return agents, curve

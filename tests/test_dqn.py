@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 from ranopt.ai.dqn import (ACTION_TABLE, DqnAgent, DqnConfig, N_ACTIONS,
                            OBS_DIM, apply_actions, dqn_train, evaluate_joint,
                            greedy_actions, network_collision, observe)
+from ranopt.scenarios import load_bundled
 from ranopt.simcore import engine
 from ranopt.simcore.types import HotspotCluster, KpiRecord, MeasurementRecord
 
 from conftest import make_cell, make_scenario
-from naive_oracle import observe_per_record
+from naive_oracle import dqn_train_per_agent, observe_per_record
 
 
 def kpi(cell_id, users, coll):
@@ -174,3 +175,36 @@ class TestTraining:
         _, curve_a = dqn_train(sc, episodes=2, config=config, seed=5)
         _, curve_b = dqn_train(sc, episodes=2, config=config, seed=5)
         assert curve_a == curve_b
+
+
+def assert_same_training(scenario, episodes, config, allowed=None, seed=0):
+    """The stacked trainer's curve and every agent's Q and target weights
+    equal, bit for bit, those of the per-agent trainer."""
+    agents, curve = dqn_train(scenario, episodes, config, allowed, seed)
+    ref_agents, ref_curve = dqn_train_per_agent(scenario, episodes, config,
+                                                allowed, seed)
+    assert repr(curve) == repr(ref_curve)
+    assert list(agents) == list(ref_agents)
+    for cid, agent in agents.items():
+        ref = ref_agents[cid]
+        for net, ref_net in ((agent.q, ref.q), (agent.target, ref.target)):
+            for a, b in zip(net.weights + net.biases,
+                            ref_net.weights + ref_net.biases):
+                assert np.array_equal(a, b)
+
+
+class TestStackedTrainerEqualsPerAgent:
+    def test_two_cells_with_action_masks(self):
+        assert_same_training(two_cell_scenario(), 3,
+                             DqnConfig(episode_len=20, target_sync_every=15),
+                             {"c1": [1, 4, 7], "c2": [0, 11]}, seed=4)
+
+    def test_bundled_three_cell_hotspot(self):
+        assert_same_training(load_bundled("three_cell_hotspot"), 3,
+                             DqnConfig(episode_len=25), seed=1)
+
+    def test_ring_wraps_as_the_deque_evicts_and_targets_sync(self):
+        # 100 steps through a 40-transition replay, syncing every 7 steps
+        assert_same_training(load_bundled("three_cell_hotspot"), 5,
+                             DqnConfig(episode_len=20, replay_capacity=40,
+                                       target_sync_every=7), seed=2)

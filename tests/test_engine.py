@@ -1,15 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranopt.errors import NotFoundError, ValidationError
+from ranopt.scenarios import load_bundled
 from ranopt.simcore import (ShadowField, antenna_gain_dbi, apply_command,
                             compute_rsrp_dbm, draw_users, engine, step)
-from ranopt.simcore.types import PATTERN_CODEBOOK
+from ranopt.simcore.types import ALLOWED_CIO_DB, N_PATTERNS, PATTERN_CODEBOOK
 
 from conftest import make_cell, make_scenario
+from naive_oracle import draw_users_per_user, step_per_user
+
+BUNDLED = ("single_cell_detuned", "two_cell_detuned", "three_cell_hotspot",
+           "toy_two_cell", "diurnal_energy")
 
 
 class TestStep:
+    # scenario seeds, window times and actuations; switching carriers off
+    # leaves cells without users and, with every carrier off, users
+    # without a cell
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(BUNDLED),
+           seed=st.integers(0, 2 ** 40),
+           t_s=st.one_of(st.integers(0, 24 * 14).map(lambda h: 3600.0 * h),
+                         st.floats(0.0, 2e6)),
+           window_len_s=st.sampled_from([900.0, 3600.0]),
+           data=st.data())
+    def test_step_is_the_window_cores_record_view(self, name, seed, t_s,
+                                                  window_len_s, data):
+        sc = load_bundled(name)
+        sc.seed = seed
+        for c in sc.cells:
+            sc = apply_command(sc, c.cell_id, data.draw(st.fixed_dictionaries({
+                "pattern_id": st.integers(0, N_PATTERNS - 1),
+                "cio_db": st.sampled_from(ALLOWED_CIO_DB),
+                "carrier_on": st.booleans()})))
+        meas, kpis = step(sc, window_len_s, t_s)
+        ref_meas, ref_kpis = step_per_user(sc, window_len_s, t_s)
+        # repr tells every float bit and every type apart
+        assert repr(meas) == repr(ref_meas)
+        assert repr(kpis) == repr(ref_kpis)
+        assert repr(draw_users(sc, t_s)) == repr(draw_users_per_user(sc, t_s))
+
     def test_deterministic(self, single_cell_scenario):
         m1, k1 = step(single_cell_scenario, 3600.0, 0.0)
         m2, k2 = step(single_cell_scenario, 3600.0, 0.0)

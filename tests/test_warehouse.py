@@ -391,6 +391,42 @@ class TestTiering:
         assert wh._get("kpi").strings["cell_id"] == ["c0", "c1", "c2"]
         assert got.tolist() == [r[1] for r in rows[12:]]
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_windowed_reads_match_a_naive_scan(self, data):
+        # loads, tier migrations and expiries in any order, then windows
+        # that start and end inside, between and outside the partitions
+        retention_h = data.draw(st.integers(2, 12), label="retention_h")
+        wh = Warehouse(hot_window_s=3600.0 * data.draw(st.integers(1, 6)))
+        wh.create_subject(SubjectSpec("s", [Column("t_s", "float"),
+                                            Column("v", "int")],
+                                      retention_hours=retention_h))
+        hour = st.floats(0.0, 48.0).map(lambda h: 3600.0 * h)
+        kept = []  # the retained rows, in load order
+        for _ in range(data.draw(st.integers(1, 6))):
+            rows = [(t, len(kept) + i) for i, t in
+                    enumerate(data.draw(st.lists(hour, max_size=25)))]
+            refused = set(wh.load([(("s", r),) for r in rows]))
+            kept += [r for i, r in enumerate(rows) if i not in refused]
+            if data.draw(st.booleans()):
+                now = data.draw(st.floats(0.0, 72.0)) * 3600.0
+                wh.migrate_tiers(now)
+                kept = [r for r in kept if now - (r[0] // 3600 + 1) * 3600.0
+                        < retention_h * 3600.0]
+        bound = st.one_of(st.none(), st.floats(-2.0, 74.0).map(
+            lambda h: 3600.0 * h), st.integers(-2, 74).map(
+            lambda h: 3600.0 * h))
+        for _ in range(5):
+            t0, t1 = data.draw(bound, label="t0"), data.draw(bound, label="t1")
+            # scan order: by hour bucket, each bucket's rows in load order
+            naive = sorted((r for r in kept
+                            if (t0 is None or r[0] >= t0)
+                            and (t1 is None or r[0] < t1)),
+                           key=lambda r: r[0] // 3600)
+            assert wh.scan("s", t0, t1) == naive
+            assert wh.read("s", ["v"], t0, t1)["v"].tolist() == [
+                v for _, v in naive]
+
     def test_retention_expiry(self):
         wh = fresh()
         put(wh, "kpi", [(0.0, "c1", 5.0, 0.1)])
