@@ -1,14 +1,15 @@
 """Ingest -> clean -> transform -> load pipeline feeding the warehouse.
 
 Every input goes through one row parser (`parse_header`, `read_rows`) and
-one batch-shaped path, `ingest_rows`: CSV and TXT files via `ingest_batch`,
+one column-shaped path, `ingest_rows`: CSV and TXT files via `ingest_batch`,
 the closed loop's in-memory simulator rows directly, and the socket (see
-`sources`) and `ingest_stream` as batches of one.  For each header the
-pipeline builds one row checker, which applies the cleaning rules in order,
-parses each numeric field once, hashes the user id, converts kbps to Mbps
-and emits the record's warehouse rows.  A batch of up to `BATCH_ROWS` rows
-is deduplicated under one lock, checked row by row and loaded by one
-`Warehouse.load` call, which admits each record against the running clock,
+`sources`) and `ingest_stream` as batches of one.  A batch of up to
+`BATCH_ROWS` rows is deduplicated under one lock by set operations over
+its (source, seq) keys, and its fresh rows are transposed into columns
+once.  The header's column checker then applies the cleaning rules in
+order, each as a pass over whole columns, parses each numeric column once,
+hashes the user ids, converts kbps to Mbps and emits the batch's warehouse
+columns, which one `Warehouse.load` call admits against the running clock,
 so a batch ends as its rows ingested one at a time would.  Every record
 has met its fate when the call returns; concurrent producers, such as two
 socket connections, share the dedup set and counters under one lock and
@@ -17,13 +18,15 @@ the warehouse under its own.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import os
 import re
 import threading
 from dataclasses import dataclass
-from itertools import islice
-from math import isfinite
-from pathlib import Path
+from itertools import chain, compress, count, islice, repeat
+from math import inf, isfinite, nan, nextafter
+from operator import and_, contains, eq, is_, itemgetter, not_
 
 from ..errors import FileRejected, SchemaError, UnknownSource
 from ..simcore.types import (KpiRecord, MeasurementRecord, RSRP_MAX_DBM,
@@ -42,11 +45,15 @@ KPI_HEADER = KpiRecord.CSV_HEADER
 ENVELOPE = ("source_tag", "seq_no")
 
 BATCH_ROWS = 4096  # rows per dedup pass and per Warehouse.load call
+# distinct user ids a column checker keeps the hashes of: a 21-cell
+# telemetry day sees about 1,050 users in about 23,700 measurements
+USER_HASHES_KEPT = 4096
 
-_HASHED_ID = re.compile(r"^h[0-9a-f]{16}$")
+_HASHED_ID = re.compile(r"h[0-9a-f]{16}")
+_SOURCES = frozenset(SOURCE_TAGS)
 _INT64 = float(1 << 63)
 _STRING_FIELDS = ("user_id", "cell_id", "signal_type")
-# the warehouse columns the row checkers emit rows for, in order
+# the warehouse columns the column checkers emit, in order
 _BUNDLED_COLUMNS = {s.name: s.columns for s in bundled_subjects()}
 
 
@@ -95,28 +102,83 @@ def read_rows(lines, delimiter: str = ","):
         yield line_no, []  # the rest of the text is that one bad row
 
 
-class _Rejected(Exception):
-    """A record breaks a cleaning rule; args are (code, field)."""
-
-
-def _unparsable(v) -> bool:
+def _read_bytes(path) -> bytes:
+    """A file's bytes, read by plain system calls."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
     try:
-        float(v)
-    except (TypeError, ValueError):
-        return True
-    return False
+        chunks = []
+        while chunk := os.read(fd, 1 << 20):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
-def _first(cells, fields, bad) -> str | None:
-    """The first of the (name, index) fields whose cell is `bad`."""
-    return next((name for name, i in fields if bad(cells[i])), None)
+def _where(flags) -> list[int]:
+    """The positions of the true flags."""
+    return list(compress(count(), flags))
 
 
-def _row_checker(header: Header, known_cells, hash_key: bytes):
-    """A function of a row's cells and its source that returns the record's
-    warehouse rows, as (subject, row tuple) pairs in the bundled subjects'
-    column order, or raises _Rejected for the first cleaning rule the row
-    breaks.  The rules, in order, each over the fields in header order:
+def _parse_on(parsed: list, floats) -> list[int]:
+    """Go on with `floats`, a map of float() over values, after it refused
+    the value that follows `parsed`: put NaN for each refused value into
+    `parsed`, and return their positions."""
+    bad = []
+    while True:
+        bad.append(len(parsed))
+        parsed.append(nan)
+        try:
+            parsed.extend(floats)
+            return bad
+        except (TypeError, ValueError):
+            pass
+
+
+def _note(failed: dict, code: RejectCode, field: str, rows) -> None:
+    """Record that the rows break a rule on this field, unless they broke
+    an earlier one: `failed` maps each row to its first (code, field)."""
+    for p in rows:
+        failed.setdefault(p, (code, field))
+
+
+@functools.cache
+def _layout(header: Header):
+    """What a header's column checker needs to know of its columns."""
+    payload = header.payload
+    offset = 2 if header.enveloped else 0
+    # (column index, name) of the payload fields, the numeric ones and the
+    # string ones, in header order
+    fields = tuple((offset + i, f) for i, f in enumerate(payload))
+    numeric = tuple((i, f) for i, f in fields if f not in _STRING_FIELDS)
+    strings = tuple((i, f) for i, f in fields if f in _STRING_FIELDS)
+    # once parsed, the columns are the numeric ones as floats, then the
+    # string ones, the sources and the rows' batch indexes
+    names = tuple(f for _, f in numeric)
+    at = {f: j for j, f in enumerate(names + tuple(f for _, f in strings))}
+    measurement = payload[0] == "timestamp_s"
+    # rules 4-6 as closed ranges of float values; the int64 bound is open
+    int64 = (-_INT64, nextafter(_INT64, 0.0))
+    ranges = tuple((at[f], f, lo, hi) for f, lo, hi in (
+        (payload[0 if measurement else 1], *int64),
+        *((("beam_id", *int64), ("rsrp_dbm", RSRP_MIN_DBM, RSRP_MAX_DBM),
+           ("sinr_db", SINR_MIN_DB, SINR_MAX_DB), (payload[7], 0.0, inf))
+          if measurement else
+          (("num_users", *int64), ("throughput_mbps", 0.0, inf)))))
+    return (fields, names, ranges, at["cell_id"],
+            tuple(i for i, _ in strings),
+            itemgetter(*(i for i, _ in numeric)),
+            itemgetter(*(i for i, _ in strings), -2, -1),
+            measurement, payload[7] == "rate_kbps")
+
+
+def _column_checker(header: Header, known_cells, hash_key: bytes):
+    """A function of a batch's columns, in header order, and its sources
+    column that returns (bad, kept, batch): the (row, code, field) of each
+    rejected row, in row order; the indexes of the kept rows; and their
+    warehouse columns, as {subject: columns} in the bundled subjects'
+    column order, for `Warehouse.load` to cast.  Each cleaning rule is one
+    pass over whole columns, in this order, each over the fields in header
+    order:
 
     1. MissingField: an empty field;
     2. UnparsableValue: a numeric field that float() refuses;
@@ -127,99 +189,90 @@ def _row_checker(header: Header, known_cells, hash_key: bytes):
     6. OutOfRange: a negative rate;
     7. InconsistentIds: a cell that is not in known_cells.
 
+    Only a pass that fails looks at single rows: it finds each row that
+    breaks its rule and the row's first field that does.  A row is
+    rejected for the first rule it breaks; the rows left are transformed.
     User ids are hashed with hash_key; one that is already a hash passes
-    through, so stored rows re-ingest unchanged."""
-    offset = 2 if header.enveloped else 0
-    index = {f: offset + i for i, f in enumerate(header.payload)}
-    numeric = tuple((f, i) for f, i in index.items()
-                    if f not in _STRING_FIELDS)
-    payload = header.payload
+    through, so stored rows re-ingest unchanged.  The checker keeps what
+    it stored for the last few thousand ids it saw."""
+    (fields, names, ranges, i_cell, string_indexes,
+     numeric_columns, other_columns, measurement, kbps) = _layout(header)
+    hashed = _HASHED_ID.fullmatch
+    stored_ids: dict[str, str] = {}  # user id -> what is stored for it
 
-    def reject_missing(cells):
-        return _Rejected(RejectCode.MISSING_FIELD,
-                         payload[cells.index("", offset) - offset])
+    def user_hashes(user_ids) -> list[str]:
+        user_ids = list(map(str, user_ids))
+        stored = list(map(stored_ids.get, user_ids))
+        if None in stored:
+            if len(stored_ids) > USER_HASHES_KEPT:
+                stored_ids.clear()
+            for p in _where(map(is_, stored, repeat(None))):
+                u = user_ids[p]
+                stored[p] = stored_ids[u] = (
+                    u if hashed(u) else hash_user_id(u, hash_key))
+        return stored
 
-    def reject_numeric(cells):
-        """The reject for rules 2-3, or None if every value is finite."""
-        field = _first(cells, numeric, _unparsable)
-        if field is not None:
-            return _Rejected(RejectCode.UNPARSABLE_VALUE, field)
-        field = _first(cells, numeric, lambda v: not isfinite(float(v)))
-        return None if field is None else _Rejected(RejectCode.OUT_OF_RANGE,
-                                                    field)
-
-    if payload[0] == "timestamp_s":
-        i_t, i_u, i_c, i_b, i_s, i_r, i_q, i_v, i_x, i_y = index.values()
-        rate_field = payload[7]
-        kbps = rate_field == "rate_kbps"
-
-        def check(cells, source):
-            if "" in cells:
-                raise reject_missing(cells)
-            try:
-                t, beam, rsrp, sinr, rate, x, y = (
-                    float(cells[i_t]), float(cells[i_b]), float(cells[i_r]),
-                    float(cells[i_q]), float(cells[i_v]), float(cells[i_x]),
-                    float(cells[i_y]))
-            except (TypeError, ValueError):
-                raise reject_numeric(cells) from None
-            # a sum that is finite has only finite terms
-            if not isfinite(t + beam + rsrp + sinr + rate + x + y):
-                rejected = reject_numeric(cells)
-                if rejected:
-                    raise rejected
-            if not -_INT64 <= t < _INT64:  # bucketed by the hour
-                raise _Rejected(RejectCode.OUT_OF_RANGE, "timestamp_s")
-            if not -_INT64 <= beam < _INT64:  # stored as int64
-                raise _Rejected(RejectCode.OUT_OF_RANGE, "beam_id")
-            if not RSRP_MIN_DBM <= rsrp <= RSRP_MAX_DBM:
-                raise _Rejected(RejectCode.OUT_OF_RANGE, "rsrp_dbm")
-            if not SINR_MIN_DB <= sinr <= SINR_MAX_DB:
-                raise _Rejected(RejectCode.OUT_OF_RANGE, "sinr_db")
-            if rate < 0.0:
-                raise _Rejected(RejectCode.OUT_OF_RANGE, rate_field)
-            cell = cells[i_c]
-            if cell not in known_cells:
-                raise _Rejected(RejectCode.INCONSISTENT_IDS, "cell_id")
-            uid = str(cells[i_u])
-            user_hash = uid if _HASHED_ID.match(uid) \
-                else hash_user_id(uid, hash_key)
-            return ((SUBJECT_BEAM, (
-                t, user_hash, str(cell), int(beam), str(cells[i_s]), rsrp,
-                sinr, rate / 1000.0 if kbps else rate, x, y, source)),)
-        return check
-
-    i_c, i_t, i_w, i_p, i_r, i_n, i_pw, i_cr = index.values()
-
-    def check(cells, source):
-        if "" in cells:
-            raise reject_missing(cells)
+    def check(columns, sources):
+        n = len(sources)
+        columns = [*columns, sources, range(n)]
+        # row -> (code, field) of the first rule it breaks; a pass reads
+        # every row, and a row that broke an earlier rule keeps that reject
+        failed = {}
+        # every numeric value, column after column; float() refuses ""
+        floats, unparsable = [], ()
+        values = map(float, chain.from_iterable(numeric_columns(columns)))
         try:
-            t, length, tput, rbur, users, power, coll = (
-                float(cells[i_t]), float(cells[i_w]), float(cells[i_p]),
-                float(cells[i_r]), float(cells[i_n]), float(cells[i_pw]),
-                float(cells[i_cr]))
+            floats.extend(values)
         except (TypeError, ValueError):
-            raise reject_numeric(cells) from None
-        if not isfinite(t + length + tput + rbur + users + power + coll):
-            rejected = reject_numeric(cells)
-            if rejected:
-                raise rejected
-        if not -_INT64 <= t < _INT64:
-            raise _Rejected(RejectCode.OUT_OF_RANGE, "window_start_s")
-        if not -_INT64 <= users < _INT64:
-            raise _Rejected(RejectCode.OUT_OF_RANGE, "num_users")
-        if tput < 0.0:
-            raise _Rejected(RejectCode.OUT_OF_RANGE, "throughput_mbps")
-        cell = cells[i_c]
-        if cell not in known_cells:
-            raise _Rejected(RejectCode.INCONSISTENT_IDS, "cell_id")
-        cell, users = str(cell), int(users)
-        return ((SUBJECT_THROUGHPUT,
-                 (t, cell, length, tput, rbur, users, source)),
-                (SUBJECT_INTERFERENCE, (t, cell, coll, users, source)),
-                (SUBJECT_ENERGY, (t, cell, length, rbur, power,
-                                  power * length / 3600.0, source)))
+            unparsable = _parse_on(floats, values)
+        if unparsable or any(map(contains, map(
+                columns.__getitem__, string_indexes), repeat(""))):
+            for i, f in fields:
+                if "" in columns[i]:
+                    _note(failed, RejectCode.MISSING_FIELD, f,
+                          _where(map(eq, columns[i], repeat(""))))
+        for q in unparsable:
+            failed.setdefault(q % n, (RejectCode.UNPARSABLE_VALUE,
+                                      names[q // n]))
+        columns = [*(floats[i:i + n] for i in range(0, len(floats), n)),
+                   *other_columns(columns)]
+        # a sum that is finite has only finite terms
+        if not isfinite(sum(floats)):
+            for j, f in enumerate(names):
+                if not isfinite(sum(columns[j])):
+                    _note(failed, RejectCode.OUT_OF_RANGE, f,
+                          _where(map(not_, map(isfinite, columns[j]))))
+        for j, f, lo, hi in ranges:
+            values = columns[j]
+            if not (lo <= min(values) and max(values) <= hi):
+                _note(failed, RejectCode.OUT_OF_RANGE, f, _where(map(
+                    not_, map(and_, map(lo.__le__, values),
+                              map(hi.__ge__, values)))))
+        if not known_cells.issuperset(columns[i_cell]):
+            _note(failed, RejectCode.INCONSISTENT_IDS, "cell_id",
+                  _where(map(not_, map(known_cells.__contains__,
+                                       columns[i_cell]))))
+        bad = []
+        if failed:
+            keep = [True] * n
+            for p in failed:
+                keep[p] = False
+            columns = [list(compress(c, keep)) for c in columns]
+            bad = sorted((p, *reason) for p, reason in failed.items())
+        if measurement:
+            t, beam, rsrp, sinr, rate, x, y, uid, cell, signal, sources, \
+                kept = columns
+            return bad, kept, {SUBJECT_BEAM: [
+                t, user_hashes(uid), cell, beam, signal, rsrp, sinr,
+                [v / 1000.0 for v in rate] if kbps else rate, x, y, sources]}
+        t, length, tput, rbur, users, power, coll, cell, sources, \
+            kept = columns
+        return bad, kept, {
+            SUBJECT_THROUGHPUT: [t, cell, length, tput, rbur, users, sources],
+            SUBJECT_INTERFERENCE: [t, cell, coll, users, sources],
+            SUBJECT_ENERGY: [t, cell, length, rbur, power,
+                             [p * w / 3600.0 for p, w in zip(power, length)],
+                             sources]}
     return check
 
 
@@ -231,7 +284,7 @@ class AcquisitionPipeline:
         self.hash_key = hash_key
         self._seen: set[tuple[str, int]] = set()
         self._auto_seq: dict[str, int] = {}
-        self._checkers: dict[Header, object] = {}
+        self._checkers: dict[tuple, object] = {}  # by header columns
         self._lock = threading.Lock()
         self.counters = {"ingested": 0, "duplicates": 0, "kept": 0,
                          "rejected": 0, "files_rejected": 0}
@@ -275,10 +328,10 @@ class AcquisitionPipeline:
         """Ingest a CSV (comma) or TXT (tab) file; a header mismatch or text
         that is not UTF-8 rejects the whole file, unreadable lines reject
         individually."""
-        path = Path(file_path)
-        delim = "\t" if path.suffix.lower() == ".txt" else ","
+        path = os.fspath(file_path)
+        delim = "\t" if os.path.splitext(path)[1].lower() == ".txt" else ","
         try:
-            text = path.read_bytes().decode("utf-8")
+            text = _read_bytes(path).decode("utf-8")
         except UnicodeDecodeError as e:
             raise FileRejected(f"{path}: not UTF-8 text ({e.reason} at "
                                f"byte {e.start})") from None
@@ -296,9 +349,9 @@ class AcquisitionPipeline:
             self.file_rejects.append((str(path), message))
 
     def _checker(self, header: Header):
-        """The header's row checker, built on first use; the warehouse
-        must hold the bundled subjects the checker emits rows for."""
-        check = self._checkers.get(header)
+        """The header's column checker, built on first use; the warehouse
+        must hold the bundled subjects the checker emits columns for."""
+        check = self._checkers.get(header.columns)
         if check is None:
             subjects = ((SUBJECT_BEAM,) if header.payload[0] == "timestamp_s"
                         else (SUBJECT_THROUGHPUT, SUBJECT_INTERFERENCE,
@@ -308,77 +361,112 @@ class AcquisitionPipeline:
                         != _BUNDLED_COLUMNS[subject]):
                     raise SchemaError(f"subject {subject!r} lacks the "
                                       f"bundled columns the pipeline loads")
-            check = _row_checker(header, self.known_cells, self.hash_key)
-            self._checkers[header] = check
+            check = _column_checker(header, self.known_cells, self.hash_key)
+            self._checkers[header.columns] = check
         return check
+
+    def _envelope(self, header: Header, rows):
+        """(keys, cells, line rejects, unknown source) of a batch's
+        (line_no, cells) rows, row by row: the (source, seq) key and cells
+        of each row that has the header's width and a sequence number,
+        numbering rows without the envelope; rows after one that names an
+        unknown source are not read."""
+        width = len(header.columns)
+        keys, cells, line_rejects = [], [], []
+        for line_no, row in rows:
+            if len(row) != width:
+                line_rejects.append(_reject(RejectCode.UNPARSABLE_VALUE,
+                                            None, row, line_no))
+                continue
+            if header.enveloped:
+                try:
+                    seq = int(row[1])
+                except ValueError:
+                    line_rejects.append(_reject(
+                        RejectCode.UNPARSABLE_VALUE, "seq_no", row, line_no))
+                    continue
+                source = row[0]
+                if source not in SOURCE_TAGS:
+                    return keys, cells, line_rejects, source
+            else:
+                source = header.default_source
+                seq = self._auto_seq.get(source, 0)
+                self._auto_seq[source] = seq + 1
+            keys.append((source, seq))
+            cells.append(row)
+        return keys, cells, line_rejects, None
 
     def _ingest(self, header: Header, rows, record: RawRecord | None = None
                 ) -> tuple[int, list[RejectReason]]:
-        """Parse, dedup, check, load and count one batch of (line_no, cells)
-        rows; returns (records not duplicates, line rejects).  `record` is
-        the RawRecord the batch's one row was made from, if any."""
+        """Dedup, check, load and count one batch of (line_no, cells) rows;
+        returns (records not duplicates, line rejects).  `record` is the
+        RawRecord the batch's one row was made from, if any.  The fresh rows
+        are transposed into columns once; only a batch with a bad sequence
+        number or an unknown source has its envelope read row by row."""
         check = self._checker(header)
-        width, enveloped = len(header.columns), header.enveloped
-        line_rejects, fresh, unknown = [], [], None
+        cells = [row for _, row in rows]
+        line_rejects, unknown = [], None
         with self._lock:
-            seen, duplicates = self._seen, 0
-            for line_no, cells in rows:
-                if len(cells) != width:
-                    line_rejects.append(_reject(RejectCode.UNPARSABLE_VALUE,
-                                                None, cells, line_no))
-                    continue
-                if enveloped:
+            width, keys = len(header.columns), None
+            if set(map(len, cells)) - {width}:  # lines of another width
+                fits = list(map(eq, map(len, cells), repeat(width)))
+                line_rejects = [
+                    _reject(RejectCode.UNPARSABLE_VALUE, None, row, line_no)
+                    for line_no, row in compress(rows, map(not_, fits))]
+                cells = list(compress(cells, fits))
+            if not cells:
+                keys = []
+            elif not header.enveloped:
+                source = header.default_source
+                seq = self._auto_seq.get(source, 0)
+                self._auto_seq[source] = seq + len(cells)
+                keys = list(zip(repeat(source), range(seq, seq + len(cells))))
+            else:
+                sources = list(map(itemgetter(0), cells))
+                if _SOURCES.issuperset(sources):
                     try:
-                        seq = int(cells[1])
+                        keys = list(zip(sources, map(int, map(itemgetter(1),
+                                                              cells))))
                     except ValueError:
-                        line_rejects.append(_reject(
-                            RejectCode.UNPARSABLE_VALUE, "seq_no", cells,
-                            line_no))
-                        continue
-                    source = cells[0]
-                    if source not in SOURCE_TAGS:
-                        unknown = source
-                        break
-                else:
-                    source = header.default_source
-                    seq = self._auto_seq.get(source, 0)
-                    self._auto_seq[source] = seq + 1
-                key = (source, seq)
-                if key in seen:
-                    duplicates += 1
-                    continue
-                seen.add(key)
-                fresh.append((source, seq, cells))
-            self.counters["duplicates"] += duplicates
-            self.counters["ingested"] += len(fresh)
+                        pass
+            if keys is None:
+                keys, cells, line_rejects, unknown = self._envelope(header,
+                                                                    rows)
+            seen = self._seen
+            if len(set(keys)) == len(keys) and seen.isdisjoint(keys):
+                seen.update(keys)
+            else:  # a repeat: row by row, the first row of a new key is fresh
+                fresh = []
+                for key in keys:
+                    fresh.append(key not in seen)
+                    seen.add(key)
+                self.counters["duplicates"] += len(keys) - sum(fresh)
+                keys = list(compress(keys, fresh))
+                cells = list(compress(cells, fresh))
+            self.counters["ingested"] += len(keys)
+        columns = list(zip(*cells))
 
-        loads, bad = [], []  # bad: (position in fresh, code, field)
-        for i, (source, _, cells) in enumerate(fresh):
-            try:
-                loads.append(check(cells, source))
-            except _Rejected as r:
-                bad.append((i, *r.args))
-        refused = self.warehouse.load(loads) if loads else []
-        if refused:  # older than the warehouse keeps, or far ahead of it
-            cleaned = {i for i, _, _ in bad}
-            loaded = [i for i in range(len(fresh)) if i not in cleaned]
-            bad += [(loaded[j], RejectCode.OUT_OF_RANGE, "t_s")
-                    for j in refused]
-            bad.sort()
-        offset = 2 if enveloped else 0
+        bad = []
+        if keys:
+            bad, kept, batch = check(columns, columns[0] if header.enveloped
+                                     else (header.default_source,) * len(keys))
+            refused = self.warehouse.load(batch) if kept else []
+            if refused:  # older than the warehouse keeps, or far ahead of it
+                bad += [(kept[j], RejectCode.OUT_OF_RANGE, "t_s")
+                        for j in refused]
+                bad.sort()
         rejects = []
         for i, code, field in bad:
-            source, seq, cells = fresh[i]
-            raw = record or RawRecord(source, seq, dict(zip(
-                header.payload, cells[offset:])))
+            raw = record or RawRecord(*keys[i], dict(zip(header.payload, [
+                c[i] for c in columns[2 if header.enveloped else 0:]])))
             rejects.append((raw, _reject(code, field, raw.payload.values())))
         with self._lock:
-            self.counters["kept"] += len(fresh) - len(bad)
+            self.counters["kept"] += len(keys) - len(bad)
             self.counters["rejected"] += len(bad)
             self.rejects += rejects
         if unknown is not None:
             raise UnknownSource(f"source {unknown!r} not registered")
-        return len(fresh), line_rejects
+        return len(keys), line_rejects
 
     # -- lifecycle --------------------------------------------------------
     def quiesce(self) -> None:

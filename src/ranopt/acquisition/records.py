@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -35,12 +34,6 @@ class RawRecord:
     payload: dict[str, object]  # text (files, socket) or native values (loop)
 
 
-# distinct ids the cache keeps: a 21-cell telemetry day sees about 1,050
-# users in about 23,700 measurements
-_USER_HASH_CACHE = 4096
-
-
-@functools.lru_cache(maxsize=_USER_HASH_CACHE)
 def hash_user_id(user_id: str, key: bytes) -> str:
     """Keyed 64-bit hash; stable within a run, irreversible de-identification."""
     h = hashlib.blake2b(user_id.encode(), key=key, digest_size=8)

@@ -1,18 +1,22 @@
 """Subject-oriented, append-only partitioned store with hot/cold tiering.
 
-Rows are loaded by `Warehouse.load`, one record at a time against the
-running clock.  Partitions are keyed by (subject, hour bucket).  Hot
-partitions keep the rows as plain tuples, and numpy column arrays of them
-built when a read first asks for a column.  Cold partitions hold one block
-per column of raw numpy bytes (float64, int64, or int32 codes for a string
-column), zlib-compressed when that at least halves them.  Each subject
-keeps one append-only dictionary per string column, so a code means the
-same value in every partition; when partitions expire, the dictionaries
-are re-coded to the values the retained cold partitions hold.  Every read
-goes through one columnar path that reads only the columns asked for, from
-both tiers alike: `read` returns them as arrays, `query` filters, groups
-and aggregates them vectorized (`query.run_query`), and `scan` is the row
-view of `read`, tuples of Python values.
+Rows are loaded by `Warehouse.load`, a batch of records at a time given as
+columns.  A batch whose every row lies inside the retention and lead
+bounds of any clock it can reach is admitted with one check over its time
+columns; otherwise the records are admitted one at a time against the
+running clock, from the first row near a bound.  Partitions are keyed by
+(subject, hour bucket).  Hot partitions keep one list of values per
+column, which each load extends, and numpy arrays of them built when a
+read first asks for a column.  Cold partitions hold one block per column
+of raw numpy bytes (float64, int64, or int32 codes for a string column),
+zlib-compressed when that at least halves them.  Each subject keeps one
+append-only dictionary per string column, so a code means the same value
+in every partition; when partitions expire, the dictionaries are re-coded
+to the values the retained cold partitions hold.  Every read goes through
+one columnar path that reads only the columns asked for, from both tiers
+alike: `read` returns them as arrays, `query` filters, groups and
+aggregates them vectorized (`query.run_query`), and `scan` is the row view
+of `read`, tuples of Python values.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import json
 import threading
 import zlib
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress
 
 import numpy as np
 
@@ -42,6 +46,7 @@ def _int64(v) -> int:
     return i
 
 
+# each dtype's cast of one value, and the type a column of it is mapped to
 _DTYPES = {"str": str, "int": _int64, "float": float}
 _TYPES = {"str": str, "int": int, "float": float}
 _ARRAY_DTYPES = {"str": np.int32, "int": np.int64, "float": np.float64}
@@ -85,7 +90,7 @@ class SubjectSpec:
 class Partition:
     hour_bucket: int
     tier: str = "hot"
-    rows: list = field(default_factory=list)  # hot: row tuples
+    columns: list = field(default_factory=list)  # hot: a list per column
     arrays: dict = field(default_factory=dict)  # hot: columns of the
     arrays_rows: int = 0  # first arrays_rows rows, built when first read
     blocks: dict = field(default_factory=dict)  # cold: see _block
@@ -99,10 +104,11 @@ class _Subject:
         self.buckets: list[int] = []  # the partitions' keys, sorted
         self.col_index = {c.name: i for i, c in enumerate(spec.columns)}
         self.dtypes = {c.name: c.dtype for c in spec.columns}
-        self.casts = tuple(_DTYPES[c.dtype] for c in spec.columns)
         self.types = tuple(_TYPES[c.dtype] for c in spec.columns)
         self.int_indexes = [i for i, c in enumerate(spec.columns)
                             if c.dtype == "int"]
+        self.t_index = self.col_index["t_s"]
+        self.retention_s = spec.retention_hours * 3600.0
         # per string column, the code of each value and the values by code;
         # a code means one value in every partition.  Between expiries both
         # only grow; `recode` replaces both dicts, so a reader holding the
@@ -112,27 +118,28 @@ class _Subject:
         self.appended_total = 0
         self.expired_total = 0
 
-    def coerce(self, r) -> tuple:
-        """A row in schema order as a tuple of the schema's types;
-        SchemaError names the first column that does not fit."""
+    def coerce(self, columns) -> list[list]:
+        """Columns in schema order as lists of the schema's types;
+        SchemaError names the first row's first column that does not fit."""
         spec = self.spec
-        if len(r) != len(self.casts):
+        if len(columns) != len(self.types):
             raise SchemaError(f"subject {spec.name!r}: expected "
-                              f"{len(self.casts)} values, got {len(r)}")
-        # a row of exactly the schema's types, as the pipeline's row
-        # checker makes them, needs only its ints range-checked
-        if tuple(map(type, r)) == self.types and all(
-                -_INT64 <= r[i] < _INT64 for i in self.int_indexes):
-            return tuple(r)
+                              f"{len(self.types)} columns, got {len(columns)}")
         try:
-            return tuple(map(_cast, self.casts, r))
+            out = list(map(list, map(map, self.types, columns)))
+            for i in self.int_indexes:
+                if out[i] and not (-_INT64 <= min(out[i])
+                                   and max(out[i]) < _INT64):
+                    raise ValueError("an int does not fit in 64 bits")
+            return out
         except (TypeError, ValueError):
-            for c, cast, v in zip(spec.columns, self.casts, r):
-                try:
-                    cast(v)
-                except (TypeError, ValueError):
-                    raise SchemaError(f"subject {spec.name!r}: column "
-                                      f"{c.name!r} rejects value {v!r}")
+            for row in zip(*columns):
+                for c, v in zip(spec.columns, row):
+                    try:
+                        _DTYPES[c.dtype](v)
+                    except (TypeError, ValueError):
+                        raise SchemaError(f"subject {spec.name!r}: column "
+                                          f"{c.name!r} rejects value {v!r}")
             raise
 
     def to_array(self, name: str, values) -> np.ndarray:
@@ -155,26 +162,26 @@ class _Subject:
                 return block
             return np.frombuffer(zlib.decompress(block),
                                  dtype=_ARRAY_DTYPES[self.dtypes[name]])
-        if part.arrays_rows != len(part.rows):
-            part.arrays, part.arrays_rows = {}, len(part.rows)
+        if part.arrays_rows != part.row_count:
+            part.arrays, part.arrays_rows = {}, part.row_count
         if name not in part.arrays:
-            part.arrays[name] = self.to_array(name, list(map(
-                itemgetter(self.col_index[name]), part.rows)))
+            part.arrays[name] = self.to_array(
+                name, part.columns[self.col_index[name]])
         return part.arrays[name]
 
-    def freeze(self, part: Partition, late_rows=()) -> None:
-        """Store the partition as cold blocks; a cold one takes late rows
-        by being rebuilt from its columns."""
-        late = dict(zip(self.col_index, zip(*late_rows)))
+    def freeze(self, part: Partition, late_columns=None) -> None:
+        """Store the partition as cold blocks; a cold one takes late rows,
+        given as columns, by being rebuilt from its columns."""
         blocks = {}
-        for name in self.col_index:
+        for name, i in self.col_index.items():
             a = self.column(part, name)
-            if late:
-                a = np.concatenate([a, self.to_array(name, late[name])])
+            if late_columns:
+                a = np.concatenate([a, self.to_array(name, late_columns[i])])
             blocks[name] = _block(a)
         part.blocks = blocks
-        part.rows, part.arrays, part.tier = [], {}, "cold"
-        part.row_count += len(late_rows)
+        part.columns, part.arrays, part.tier = [], {}, "cold"
+        if late_columns:
+            part.row_count += len(late_columns[0])
 
     def recode(self) -> None:
         """Re-code each string column to the values the cold partitions
@@ -194,10 +201,6 @@ class _Subject:
             for part, a in zip(cold, blocks):
                 part.blocks[name] = _block(new_code[a])
         self.strings, self.codes = strings, codes
-
-
-def _cast(cast, v):
-    return cast(v)
 
 
 def _block(a: np.ndarray):
@@ -251,9 +254,11 @@ class Warehouse:
             return self._subjects[name]
 
     # -- writes ---------------------------------------------------------
-    def load(self, records) -> list[int]:
-        """Load records, each a sequence of (subject, row) pairs with rows
-        in schema order; returns the indexes of the refused records.
+    def load(self, batch) -> list[int]:
+        """Load a batch of records given as columns: `batch` maps each
+        subject to its columns in schema order, all of one length n, and
+        record i is row i of every subject.  Returns the indexes of the
+        refused records.
 
         Records are admitted in order, each all or nothing across its
         subjects, against the *running* clock: the clock, and whether a lead
@@ -263,82 +268,120 @@ class Warehouse:
         such row was refused and no row was taken since: one far-future row
         is refused, and data that resumed after a long gap is taken from its
         second row on.  So one call loads exactly what loading its records
-        one at a time would.  The taken rows are then appended once per
-        subject, and late rows freeze into each cold partition once.  A row
-        that does not fit its schema raises SchemaError, and the call then
-        loads nothing."""
+        one at a time would.  A batch whose rows all lie within those bounds
+        of every clock it can reach is admitted by one check; otherwise the
+        records from the first row near a bound on are admitted one by one.
+        The taken rows are then appended once per subject, and late rows
+        freeze into each cold partition once.  A value that does not fit
+        its column raises SchemaError, and the call then loads nothing."""
         with self._lock:
-            clock, lead_refused = self.clock_s, self._lead_refused
-            taken = any(s.appended_total for s in self._subjects.values())
-            # name -> (subject, t_s index, retention_s, its taken rows)
-            subjects: dict[str, tuple] = {}
-            taken_rows: dict[str, list] = {}
-            refused = []
-            for i, record in enumerate(records):
-                rows, t_max, refusal = [], clock, None
-                for name, r in record:
-                    if name not in subjects:
-                        sub = self._get(name)
-                        subjects[name] = (sub, sub.col_index["t_s"],
-                                          sub.spec.retention_hours * 3600.0,
-                                          taken_rows.setdefault(name, []))
-                    sub, ti, retention_s, out = subjects[name]
-                    row = sub.coerce(r)
-                    t = row[ti]
-                    if refusal is None:
-                        if t < clock - retention_s:
-                            refusal = "late"
-                        # a row from far ahead would move the clock there
-                        # and push every later in-time row out of retention;
-                        # the first row ever sets the clock, whatever its
-                        # epoch
-                        elif (t > clock + 2 * retention_s and taken
-                              and not lead_refused):
-                            refusal = "ahead"
-                    rows.append((out, row))
-                    t_max = max(t_max, t)
-                if refusal is not None:
-                    refused.append(i)
-                    lead_refused = lead_refused or refusal == "ahead"
-                    continue
-                for out, row in rows:
-                    out.append(row)
-                if rows:
-                    clock, lead_refused, taken = t_max, False, True
-            for name, rows in taken_rows.items():
-                self._store(subjects[name][0], rows)
-            self._lead_refused = lead_refused
+            # (subject, its columns, its t_s column, the column's bounds)
+            loads, lengths = [], set()
+            # every clock the batch can reach lies in [clock, top]
+            clock = top = self.clock_s
+            for name, columns in batch.items():
+                sub = self._subjects.get(name)
+                if sub is None:
+                    raise SubjectNotFound(f"unknown subject {name!r}")
+                columns = sub.coerce(columns)
+                lengths.update(map(len, columns))
+                t = columns[sub.t_index]
+                lo, hi = min(t, default=clock), max(t, default=clock)
+                loads.append((sub, columns, t, lo, hi))
+                top = max(top, hi)
+            if len(lengths) > 1:
+                raise SchemaError("the columns of a batch differ in length")
+            n = lengths.pop() if lengths else 0
+            if not n:
+                return []
+            if all(lo >= top - sub.retention_s
+                   and hi <= clock + 2 * sub.retention_s
+                   for sub, _, _, lo, hi in loads):
+                self.clock_s, self._lead_refused = top, False
+                for sub, columns, _, lo, hi in loads:
+                    self._store(sub, columns, lo, hi)
+                return []
+            refused = self._admit(loads, min(
+                next((i for i, v in enumerate(t) if not top - sub.retention_s
+                      <= v <= clock + 2 * sub.retention_s), n)
+                for sub, _, t, _, _ in loads), n)
+            if len(refused) < n:
+                keep = [True] * n
+                for i in refused:
+                    keep[i] = False
+                for sub, columns, _, _, _ in loads:
+                    columns = [list(compress(c, keep)) for c in columns]
+                    t = columns[sub.t_index]
+                    self._store(sub, columns, min(t), max(t))
             return refused
 
-    def _store(self, sub: _Subject, rows: list[tuple]) -> None:
-        """Append admitted, coerced rows to their partitions; late rows for
-        a cold partition rebuild it once."""
-        ti = sub.col_index["t_s"]
-        late: dict[int, list] = {}  # rows for cold partitions
-        for row in rows:
-            t = row[ti]
-            bucket = int(t // 3600)
+    def _admit(self, loads, start: int, n: int) -> list[int]:
+        """Admit records start..n-1 one at a time, after records 0..start-1
+        were taken, against the running clock; `loads` holds each subject
+        and its t_s column.  Moves the clock; returns the indexes of the
+        refused records."""
+        clock, lead_refused = self.clock_s, self._lead_refused
+        taken = any(s.appended_total for s in self._subjects.values())
+        if start:
+            clock = max(clock, *(max(t[:start]) for _, _, t, _, _ in loads))
+            lead_refused, taken = False, True
+        refused = []
+        for i in range(start, n):
+            t_max, refusal = clock, None
+            for sub, _, t_col, _, _ in loads:
+                retention_s = sub.retention_s
+                t = t_col[i]
+                if refusal is None:
+                    if t < clock - retention_s:
+                        refusal = "late"
+                    # a row from far ahead would move the clock there and
+                    # push every later in-time row out of retention; the
+                    # first row ever sets the clock, whatever its epoch
+                    elif (t > clock + 2 * retention_s and taken
+                          and not lead_refused):
+                        refusal = "ahead"
+                t_max = max(t_max, t)
+            if refusal is not None:
+                refused.append(i)
+                lead_refused = lead_refused or refusal == "ahead"
+                continue
+            clock, lead_refused, taken = t_max, False, True
+        self.clock_s, self._lead_refused = clock, lead_refused
+        return refused
+
+    def _store(self, sub: _Subject, columns: list[list], t_min: float,
+               t_max: float) -> None:
+        """Append admitted, coerced columns, whose times lie in [t_min,
+        t_max], to their partitions; late rows for a cold partition rebuild
+        it once."""
+        first = int(t_min // 3600)
+        if first == int(t_max // 3600):  # one hour, as a window's rows are
+            groups = {first: columns}
+        else:
+            rows: dict[int, list] = {}
+            for i, v in enumerate(columns[sub.t_index]):
+                rows.setdefault(int(v // 3600), []).append(i)
+            groups = {bucket: [[c[i] for i in idx] for c in columns]
+                      for bucket, idx in rows.items()}
+        for bucket, cols in groups.items():
             part = sub.partitions.get(bucket)
-            if part is None:
-                part = Partition(hour_bucket=bucket)
-                sub.partitions[bucket] = part
+            if part is None:  # takes the lists themselves
+                sub.partitions[bucket] = Partition(bucket, columns=cols,
+                                                   row_count=len(cols[0]))
                 bisect.insort(sub.buckets, bucket)
-            if part.tier == "cold":
-                late.setdefault(bucket, []).append(row)
+            elif part.tier == "cold":
+                sub.freeze(part, cols)
             else:
-                part.rows.append(row)
-                part.row_count += 1
-            self.clock_s = max(self.clock_s, t)
-        for bucket, late_rows in late.items():
-            sub.freeze(sub.partitions[bucket], late_rows)
-        sub.appended_total += len(rows)
+                list(map(list.extend, part.columns, cols))
+                part.row_count += len(cols[0])
+        sub.appended_total += len(columns[0])
 
     def migrate_tiers(self, now_s: float) -> list[tuple[str, int]]:
         """Freeze partitions older than the hot window; expire past retention."""
         moved = []
         with self._lock:
             for name, sub in self._subjects.items():
-                retention_s = sub.spec.retention_hours * 3600.0
+                retention_s = sub.retention_s
                 expired = False
                 for bucket in list(sub.buckets):
                     part = sub.partitions[bucket]

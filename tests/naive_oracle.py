@@ -15,15 +15,27 @@
   columnar window;
 * `dqn_train_per_agent`, the DQN trainer that updated one agent at a time
   from a deque replay and observed the window's records, for the stacked
-  learner of `ranopt.ai.dqn.dqn_train`.
+  learner of `ranopt.ai.dqn.dqn_train`;
+* `NaivePipeline` and `NaiveWarehouse`, the row path of batch ingest: the
+  per-header row checker that applied the cleaning rules to one row at a
+  time (with the hash check's full match), per-row dedup, and the load
+  that admitted one record at a time against the running clock, for the
+  column checker of `ranopt.acquisition.pipeline` and `Warehouse.load`.
 """
 from __future__ import annotations
 
 import copy
+import re
+import threading
 from collections import deque
+from itertools import islice
+from math import isfinite
 
 import numpy as np
 
+from ranopt.acquisition.pipeline import BATCH_ROWS
+from ranopt.acquisition.records import (RawRecord, RejectCode, RejectReason,
+                                        SOURCE_TAGS, hash_user_id)
 from ranopt.ai.dqn import (N_ACTIONS, N_SECTORS, USER_COUNT_SCALE, DqnConfig,
                            apply_actions, obs_dim)
 from ranopt.ai.mlp import Mlp, momentum_step
@@ -33,9 +45,14 @@ from ranopt.simcore.radio import (best_beam_rsrp_dbm, dbm_to_mw, noise_dbm,
                                   wrap_deg)
 from ranopt.simcore.scheduler import attach_and_rate as batched_attach
 from ranopt.simcore.scheduler import collision_ratio
+from ranopt.errors import UnknownSource
 from ranopt.simcore.types import (ALLOWED_CIO_DB, N_PATTERNS, RATE_CAP_MBPS,
-                                  SINR_MAX_DB, SINR_MIN_DB, KpiRecord,
-                                  MeasurementRecord, UserState)
+                                  RSRP_MAX_DBM, RSRP_MIN_DBM, SINR_MAX_DB,
+                                  SINR_MIN_DB, KpiRecord, MeasurementRecord,
+                                  UserState)
+from ranopt.warehouse.subjects import (SUBJECT_BEAM, SUBJECT_ENERGY,
+                                       SUBJECT_INTERFERENCE,
+                                       SUBJECT_THROUGHPUT)
 from ranopt.warehouse.query import (OPS, QueryTask, ResultTable,
                                     aggregate_values)
 
@@ -321,3 +338,299 @@ def dqn_train_per_agent(scenario, episodes: int, config=None,
                     agent.sync_target()
         curve.append(float(np.mean(ep_rewards)))
     return agents, curve
+
+
+# -- ingest: the row path ------------------------------------------------
+
+_HASHED_ID = re.compile(r"h[0-9a-f]{16}")
+_INT64 = float(1 << 63)
+_STRING_FIELDS = ("user_id", "cell_id", "signal_type")
+
+
+def _reject(code: RejectCode, field, values, line_no=None) -> RejectReason:
+    """A reject whose raw text is the record's values, comma-joined."""
+    return RejectReason(code, field, ",".join(map(str, values)), line_no)
+
+
+class _Rejected(Exception):
+    """A record breaks a cleaning rule; args are (code, field)."""
+
+
+def _unparsable(v) -> bool:
+    try:
+        float(v)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+def _first(cells, fields, bad) -> str | None:
+    """The first of the (name, index) fields whose cell is `bad`."""
+    return next((name for name, i in fields if bad(cells[i])), None)
+
+
+def row_checker(header, known_cells, hash_key: bytes):
+    """A function of a row's cells and its source that returns the record's
+    warehouse rows, as (subject, row tuple) pairs in the bundled subjects'
+    column order, or raises _Rejected for the first cleaning rule the row
+    breaks.  The rules, in order, each over the fields in header order:
+
+    1. MissingField: an empty field;
+    2. UnparsableValue: a numeric field that float() refuses;
+    3. OutOfRange: a NaN or infinite numeric field;
+    4. OutOfRange: an integral field (a time, beam id or user count) that
+       does not fit in int64;
+    5. OutOfRange: RSRP, then SINR, outside the reporting range;
+    6. OutOfRange: a negative rate;
+    7. InconsistentIds: a cell that is not in known_cells.
+
+    User ids are hashed with hash_key; one that is already a hash passes
+    through, so stored rows re-ingest unchanged."""
+    offset = 2 if header.enveloped else 0
+    index = {f: offset + i for i, f in enumerate(header.payload)}
+    numeric = tuple((f, i) for f, i in index.items()
+                    if f not in _STRING_FIELDS)
+    payload = header.payload
+
+    def reject_missing(cells):
+        return _Rejected(RejectCode.MISSING_FIELD,
+                         payload[cells.index("", offset) - offset])
+
+    def reject_numeric(cells):
+        """The reject for rules 2-3, or None if every value is finite."""
+        field = _first(cells, numeric, _unparsable)
+        if field is not None:
+            return _Rejected(RejectCode.UNPARSABLE_VALUE, field)
+        field = _first(cells, numeric, lambda v: not isfinite(float(v)))
+        return None if field is None else _Rejected(RejectCode.OUT_OF_RANGE,
+                                                    field)
+
+    if payload[0] == "timestamp_s":
+        i_t, i_u, i_c, i_b, i_s, i_r, i_q, i_v, i_x, i_y = index.values()
+        rate_field = payload[7]
+        kbps = rate_field == "rate_kbps"
+
+        def check(cells, source):
+            if "" in cells:
+                raise reject_missing(cells)
+            try:
+                t, beam, rsrp, sinr, rate, x, y = (
+                    float(cells[i_t]), float(cells[i_b]), float(cells[i_r]),
+                    float(cells[i_q]), float(cells[i_v]), float(cells[i_x]),
+                    float(cells[i_y]))
+            except (TypeError, ValueError):
+                raise reject_numeric(cells) from None
+            # a sum that is finite has only finite terms
+            if not isfinite(t + beam + rsrp + sinr + rate + x + y):
+                rejected = reject_numeric(cells)
+                if rejected:
+                    raise rejected
+            if not -_INT64 <= t < _INT64:  # bucketed by the hour
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "timestamp_s")
+            if not -_INT64 <= beam < _INT64:  # stored as int64
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "beam_id")
+            if not RSRP_MIN_DBM <= rsrp <= RSRP_MAX_DBM:
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "rsrp_dbm")
+            if not SINR_MIN_DB <= sinr <= SINR_MAX_DB:
+                raise _Rejected(RejectCode.OUT_OF_RANGE, "sinr_db")
+            if rate < 0.0:
+                raise _Rejected(RejectCode.OUT_OF_RANGE, rate_field)
+            cell = cells[i_c]
+            if cell not in known_cells:
+                raise _Rejected(RejectCode.INCONSISTENT_IDS, "cell_id")
+            uid = str(cells[i_u])
+            user_hash = uid if _HASHED_ID.fullmatch(uid) \
+                else hash_user_id(uid, hash_key)
+            return ((SUBJECT_BEAM, (
+                t, user_hash, str(cell), int(beam), str(cells[i_s]), rsrp,
+                sinr, rate / 1000.0 if kbps else rate, x, y, source)),)
+        return check
+
+    i_c, i_t, i_w, i_p, i_r, i_n, i_pw, i_cr = index.values()
+
+    def check(cells, source):
+        if "" in cells:
+            raise reject_missing(cells)
+        try:
+            t, length, tput, rbur, users, power, coll = (
+                float(cells[i_t]), float(cells[i_w]), float(cells[i_p]),
+                float(cells[i_r]), float(cells[i_n]), float(cells[i_pw]),
+                float(cells[i_cr]))
+        except (TypeError, ValueError):
+            raise reject_numeric(cells) from None
+        if not isfinite(t + length + tput + rbur + users + power + coll):
+            rejected = reject_numeric(cells)
+            if rejected:
+                raise rejected
+        if not -_INT64 <= t < _INT64:
+            raise _Rejected(RejectCode.OUT_OF_RANGE, "window_start_s")
+        if not -_INT64 <= users < _INT64:
+            raise _Rejected(RejectCode.OUT_OF_RANGE, "num_users")
+        if tput < 0.0:
+            raise _Rejected(RejectCode.OUT_OF_RANGE, "throughput_mbps")
+        cell = cells[i_c]
+        if cell not in known_cells:
+            raise _Rejected(RejectCode.INCONSISTENT_IDS, "cell_id")
+        cell, users = str(cell), int(users)
+        return ((SUBJECT_THROUGHPUT,
+                 (t, cell, length, tput, rbur, users, source)),
+                (SUBJECT_INTERFERENCE, (t, cell, coll, users, source)),
+                (SUBJECT_ENERGY, (t, cell, length, rbur, power,
+                                  power * length / 3600.0, source)))
+    return check
+
+
+
+
+class NaiveWarehouse:
+    """Rows per subject and hour bucket, admitted by the row path's
+    `Warehouse.load`: one record at a time against the running clock."""
+
+    def __init__(self, specs):
+        self.specs = {s.name: s for s in specs}
+        self.buckets = {s.name: {} for s in specs}  # name -> hour -> rows
+        self.appended = {s.name: 0 for s in specs}
+        self.clock_s = 0.0
+        self._lead_refused = False
+
+    def load(self, records) -> list[int]:
+        """Records of (subject, row) pairs; the indexes of the refused."""
+        clock, lead_refused = self.clock_s, self._lead_refused
+        taken = any(self.appended.values())
+        refused = []
+        for i, record in enumerate(records):
+            rows, t_max, refusal = [], clock, None
+            for name, row in record:
+                spec = self.specs[name]
+                t = row[[c.name for c in spec.columns].index("t_s")]
+                retention_s = spec.retention_hours * 3600.0
+                if refusal is None:
+                    if t < clock - retention_s:
+                        refusal = "late"
+                    elif (t > clock + 2 * retention_s and taken
+                          and not lead_refused):
+                        refusal = "ahead"
+                rows.append((name, tuple(row)))
+                t_max = max(t_max, t)
+            if refusal is not None:
+                refused.append(i)
+                lead_refused = lead_refused or refusal == "ahead"
+                continue
+            for name, row in rows:
+                spec = self.specs[name]
+                t = row[[c.name for c in spec.columns].index("t_s")]
+                self.buckets[name].setdefault(int(t // 3600), []).append(row)
+                self.appended[name] += 1
+            if rows:
+                clock, lead_refused, taken = t_max, False, True
+        self.clock_s, self._lead_refused = clock, lead_refused
+        return refused
+
+    def expire(self, now_s: float) -> None:
+        """Drop the hours that `Warehouse.migrate_tiers(now_s)` expires."""
+        for name, buckets in self.buckets.items():
+            retention_s = self.specs[name].retention_hours * 3600.0
+            for bucket in [b for b in buckets
+                           if now_s - (b + 1) * 3600.0 >= retention_s]:
+                del buckets[bucket]
+
+    def scan(self, subject: str) -> list[tuple]:
+        """A subject's rows by hour, each hour's rows in load order."""
+        buckets = self.buckets[subject]
+        return [row for b in sorted(buckets) for row in buckets[b]]
+
+
+class NaivePipeline:
+    """The row path's batch ingest: dedup, check and load row by row."""
+
+    def __init__(self, warehouse: NaiveWarehouse, known_cells,
+                 hash_key: bytes):
+        self.warehouse = warehouse
+        self.known_cells = set(known_cells)
+        self.hash_key = hash_key
+        self._seen: set = set()
+        self._auto_seq: dict = {}
+        self._checkers: dict = {}
+        self._lock = threading.Lock()
+        self.counters = {"ingested": 0, "duplicates": 0, "kept": 0,
+                         "rejected": 0, "files_rejected": 0}
+        self.rejects: list = []
+
+    def ingest_rows(self, header, rows) -> tuple[int, list]:
+        rows = iter(rows)
+        accepted, line_rejects = 0, []
+        while batch := list(islice(rows, BATCH_ROWS)):
+            n, rejects = self._ingest(header, batch)
+            accepted += n
+            line_rejects += rejects
+        return accepted, line_rejects
+
+    def _ingest(self, header, rows, record: RawRecord | None = None
+                ) -> tuple[int, list[RejectReason]]:
+        """Parse, dedup, check, load and count one batch of (line_no, cells)
+        rows; returns (records not duplicates, line rejects).  `record` is
+        the RawRecord the batch's one row was made from, if any."""
+        check = self._checkers.setdefault(header, row_checker(
+            header, self.known_cells, self.hash_key))
+        width, enveloped = len(header.columns), header.enveloped
+        line_rejects, fresh, unknown = [], [], None
+        with self._lock:
+            seen, duplicates = self._seen, 0
+            for line_no, cells in rows:
+                if len(cells) != width:
+                    line_rejects.append(_reject(RejectCode.UNPARSABLE_VALUE,
+                                                None, cells, line_no))
+                    continue
+                if enveloped:
+                    try:
+                        seq = int(cells[1])
+                    except ValueError:
+                        line_rejects.append(_reject(
+                            RejectCode.UNPARSABLE_VALUE, "seq_no", cells,
+                            line_no))
+                        continue
+                    source = cells[0]
+                    if source not in SOURCE_TAGS:
+                        unknown = source
+                        break
+                else:
+                    source = header.default_source
+                    seq = self._auto_seq.get(source, 0)
+                    self._auto_seq[source] = seq + 1
+                key = (source, seq)
+                if key in seen:
+                    duplicates += 1
+                    continue
+                seen.add(key)
+                fresh.append((source, seq, cells))
+            self.counters["duplicates"] += duplicates
+            self.counters["ingested"] += len(fresh)
+
+        loads, bad = [], []  # bad: (position in fresh, code, field)
+        for i, (source, _, cells) in enumerate(fresh):
+            try:
+                loads.append(check(cells, source))
+            except _Rejected as r:
+                bad.append((i, *r.args))
+        refused = self.warehouse.load(loads) if loads else []
+        if refused:  # older than the warehouse keeps, or far ahead of it
+            cleaned = {i for i, _, _ in bad}
+            loaded = [i for i in range(len(fresh)) if i not in cleaned]
+            bad += [(loaded[j], RejectCode.OUT_OF_RANGE, "t_s")
+                    for j in refused]
+            bad.sort()
+        offset = 2 if enveloped else 0
+        rejects = []
+        for i, code, field in bad:
+            source, seq, cells = fresh[i]
+            raw = record or RawRecord(source, seq, dict(zip(
+                header.payload, cells[offset:])))
+            rejects.append((raw, _reject(code, field, raw.payload.values())))
+        with self._lock:
+            self.counters["kept"] += len(fresh) - len(bad)
+            self.counters["rejected"] += len(bad)
+            self.rejects += rejects
+        if unknown is not None:
+            raise UnknownSource(f"source {unknown!r} not registered")
+        return len(fresh), line_rejects
+

@@ -353,7 +353,7 @@ class TestPipelineAndWarehouse:
                        "c%d" % rng.integers(0, 3),
                        float(rng.uniform(0, 100)), float(rng.uniform(0, 1)))
                       for _ in range(2000))
-        assert wh.load([(("kpi", r),) for r in rows]) == []
+        assert wh.load({"kpi": list(zip(*rows))}) == []
         return wh, rows
 
     def _random_task(self, rng):

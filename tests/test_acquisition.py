@@ -13,9 +13,11 @@ from ranopt.acquisition import (AcquisitionPipeline, RawRecord, RejectCode,
 from ranopt.acquisition.pipeline import ENVELOPE, parse_header
 from ranopt.errors import FileRejected, UnknownSource
 from ranopt.simcore import emit_window_csvs, step
-from ranopt.warehouse import QueryTask, Warehouse, create_bundled_subjects
+from ranopt.warehouse import (QueryTask, Warehouse, bundled_subjects,
+                              create_bundled_subjects)
 
 from conftest import make_scenario
+from naive_oracle import NaivePipeline, NaiveWarehouse
 
 KNOWN_CELLS = {"c1", "c2"}
 
@@ -270,7 +272,7 @@ class TestLoad:
     def test_empty_load(self):
         pipe, wh = fresh_pipeline()
         assert pipe.ingest_rows(parse_header(MEAS_COLS), []) == (0, [])
-        assert wh.load([]) == []
+        assert wh.load({}) == []
         assert wh.row_count("beam-management") == 0
 
     def test_kpi_routes_to_three_subjects(self):
@@ -630,6 +632,140 @@ class TestBatchEquivalence:
             zip(MEAS_COLS, rows[6][2:])))) == "accepted"
 
 
+# -- the column path against the frozen row path ----------------------------
+
+WEEK_S = 7 * DAY_S  # the bundled subjects' retention
+# event times on both sides of clock - retention and clock + 2 retention
+# for the clocks these times leave, with far-future and resumed rows
+ORACLE_TIMES = (0.0, 600.0, 7200.0, 5 * 3600.0, WEEK_S - 600.0, WEEK_S,
+                WEEK_S + 600.0, 2 * WEEK_S, 2 * WEEK_S + 600.0,
+                2 * WEEK_S + 601.0, 3 * WEEK_S, 40 * DAY_S, 40 * DAY_S + 60.0)
+ORACLE_FAULTS = {
+    **BATCH_FAULTS,
+    "MissingFirst": {"m": ("timestamp_s", ""), "k": ("cell_id", "")},
+    "Sinr": {"m": ("sinr_db", "40.5"), "k": ("throughput_mbps", "-0.5")},
+    "Rate": {"m": ("rate_mbps", "-1e-9"), "k": ("window_start_s", "1e19")}}
+# typed in-memory rows, as the loop's simulator rows, with typed faults
+TYPED_FAULTS = {
+    "MissingField": {"m": ("sinr_db", ""), "k": ("rbur", "")},
+    "MissingFirst": {"m": ("user_id", ""), "k": ("window_len_s", "")},
+    "OutOfRange": {"m": ("rsrp_dbm", -400.0), "k": ("throughput_mbps", -5.0)},
+    "InconsistentIds": {"m": ("cell_id", "ghost"), "k": ("cell_id", "c9")},
+    "UnparsableValue": {"m": ("pos_y_m", None), "k": ("power_w", "x")},
+    "NonFinite": {"m": ("rate_mbps", float("inf")),
+                  "k": ("collision_ratio", float("nan"))},
+    "Huge": {"m": ("beam_id", 2.0 ** 63), "k": ("num_users", -2.0 ** 64)}}
+KBPS_COLS = tuple("rate_kbps" if c == "rate_mbps" else c for c in MEAS_COLS)
+
+
+def typed_payload(kind, t, user):
+    if kind == "k":
+        return {"cell_id": "c2", "window_start_s": t, "window_len_s": 3600.0,
+                "throughput_mbps": 80.5, "rbur": 0.25, "num_users": 3,
+                "power_w": 700.0, "collision_ratio": 0.125}
+    return {"timestamp_s": t, "user_id": user, "cell_id": "c1", "beam_id": 2,
+            "signal_type": "SSB", "rsrp_dbm": -90.25, "sinr_db": 7.5,
+            "rate_mbps": 12.0, "pos_x_m": -3.5, "pos_y_m": 4.0}
+
+
+@st.composite
+def oracle_scripts(draw):
+    """Steps: ("rows", header cells, rows, one at a time) with text or
+    typed rows, or ("migrate", seconds past the clock)."""
+    steps, seq, sent = [], {}, {}
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            steps.append(("migrate", draw(st.sampled_from(
+                (0.0, 3600.0, WEEK_S, 2 * WEEK_S)))))
+            continue
+        schema = draw(st.sampled_from(("m", "kbps", "k")))
+        kind = "k" if schema == "k" else "m"
+        cols = {"m": MEAS_COLS, "kbps": KBPS_COLS, "k": KPI_COLS}[schema]
+        typed = draw(st.booleans())
+        enveloped = not typed and draw(st.booleans())
+        source = draw(st.sampled_from(
+            ("air-interface", "drive-test" if kind == "m"
+             else "network-management")))
+        faults = TYPED_FAULTS if typed else ORACLE_FAULTS
+        row_kinds = ("ok",) * 4 + ("faults",) * 3 + (
+            () if typed else ("resend", "short", "bad-seq"))
+        rows = []
+        for row_kind, t in draw(st.lists(st.tuples(
+                st.sampled_from(row_kinds), st.sampled_from(ORACLE_TIMES)),
+                max_size=14)):
+            key = (schema, source)
+            if row_kind == "resend":
+                if enveloped and sent.get(key):
+                    rows.append(draw(st.sampled_from(sent[key])))
+                continue
+            n = seq.get(key, 0)
+            seq[key] = n + 1
+            user = draw(st.sampled_from(
+                ("u1", "a,b", "h0123456789abcdef", "h0123456789abcdef\n")))
+            if typed:
+                payload = typed_payload(kind, t, user)
+            else:
+                payload = (meas_payload(timestamp_s=t, user_id=user,
+                                        cell_id=("c1", "c2")[n % 2])
+                           if kind == "m" else kpi_payload(window_start_s=t))
+            if schema == "kbps":
+                payload["rate_kbps"] = payload.pop("rate_mbps")
+            # one fault or several, so that each reject must name the
+            # first rule and field a row breaks
+            for fault in (draw(st.lists(st.sampled_from(tuple(faults)),
+                                        min_size=1, max_size=3))
+                          if row_kind == "faults" else ()):
+                col, bad = faults[fault][kind]
+                if schema == "kbps" and col == "rate_mbps":
+                    col = "rate_kbps"
+                payload[col] = bad
+            cells = [payload[c] for c in cols]
+            if enveloped:
+                cells = [source, "x" if row_kind == "bad-seq" else str(n)] \
+                    + cells
+                sent.setdefault(key, []).append(cells)
+            rows.append(tuple(cells) if typed else
+                        cells[:-1] if row_kind == "short" else cells)
+        steps.append(("rows", list(ENVELOPE + cols) if enveloped
+                      else list(cols), rows, draw(st.booleans())))
+    return steps
+
+
+def run_oracle_script(steps, pipe, wh, migrate):
+    """Everything an ingest path decides over a script."""
+    line_rejects = []
+    for step in steps:
+        if step[0] == "migrate":
+            migrate(wh.clock_s + step[1])
+            continue
+        _, cols, rows, one_at_a_time = step
+        numbered = list(enumerate(rows, start=2))
+        for batch in ([[row] for row in numbered] if one_at_a_time
+                      else [numbered]):
+            line_rejects += pipe.ingest_rows(parse_header(cols), batch)[1]
+    return (dict(pipe.counters),
+            [(r.source_tag, r.seq_no, reason.code, reason.field, reason.raw)
+             for r, reason in pipe.rejects],
+            [(r.line_no, r.code, r.field, r.raw) for r in line_rejects],
+            {s.name: wh.scan(s.name) for s in bundled_subjects()},
+            wh.clock_s)
+
+
+class TestColumnPathMatchesRowPath:
+    @settings(max_examples=200, deadline=None)
+    @given(steps=oracle_scripts())
+    def test_counters_rejects_rows_and_clock_match(self, steps):
+        # hot_window_s=0: a migration freezes every hour before it, so
+        # late rows go into cold partitions
+        wh = Warehouse(hot_window_s=0.0)
+        create_bundled_subjects(wh)
+        pipe = AcquisitionPipeline(wh, KNOWN_CELLS, hash_key=b"test-key")
+        naive_wh = NaiveWarehouse(bundled_subjects())
+        naive = NaivePipeline(naive_wh, KNOWN_CELLS, hash_key=b"test-key")
+        assert run_oracle_script(steps, pipe, wh, wh.migrate_tiers) == \
+            run_oracle_script(steps, naive, naive_wh, naive_wh.expire)
+
+
 class TestConservationAndDeidentification:
     def test_pipeline_conservation(self):
         pipe, _ = fresh_pipeline()
@@ -654,10 +790,15 @@ class TestConservationAndDeidentification:
         for i in range(20):
             pipe.ingest_stream(RawRecord("drive-test", i, meas_payload(
                 user_id=f"secret-user-{i}")))
+        # a hash followed by a newline is not a hash; it is hashed
+        pipe.ingest_stream(RawRecord("drive-test", 20, meas_payload(
+            user_id="h0123456789abcdef\n")))
         pipe.quiesce()
         for subject in wh.list_subjects():
             for row in wh.scan(subject):
                 assert not any("secret-user" in str(v) for v in row)
+        assert {r[1] for r in wh.scan("beam-management")}.isdisjoint(
+            {"h0123456789abcdef\n", "h0123456789abcdef"})
 
 
 def write_1500_measurements(path):

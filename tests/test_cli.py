@@ -1,15 +1,19 @@
+import csv
+import hashlib
 import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ranopt.acquisition.pipeline import ENVELOPE
 from ranopt.cli import build_parser, main
 from ranopt.errors import InsufficientHistory
 from ranopt.loop import USE_CASES, Command
 from ranopt.loop.usecases import Throughput
 from ranopt.scenarios import scenario_path
-from ranopt.simcore import engine
+from ranopt.simcore import KpiRecord, MeasurementRecord, engine
 from ranopt.warehouse.query import QueryTask
 
 from conftest import MIMO_SEED, make_scenario, two_cell_scenario
@@ -63,6 +67,116 @@ class TestIngest:
         assert counters["ingested"] > 0
         assert (export / "beam-management.csv").exists()
         assert (export / "energy.csv").exists()
+
+
+def write_faulty_drops(drops: Path, scenario) -> None:
+    """Seeded drop files: four simulated windows per header, with every
+    fault kind, re-sent and bad-sequence lines, quoted user ids, stored
+    hashes, late, too-late, far-future and resumed rows, rows without the
+    envelope, a kbps header, a TXT file and a file with a bad header."""
+    rng = np.random.default_rng(20261019)
+    drops.mkdir()
+    ids = {"m": 1000, "k": 1000}  # clear of the rows without envelope
+    sent = []
+
+    def faulty(kind, header, payload):
+        col = {name: i for i, name in enumerate(header)}
+        numeric = [c for c in header if c not in
+                   ("user_id", "cell_id", "signal_type")]
+        out = list(payload)
+        fault = rng.integers(30)
+        if fault == 0:
+            out[col[numeric[rng.integers(len(numeric))]]] = ""
+        elif fault == 1:
+            out[col[numeric[rng.integers(len(numeric))]]] = "loud"
+        elif fault == 2:
+            out[col[numeric[rng.integers(len(numeric))]]] = str(
+                rng.choice(["nan", "inf", "-Infinity", "1e999"]))
+        elif fault == 3:
+            out[col["beam_id" if kind == "m" else "num_users"]] = "1e30"
+        elif fault == 4 and kind == "m":
+            out[col[str(rng.choice(["rsrp_dbm", "sinr_db", header[7]]))]] = \
+                str(rng.choice(["-400.0", "99.0", "-1.5"]))
+        elif fault == 4:
+            out[col["throughput_mbps"]] = "-5.0"
+        elif fault == 5:
+            out[col["cell_id"]] = "ghost"
+        elif fault == 6 and kind == "m":
+            out[col["user_id"]] = str(rng.choice(
+                ['a,"b"', "x\ny", "h0123456789abcdef", " pad "]))
+        return out
+
+    def write(name, kind, header, rows_t, enveloped=True, delim=","):
+        source = "drive-test" if kind == "m" else "network-management"
+        lines = [list(ENVELOPE + header) if enveloped else list(header)]
+        for payload in rows_t:
+            cells = faulty(kind, header, [str(v) for v in payload])
+            if enveloped:
+                seq = str(ids[kind])
+                ids[kind] += 1
+                draw = rng.integers(20)
+                if draw == 0:
+                    seq = "x"
+                elif draw == 1 and sent:
+                    lines.append(sent[rng.integers(len(sent))])
+                cells = [source, seq] + cells
+                sent.append(cells)
+            if rng.integers(25) == 0:
+                cells = cells[:-1]
+            lines.append(cells)
+        with open(drops / name, "w", newline="") as f:
+            csv.writer(f, delimiter=delim).writerows(lines)
+
+    week_s = 7 * 24 * 3600.0
+    times = (0.0, 3600.0, 7200.0)
+    for w, t in enumerate(times):
+        meas, kpis = engine.step(scenario, 3600.0, t)
+        write(f"{w}-m.csv", "m", MeasurementRecord.CSV_HEADER,
+              [m.csv_row() for m in meas])
+        write(f"{w}-k.txt", "k", KpiRecord.CSV_HEADER,
+              [k.csv_row() for k in kpis], delim="\t")
+    kbps = tuple("rate_kbps" if c == "rate_mbps" else c
+                 for c in MeasurementRecord.CSV_HEADER)
+    meas, kpis = engine.step(scenario, 3600.0, 10800.0)
+    write("3-m.csv", "m", kbps, [m.csv_row()[:7] + (m.rate_mbps * 1e3,)
+                                 + m.csv_row()[8:] for m in meas])
+    write("3-k.csv", "k", KpiRecord.CSV_HEADER, [k.csv_row() for k in kpis],
+          enveloped=False)
+    # late into hour 0, then far ahead, behind retention and resumed
+    meas, kpis = engine.step(scenario, 3600.0, 0.0)
+    shifted = [(t,) + m.csv_row()[1:] for t, m in zip(
+        (10.0, 20.0, 3 * week_s, 3 * week_s + 60.0, -2 * week_s,
+         3 * week_s + 120.0, 30.0) * 4, meas)]
+    write("4-m.csv", "m", MeasurementRecord.CSV_HEADER, shifted,
+          enveloped=False)
+    write("5-k.csv", "k", KpiRecord.CSV_HEADER,
+          [(k.cell_id, 3 * week_s + 3600.0) + k.csv_row()[2:]
+           for k in kpis])
+    (drops / "6-bad.csv").write_text("source_tag,seq_no,who,what\n1,2,3,4\n")
+
+
+class TestIngestGolden:
+    # sha256 of the printed counters and every exported file, recorded
+    # before ingest checked and loaded batches by columns
+    DIGEST = "f592e56b920c2760eca6463dcf9d747154370f0972883da5c32e1647d4ebcabb"
+
+    def test_export_digest_of_faulty_drops(self, tmp_path, capsys):
+        scenario = two_cell_scenario()
+        scenario.shadow_sigma_db = 4.0
+        for cluster in scenario.clusters:
+            cluster.mean_users = 30.0
+        path = tmp_path / "scenario.json"
+        engine.save_scenario(scenario, path)
+        drops, export = tmp_path / "drops", tmp_path / "export"
+        write_faulty_drops(drops, scenario)
+        assert run(["ingest", "--watch", str(drops), "--scenario", str(path),
+                    "--export", str(export)]) == 0
+        out = capsys.readouterr().out.replace(str(export), "EXPORT")
+        h = hashlib.sha256(out.encode())
+        for f in sorted(export.iterdir()):
+            h.update(f.name.encode() + b"\0" + f.read_bytes())
+        print(out)
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestWarehouseQuery:

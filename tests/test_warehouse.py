@@ -10,7 +10,7 @@ from ranopt.warehouse import (Column, QueryTask, SubjectSpec, Warehouse,
 from ranopt.warehouse.query import aggregate_values
 
 from conftest import make_cell
-from naive_oracle import run_aggregates
+from naive_oracle import NaiveWarehouse, run_aggregates
 
 
 def kpi_spec(name="kpi"):
@@ -26,8 +26,18 @@ def fresh(name="kpi"):
     return wh
 
 
+def batch(records):
+    """Records, each a tuple of (subject, row) pairs over the same
+    subjects, as the columns Warehouse.load takes."""
+    rows = {}
+    for record in records:
+        for subject, row in record:
+            rows.setdefault(subject, []).append(row)
+    return {subject: list(zip(*r)) for subject, r in rows.items()}
+
+
 def put(wh, subject, rows):  # each row as a one-row record; none refused
-    assert wh.load([((subject, row),) for row in rows]) == []
+    assert wh.load(batch(((subject, row),) for row in rows)) == []
 
 
 class TestSubjects:
@@ -49,13 +59,13 @@ class TestSubjects:
     def test_unknown_subject(self):
         wh = Warehouse()
         with pytest.raises(SubjectNotFound):
-            wh.load([(("nope", (0.0,)),)])
+            wh.load(batch([(("nope", (0.0,)),)]))
 
 
 class TestAppend:
     def test_append_zero_rows(self):
         wh = fresh()
-        assert wh.load([]) == []
+        assert wh.load({}) == []
         assert wh.row_count("kpi") == 0
 
     def test_append_count_conservation(self):
@@ -74,7 +84,7 @@ class TestAppend:
     def test_out_of_retention_rejected(self):
         wh = fresh()
         put(wh, "kpi", [(30 * 24 * 3600.0, "c1", 5.0, 0.1)])
-        assert wh.load([(("kpi", (0.0, "c1", 5.0, 0.1)),)]) == [0]
+        assert wh.load(batch([(("kpi", (0.0, "c1", 5.0, 0.1)),)])) == [0]
         assert wh.row_count("kpi") == 1
 
     def test_row_far_ahead_of_clock_rejected(self):
@@ -83,19 +93,20 @@ class TestAppend:
         put(wh, "kpi", [(1.7e9, "c1", 5.0, 0.1)])  # the first row sets
         assert wh.clock_s == 1.7e9                # the clock, any epoch
         put(wh, "kpi", [(1.7e9 + 2 * week_s, "c1", 5.0, 0.1)])
-        assert wh.load([(("kpi", (1.7e9 + 4 * week_s + 1.0, "c1", 5.0, 0.1)),),
-                        (("kpi", (1.7e9 + 2 * week_s + 1.0, "c1", 5.0, 0.1)),)]
-                       ) == [0]
+        assert wh.load(batch([
+            (("kpi", (1.7e9 + 4 * week_s + 1.0, "c1", 5.0, 0.1)),),
+            (("kpi", (1.7e9 + 2 * week_s + 1.0, "c1", 5.0, 0.1)),)])) == [0]
         assert wh.clock_s == 1.7e9 + 2 * week_s + 1.0
         assert wh.row_count("kpi") == 3
-        assert wh.load([(("kpi", (1e15, "c1", 5.0, 0.1)),)]) == [0]
+        assert wh.load(batch([(("kpi", (1e15, "c1", 5.0, 0.1)),)])) == [0]
         assert wh.row_count("kpi") == 3  # refused again after a row taken
 
     def test_data_resuming_after_a_long_gap_taken_from_its_second_row(self):
         week_s = 7 * 24 * 3600.0
         wh = fresh()
         put(wh, "kpi", [(0.0, "c1", 5.0, 0.1)])
-        assert wh.load([(("kpi", (3 * week_s, "c1", 5.0, 0.1)),)]) == [0]
+        assert wh.load(batch([(("kpi", (3 * week_s, "c1", 5.0, 0.1)),)])
+                       ) == [0]
         with pytest.raises(SchemaError):  # takes no row, changes nothing
             put(wh, "kpi", [(3 * week_s, "c1", "oops", 0.1)])
         put(wh, "kpi", [(3 * week_s + 60.0, "c1", 5.0, 0.1)])
@@ -267,8 +278,8 @@ class TestLoad:
         wh, record = self.two_subjects()
         # t=10 s is within a's retention of the clock the t=7200 s record
         # left, but not within b's one hour
-        assert wh.load([record(0.0), record(7200.0), record(10.0),
-                        record(7300.0)]) == [2]
+        assert wh.load(batch([record(0.0), record(7200.0), record(10.0),
+                              record(7300.0)])) == [2]
         for subject in ("a", "b"):
             assert [r[0] for r in wh.scan(subject)] == [0.0, 7200.0, 7300.0]
         assert wh.clock_s == 7300.0
@@ -276,9 +287,46 @@ class TestLoad:
     def test_row_that_does_not_fit_loads_nothing(self):
         wh, record = self.two_subjects()
         with pytest.raises(SchemaError, match="throughput_mbps"):
-            wh.load([record(0.0), (("a", (1.0, "c1", "oops", 0.1)),)])
+            wh.load(batch([record(0.0), (("a", (1.0, "c1", "oops", 0.1)),
+                                         ("b", (1.0, 1)))]))
         assert wh.row_count("a") == wh.row_count("b") == 0
         assert wh.clock_s == 0.0
+
+
+class TestLoadMatchesRowLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batches_load_as_records_one_at_a_time(self, data):
+        # two subjects of different retention in one batch, times on both
+        # sides of each one's retention and lead bounds, and migrations that
+        # send late rows into cold partitions
+        specs = [SubjectSpec("a", [Column("t_s", "float"),
+                                   Column("v", "int")], retention_hours=3),
+                 SubjectSpec("b", [Column("c", "str"), Column("t_s", "float")],
+                             retention_hours=1)]
+        wh = Warehouse(hot_window_s=0.0)
+        for spec in specs:
+            wh.create_subject(spec)
+        naive = NaiveWarehouse(specs)
+        hour = 3600.0
+        times = st.sampled_from((0.0, 60.0, hour, 2 * hour, 2 * hour + 60.0,
+                                 3 * hour, 4 * hour, 6 * hour, 6 * hour + 1.0,
+                                 7 * hour, 12 * hour, 13 * hour, 40 * hour))
+        for step in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                now = wh.clock_s + data.draw(st.sampled_from((0.0, hour)))
+                wh.migrate_tiers(now)
+                naive.expire(now)
+            records = [((("a", (t, step)), ("b", (f"c{step}", u)))
+                        if both else (("a", (t, step)),))
+                       for t, u, both in data.draw(st.lists(st.tuples(
+                           times, times, st.booleans()), max_size=8))]
+            both = data.draw(st.booleans())
+            records = [r for r in records if (len(r) == 2) == both]
+            assert wh.load(batch(records)) == naive.load(records)
+            assert wh.clock_s == naive.clock_s
+        for spec in specs:
+            assert wh.scan(spec.name) == naive.scan(spec.name)
 
 
 class TestTiering:
@@ -406,7 +454,7 @@ class TestTiering:
         for _ in range(data.draw(st.integers(1, 6))):
             rows = [(t, len(kept) + i) for i, t in
                     enumerate(data.draw(st.lists(hour, max_size=25)))]
-            refused = set(wh.load([(("s", r),) for r in rows]))
+            refused = set(wh.load(batch((("s", r),) for r in rows)))
             kept += [r for i, r in enumerate(rows) if i not in refused]
             if data.draw(st.booleans()):
                 now = data.draw(st.floats(0.0, 72.0)) * 3600.0
