@@ -59,8 +59,7 @@ class DqnAgent:
         self.config = config or DqnConfig()
         self.allowed = tuple(allowed_actions) if allowed_actions is not None \
             else tuple(range(N_ACTIONS))
-        self.q = Mlp([obs_dim, *self.config.hidden, N_ACTIONS],
-                     head="linear", seed=seed)
+        self.q = Mlp([obs_dim, *self.config.hidden, N_ACTIONS], seed=seed)
         self.target = self.q.copy()
         self._learner = _Learner.of([self])
 
@@ -170,7 +169,7 @@ class _Learner:
         targets = out.copy()
         targets[agent, np.arange(batch), ring["actions"][agent, slot]] = \
             ring["rewards"][agent, slot] + config.gamma * best_next
-        loss, gw, gb, _ = self.q.grads_at(out, acts, targets)
+        loss, gw, gb = self.q.grads_at(out, acts, targets)
         momentum_step(self.q, self.velocity, gw, gb, -config.learning_rate)
         return loss
 

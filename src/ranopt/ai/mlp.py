@@ -1,10 +1,7 @@
 """From-scratch multilayer perceptron with rectifier hidden layers.
 
-Heads: "linear" (MSE regression) and "softmax_mse" (MSE against target
-fractions, used by the power policy).
-Training is mini-batch gradient descent with momentum. The backward pass
-also returns gradients with respect to the inputs, which the policy
-fine-tuning needs to push gradients through a frozen estimator network.
+The output layer is linear and the loss is the mean squared error.
+Training is mini-batch gradient descent with momentum.
 
 `stack` joins k networks of one shape into one whose parameters carry a
 leading network axis, and makes each network's parameters views into it.
@@ -33,11 +30,8 @@ class TrainConfig:
 
 
 class Mlp:
-    def __init__(self, layer_sizes, head: str = "linear", seed: int = 0):
-        if head not in ("linear", "softmax_mse"):
-            raise ValueError(f"unknown head {head!r}")
+    def __init__(self, layer_sizes, seed: int = 0):
         self.layer_sizes = list(layer_sizes)
-        self.head = head
         self.seed = seed
         rng = np.random.default_rng(seed)
         self.weights = []
@@ -57,8 +51,7 @@ class Mlp:
             z = a @ W + b[..., None, :]
             a = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
             acts.append(a)
-        out = _softmax(a) if self.head == "softmax_mse" else a
-        return out, acts
+        return a, acts
 
     def predict(self, X):
         return self.forward(X)[0]
@@ -73,7 +66,7 @@ class Mlp:
         return float(np.mean((out - self._target(Y, out)) ** 2))
 
     def loss_and_grads(self, X, Y):
-        """(loss, weight grads, bias grads, input grads)."""
+        """(loss, weight grads, bias grads)."""
         return self.grads_at(*self.forward(X), Y)
 
     def grads_at(self, out, acts, Y):
@@ -84,38 +77,15 @@ class Mlp:
         loss = float(np.mean(sq)) if out.ndim == 2 \
             else np.mean(sq, axis=(-2, -1))
         delta = 2.0 * (out - target) / (out.shape[-2] * out.shape[-1])
-        if self.head == "softmax_mse":
-            delta = _softmax_backward(out, delta)
-        d_in = self.backprop_from_delta(acts, delta, accumulate=True)
-        return loss, self._gw, self._gb, d_in
-
-    def backprop_from_delta(self, acts, delta, accumulate: bool = False):
-        """Propagate an output-layer delta (taken before the softmax of the
-        softmax_mse head) back to the inputs; optionally accumulate
-        parameter gradients."""
-        if accumulate:
-            self._gw = [None] * len(self.weights)
-            self._gb = [None] * len(self.biases)
+        gw = [None] * len(self.weights)
+        gb = [None] * len(self.biases)
         for i in reversed(range(len(self.weights))):
-            if accumulate:
-                self._gw[i] = np.swapaxes(acts[i], -1, -2) @ delta
-                self._gb[i] = delta.sum(axis=-2)
-            delta = delta @ np.swapaxes(self.weights[i], -1, -2)
+            gw[i] = np.swapaxes(acts[i], -1, -2) @ delta
+            gb[i] = delta.sum(axis=-2)
             if i > 0:
-                delta = delta * (acts[i] > 0.0)
-        return delta
-
-    def input_gradient(self, X, d_out):
-        """Gradient of sum(output * d_out) with respect to X.
-
-        For the softmax_mse head d_out is taken with respect to the softmax
-        output.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out, acts = self.forward(X)
-        delta = _softmax_backward(out, d_out) \
-            if self.head == "softmax_mse" else np.asarray(d_out)
-        return self.backprop_from_delta(acts, delta, accumulate=False)
+                delta = (delta @ np.swapaxes(self.weights[i], -1, -2)) \
+                    * (acts[i] > 0.0)
+        return loss, gw, gb
 
     # -- training -------------------------------------------------------
     def fit(self, X, Y, config: TrainConfig) -> float:
@@ -131,7 +101,7 @@ class Mlp:
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                loss, gw, gb, _ = self.loss_and_grads(X[idx], Y[idx])
+                loss, gw, gb = self.loss_and_grads(X[idx], Y[idx])
                 if not np.isfinite(loss):
                     raise NumericalFailure(
                         f"non-finite training loss {loss} "
@@ -145,13 +115,13 @@ class Mlp:
     # -- (de)serialization ----------------------------------------------
     def to_dict(self) -> dict:
         return {"kind": "mlp", "layer_sizes": self.layer_sizes,
-                "head": self.head, "seed": self.seed,
+                "seed": self.seed,
                 "weights": [W.tolist() for W in self.weights],
                 "biases": [b.tolist() for b in self.biases]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mlp":
-        m = cls(d["layer_sizes"], head=d["head"], seed=d.get("seed", 0))
+        m = cls(d["layer_sizes"], seed=d.get("seed", 0))
         m.weights = [np.array(W) for W in d["weights"]]
         m.biases = [np.array(b) for b in d["biases"]]
         return m
@@ -185,18 +155,6 @@ def momentum_step(model: Mlp, velocity: list, gw, gb, step: float) -> None:
         v *= MOMENTUM
         v += step * g
         p += v
-
-
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_backward(p, d_out):
-    d_out = np.asarray(d_out, dtype=float)
-    dot = (d_out * p).sum(axis=-1, keepdims=True)
-    return p * (d_out - dot)
 
 
 def flatten_params(model: Mlp) -> np.ndarray:
@@ -239,7 +197,7 @@ def gradient_check(model: Mlp, X, Y, eps: float = 1e-6) -> float:
     the finite difference meaningless; they are detected by disagreement
     between two probe widths and excluded.
     """
-    _, gw, gb, _ = model.loss_and_grads(X, Y)
+    _, gw, gb = model.loss_and_grads(X, Y)
     analytic = np.concatenate([g.ravel() for g in gw]
                               + [g.ravel() for g in gb])
     fd_a = numerical_gradient(model, X, Y, eps)

@@ -3,7 +3,12 @@
 This is the one place that knows what differs between use cases: the
 objective, the command an epoch proposes, the verify decision, the offline
 models and their export, and the history needed first.  `ClosedLoop` holds
-its use case's object and calls it."""
+its use case's object and calls it.
+
+The throughput and MIMO use cases are one exact search on the radio maps
+(`recommend_config`) over different boxes: azimuth and tilt around the
+target's pointing for throughput, the target's transmit power alone for
+MIMO.  Only the interference use case trains models offline."""
 from __future__ import annotations
 
 import copy
@@ -13,13 +18,11 @@ from operator import attrgetter
 import numpy as np
 
 from ..ai import dqn as dqn_mod
-from ..ai import mimo as mimo_mod
 from ..ai.forecast import MIN_HISTORY, TrafficForecaster
 from ..ai.strategy import recommend_strategy
 from ..ai.throughput import MEASUREMENT_COLUMNS, recommend_config
 from ..errors import InsufficientHistory
 from ..simcore.energy import energy_step
-from ..simcore.radio import best_beam_rsrp_dbm, dbm_to_mw
 from ..warehouse.subjects import SUBJECT_BEAM, SUBJECT_ENERGY
 from .commands import Command
 
@@ -28,9 +31,6 @@ QOS_SERVED_FLOOR = 0.99
 ENERGY_FORECAST_HORIZON = 4
 DQN_EPISODES = 12
 DQN_EPISODE_LEN = 25
-MIMO_TRAIN_STATES = 300
-MIMO_EVAL_STATES = 100
-MIMO_FINETUNE_STEPS = 200
 _capacity_rank = attrgetter("carrier_on", "channel_fraction",
                             "symbol_fraction")
 
@@ -87,19 +87,22 @@ class UseCase:
 
 
 class Throughput(UseCase):
+    def box(self, cell) -> dict:
+        """The search box of the target cell: {field: (lo, hi)}, centered
+        on its current pointing at its current power."""
+        return {"azimuth_deg": (max(0.0, cell.azimuth_deg - 40.0),
+                                min(355.0, cell.azimuth_deg + 40.0)),
+                "tilt_deg": (0.0, 14.0),
+                "tx_power_dbm": (cell.tx_power_dbm, cell.tx_power_dbm)}
+
     def optimize(self, loop, before) -> Command:
         target = loop.target_cell()
         columns = loop.warehouse.read(SUBJECT_BEAM, MEASUREMENT_COLUMNS)
-        # the search box is centered on the target's current pointing
-        cell = loop.scenario.cell(target)
-        az_lo = max(0.0, cell.azimuth_deg - 40.0)
-        az_hi = min(355.0, cell.azimuth_deg + 40.0)
-        bounds = {"azimuth_deg": (az_lo, az_hi), "tilt_deg": (0.0, 14.0),
-                  "tx_power_dbm": (cell.tx_power_dbm, cell.tx_power_dbm)}
         steps = {"azimuth_deg": 10.0, "tilt_deg": 2.0, "tx_power_dbm": 1.0}
         try:
             fields, _ = recommend_config(
-                columns, loop.cells(), loop.config_log, target, bounds,
+                columns, loop.cells(), loop.config_log, target,
+                self.box(loop.scenario.cell(target)),
                 loop.scenario.bandwidth_mhz, loop.scenario.carrier_ghz,
                 steps=steps)
         except InsufficientHistory:  # too few measurements of the target
@@ -107,62 +110,10 @@ class Throughput(UseCase):
         return Command(target, fields, loop.use_case, loop.epoch)
 
 
-class Mimo(UseCase):
-    exports = {"mimo_estimator": ("estimator", lambda net: net.to_dict()),
-               "mimo_policy": ("policy", lambda net: net.to_dict()),
-               "mimo_rates": ("rates", lambda rates: rates)}
-
-    def optimize(self, loop, before) -> Command:
-        """Re-split the network power budget with the allocation policy.
-
-        Cross-cell coupling is estimated with the analytic antenna model at
-        the warehouse-observed user positions.  Without a policy from the
-        offline phase (a network of fewer than two cells has none) the
-        command is a no-op."""
-        policy = loop.models.get("mimo_policy")
-        if policy is None:
-            return super().optimize(loop, before)
-        cells = loop.cells()
-        ids = sorted(cells)
-        k = len(ids)
-        cell_ids, positions = _window_positions(loop, before)
-        pos_by_cell = {cid: positions[cell_ids == cid] for cid in ids}
-        if any(p.size == 0 for p in pos_by_cell.values()):
-            return super().optimize(loop, before)
-        tx_mw = np.array([dbm_to_mw(cells[cid].tx_power_dbm) for cid in ids])
-        gains = np.empty((k, k))
-        for j, cj in enumerate(ids):
-            for u, cu in enumerate(ids):
-                rsrp, _ = best_beam_rsrp_dbm(cells[cj], pos_by_cell[cu],
-                                             loop.scenario.carrier_ghz)
-                gains[j, u] = float(np.mean(dbm_to_mw(rsrp))) / tx_mw[j]
-        scale = gains.max()
-        state = mimo_mod.MimoState(gains=gains / scale)
-        fracs = policy.predict(state.features()[None, :])[0]
-        total_mw = tx_mw.sum()
-        target = loop.target_cell()
-        new_dbm = float(np.clip(
-            10.0 * np.log10(max(fracs[ids.index(target)] * total_mw, 1e-9)),
-            30.0, 53.0))
-        return Command(target, {"tx_power_dbm": round(new_dbm, 2)},
-                       loop.use_case, loop.epoch)
-
-    def offline(self, scenario, seed: int) -> dict:
-        """For k >= 2 cells, the dual network at k: the rate estimator, the
-        policy `select_policy` keeps and the true rates of both candidate
-        policies.  A network of one cell trains nothing."""
-        k = len(scenario.cells)
-        if k < 2:
-            return {}
-        states = mimo_mod.sample_states(MIMO_TRAIN_STATES, seed=seed, k=k)
-        estimator = mimo_mod.train_rate_estimator(states, seed=seed)
-        policy = mimo_mod.pretrain_policy(states, seed=seed)
-        tuned = mimo_mod.finetune_policy(estimator, policy, states,
-                                         steps=MIMO_FINETUNE_STEPS, seed=seed)
-        held_out = mimo_mod.sample_states(MIMO_EVAL_STATES, seed=seed + 1, k=k)
-        chosen, r_pre, r_fine = mimo_mod.select_policy(policy, tuned, held_out)
-        return {"mimo_estimator": estimator, "mimo_policy": chosen,
-                "mimo_rates": {"pretrained": r_pre, "finetuned": r_fine}}
+class Mimo(Throughput):
+    def box(self, cell) -> dict:
+        """The target's transmit power alone, over its whole range."""
+        return {"tx_power_dbm": (30.0, 53.0)}
 
 
 class Interference(UseCase):

@@ -1,6 +1,5 @@
 import pytest
 
-from ranopt.loop import USE_CASES
 from ranopt.simcore import CellConfig, HotspotCluster, Scenario
 
 FLAT_PROFILE = [1.0] * 24
@@ -30,9 +29,6 @@ def single_cell_scenario():
     return make_scenario()
 
 
-MIMO_SEED = 9
-
-
 def two_cell_scenario():
     """Two facing cells, one hotspot in front of each: a MIMO network."""
     cells = [make_cell("c1"), make_cell("c2", site_pos=(500.0, 0.0, 25.0),
@@ -40,10 +36,3 @@ def two_cell_scenario():
     clusters = [HotspotCluster((200.0, 50.0), 30.0, 6.0),
                 HotspotCluster((300.0, -50.0), 30.0, 6.0)]
     return make_scenario(cells=cells, clusters=clusters)
-
-
-@pytest.fixture(scope="session")
-def mimo_models():
-    """The MIMO offline phase on two_cell_scenario() at MIMO_SEED, trained
-    once per session (about 5 s); tests must not change the models."""
-    return USE_CASES["mimo"].offline(two_cell_scenario(), MIMO_SEED)

@@ -249,8 +249,7 @@ class PerAgentDqn:
             else tuple(range(N_ACTIONS))
         self._mask = np.full(N_ACTIONS, -np.inf)
         self._mask[list(self.allowed)] = 0.0
-        self.q = Mlp([obs_dim, *config.hidden, N_ACTIONS], head="linear",
-                     seed=seed)
+        self.q = Mlp([obs_dim, *config.hidden, N_ACTIONS], seed=seed)
         self.target = self.q.copy()
         self.replay = deque(maxlen=config.replay_capacity)
         self._velocity: list = []
@@ -283,7 +282,7 @@ class PerAgentDqn:
         targets = self.q.predict(obs).copy()
         targets[np.arange(len(batch)), actions] = \
             rewards + self.config.gamma * best_next
-        _, gw, gb, _ = self.q.loss_and_grads(obs, targets)
+        _, gw, gb = self.q.loss_and_grads(obs, targets)
         momentum_step(self.q, self._velocity, gw, gb,
                       -self.config.learning_rate)
 

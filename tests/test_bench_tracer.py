@@ -12,9 +12,9 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # wrapped attributes that are deleted: the surrogate search's three;
 # Warehouse.append, whose warehouse.append.* metrics read 0 once the
 # pipeline loaded through Warehouse.load, now the only write path; and the
-# radio kernel's name in the loop runner, gone with the MIMO coupling
-# estimate to loop/usecases.py (no workload runs the MIMO use case, so
-# simcore.best_beam.* reads the same)
+# radio kernel's name in the loop runner, whose one caller, the MIMO
+# coupling estimate, is gone: the MIMO search calls the kernel through
+# ranopt.ai.throughput, which the tracer wraps
 GONE = {"ranopt.ai.throughput.fit_surrogate",
         "ranopt.ai.throughput.optimize_config",
         "ranopt.ai.surrogate._NormalizedSurrogate.predict",

@@ -16,7 +16,7 @@ from ranopt.scenarios import scenario_path
 from ranopt.simcore import KpiRecord, MeasurementRecord, engine
 from ranopt.warehouse.query import QueryTask
 
-from conftest import MIMO_SEED, make_scenario, two_cell_scenario
+from conftest import make_scenario, two_cell_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -208,26 +208,16 @@ class TestWarehouseQuery:
 
 
 class TestOptimize:
-    def test_mimo_export_is_the_loops_offline_training(self, tmp_path,
-                                                        mimo_models):
-        path = tmp_path / "scenario.json"
-        engine.save_scenario(two_cell_scenario(), path)
+    def test_mimo_trains_nothing_to_write(self, scenario_file, tmp_path,
+                                          capsys):
+        # the MIMO use case searches the radio maps and has no model
         out = tmp_path / "model.json"
-        assert run(["optimize", "--usecase", "mimo", "--scenario", str(path),
-                    "--seed", str(MIMO_SEED), "--out", str(out)]) == 0
-        expected = {"use_case": "mimo", "seed": MIMO_SEED,
-                    "estimator": mimo_models["mimo_estimator"].to_dict(),
-                    "policy": mimo_models["mimo_policy"].to_dict(),
-                    "rates": mimo_models["mimo_rates"]}
-        assert json.loads(out.read_text()) == json.loads(json.dumps(expected))
-
-    def test_one_cell_mimo_export_holds_no_model(self, scenario_file,
-                                                  tmp_path):
-        # the loop only issues no-ops on one cell, so nothing is trained
-        out = tmp_path / "model.json"
-        assert run(["optimize", "--usecase", "mimo", "--scenario",
-                    scenario_file, "--out", str(out)]) == 0
-        assert json.loads(out.read_text()) == {"use_case": "mimo", "seed": 0}
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", "--usecase", "mimo", "--scenario",
+                 scenario_file, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mimo'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_interference_export_is_the_loops_offline_training(
             self, scenario_file, tmp_path):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ranopt.ai import throughput
 from ranopt.errors import InsufficientHistory, ValidationError
 from ranopt.loop import (USE_CASES, ClosedLoop, Command, CommandLog,
                          LoopReport, UseCase, rollback_if_worse,
@@ -14,10 +15,9 @@ from ranopt.loop.usecases import Energy, Mimo
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import engine
 from ranopt.simcore.energy import energy_step
-from ranopt.simcore.radio import dbm_to_mw
 from ranopt.simcore.types import HotspotCluster
 
-from conftest import MIMO_SEED, make_cell, make_scenario, two_cell_scenario
+from conftest import make_cell, make_scenario, two_cell_scenario
 
 DIURNAL = [0.1, 0.05, 0.05, 0.05, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0, 1.0, 0.9,
            0.8, 0.8, 0.9, 1.0, 1.0, 0.9, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1]
@@ -56,17 +56,29 @@ def interference_scenario():
     return make_scenario(cells=cells, clusters=clusters, seed=11)
 
 
-class SpyPolicy:
-    """A policy that keeps the power split of each of its predictions."""
-
-    def __init__(self, net):
-        self.net = net
-        self.splits = []
-
-    def predict(self, X):
-        out = self.net.predict(X)
-        self.splits.append(out[0])
-        return out
+def enumerated_best_power(loop) -> dict:
+    """The MIMO command's fields by enumeration: the target's power scored
+    one value at a time over 30...53 dBm with the loop's radio maps, latest
+    positions and demand cap, and the first maximum kept; {} if the target
+    has too few measurements."""
+    cells, target = loop.cells(), loop.target_cell()
+    columns = loop.warehouse.read("beam-management",
+                                  throughput.MEASUREMENT_COLUMNS)
+    try:
+        maps = throughput.fit_radio_maps(columns, cells, loop.config_log,
+                                         loop.scenario.carrier_ghz, target)
+    except InsufficientHistory:
+        return {}
+    latest = columns["t_s"] == columns["t_s"].max()
+    positions = np.column_stack([columns["pos_x_m"][latest],
+                                 columns["pos_y_m"][latest]])
+    cap = throughput.estimate_demand_cap(columns["rate_mbps"])
+    powers = [float(p) for p in range(30, 54)]
+    scores = [throughput.predict_network_throughput(
+                  cells, maps, positions, loop.scenario.bandwidth_mhz,
+                  loop.scenario.carrier_ghz, target, {"tx_power_dbm": p}, cap)
+              for p in powers]
+    return {"tx_power_dbm": powers[scores.index(max(scores))]}
 
 
 class TestCommands:
@@ -223,16 +235,19 @@ class TestUseCases:
         _, before, after = loop.run_epoch()
         assert after.objective > before.objective
 
+    @pytest.mark.parametrize("use_case", ["throughput", "mimo"])
     @pytest.mark.parametrize("name,noop_epochs", [
         ("toy_two_cell", [0]), ("three_cell_hotspot", []),
         ("diurnal_energy", [0, 1, 2, 3])])
     def test_throughput_loop_goes_on_past_sparse_cells(self, name,
-                                                       noop_epochs):
+                                                       noop_epochs,
+                                                       use_case):
         # each scenario has a cell with fewer than MIN_SAMPLES_PER_CELL
         # usable measurements in an early epoch: as a target it gets a
-        # no-op command, otherwise the analytic model alone
+        # no-op command, otherwise the analytic model alone; the MIMO
+        # power search reads the same radio maps
         sc = engine.load_scenario(scenario_path(name))
-        report = run_closed_loop(sc, "throughput", epochs=6, seed=1)
+        report = run_closed_loop(sc, use_case, epochs=6, seed=1)
         assert report.error is None and len(report.entries) == 6
         assert [e["epoch"] for e in report.entries
                 if not e["command"]["fields"]] == noop_epochs
@@ -263,52 +278,19 @@ class TestUseCases:
             if e["command"]["fields"]:
                 assert 30.0 <= e["command"]["fields"]["tx_power_dbm"] <= 53.0
 
-    def test_mimo_loop_deploys_the_offline_policy_split(self, mimo_models,
-                                                         monkeypatch):
-        # the offline phase is the session's; a spy sees each split
-        spy = SpyPolicy(mimo_models["mimo_policy"])
-        calls = []
+    def test_mimo_epoch_deploys_the_enumerated_best_power(self,
+                                                          monkeypatch):
+        expected = []
 
-        class SpyMimo(Mimo):
-            def offline(self, scenario, seed):
-                calls.append((len(scenario.cells), seed))
-                return {**mimo_models, "mimo_policy": spy}
+        class Oracle(Mimo):
+            def optimize(self, loop, before):
+                expected.append(enumerated_best_power(loop))
+                return super().optimize(loop, before)
 
-        monkeypatch.setitem(USE_CASES, "mimo", SpyMimo())
-        sc = two_cell_scenario()
-        report = run_closed_loop(sc, "mimo", epochs=3, seed=MIMO_SEED)
-        assert calls == [(2, MIMO_SEED)]
-        assert len(spy.splits) == 3  # each epoch sees both cells' users
-        ids = sorted(c.cell_id for c in sc.cells)
-        power = {c.cell_id: c.tx_power_dbm for c in sc.cells}
-        for e, split in zip(report.entries, spy.splits):
-            target = e["command"]["cell_id"]
-            total_mw = sum(dbm_to_mw(power[cid]) for cid in ids)
-            dbm = np.clip(10.0 * np.log10(split[ids.index(target)]
-                                          * total_mw), 30.0, 53.0)
-            assert e["command"]["fields"] == {
-                "tx_power_dbm": round(float(dbm), 2)}
-            if e["decision"] == "accepted":
-                power[target] = e["command"]["fields"]["tx_power_dbm"]
-        assert {c["cell_id"]: c["tx_power_dbm"]
-                for c in report.final_config} == power
-
-    def test_mimo_epoch_leaves_the_callers_models_unchanged(self,
-                                                            mimo_models):
-        models = dict(mimo_models)
-        loop = ClosedLoop(two_cell_scenario(), "mimo", seed=MIMO_SEED,
-                          models=models)
-        cmd, _, _ = loop.run_epoch()
-        assert not cmd.is_noop()
-        assert models == mimo_models
-
-    def test_mimo_loop_without_models_issues_noop(self):
-        sc = two_cell_scenario()
-        loop = ClosedLoop(sc, "mimo", seed=MIMO_SEED)
-        cmd, _, _ = loop.run_epoch()
-        assert cmd.is_noop()
-        assert [c.to_dict() for c in loop.scenario.cells] \
-            == [c.to_dict() for c in sc.cells]
+        monkeypatch.setitem(USE_CASES, "mimo", Oracle())
+        report = ClosedLoop(two_cell_scenario(), "mimo", seed=1).run(4)
+        assert [e["command"]["fields"] for e in report.entries] == expected
+        assert sum(1 for fields in expected if fields) >= 2
 
     def test_interference_loop_with_pretrained_agents(self):
         report = run_closed_loop(interference_scenario(), "interference",
@@ -383,16 +365,12 @@ class TestTempDir:
 
 class TestDeterminism:
     @pytest.mark.parametrize("use_case", list(USE_CASES))
-    def test_replay_byte_identical(self, use_case, request, monkeypatch):
+    def test_replay_byte_identical(self, use_case):
         cell = make_cell(azimuth_deg=30.0, tilt_deg=12.0)
         sc = {"throughput": make_scenario(cells=[cell], shadow_sigma_db=4.0),
               "mimo": two_cell_scenario(),
               "interference": interference_scenario(),
               "energy": make_scenario(profile=DIURNAL, seed=5)}[use_case]
-        if use_case == "mimo":  # the fixture's dual network, not a new one
-            models = request.getfixturevalue("mimo_models")
-            monkeypatch.setattr(USE_CASES["mimo"], "offline",
-                                lambda scenario, seed: models)
         a = run_closed_loop(copy.deepcopy(sc), use_case, epochs=2, seed=12)
         b = run_closed_loop(copy.deepcopy(sc), use_case, epochs=2, seed=12)
         assert a.to_json() == b.to_json()

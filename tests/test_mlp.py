@@ -7,25 +7,20 @@ from ranopt.errors import NumericalFailure
 
 
 def analytic_flat_grad(model, X, Y):
-    _, gw, gb, _ = model.loss_and_grads(X, Y)
+    _, gw, gb = model.loss_and_grads(X, Y)
     return np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
 
 
 class TestGradients:
-    @pytest.mark.parametrize("head,out_dim", [("linear", 1), ("linear", 3),
-                                              ("softmax_mse", 3)])
-    def test_matches_central_differences(self, head, out_dim):
-        seeds = {"linear": 11, "softmax_mse": 33}
-        rng = np.random.default_rng(seeds[head] + out_dim)
+    @pytest.mark.parametrize("out_dim", [1, 3],
+                             ids=lambda n: f"linear-{n}")
+    def test_matches_central_differences(self, out_dim):
+        rng = np.random.default_rng(11 + out_dim)
         for trial in range(5):
             sizes = [3, 6, 5, out_dim]
-            model = Mlp(sizes, head=head, seed=trial)
+            model = Mlp(sizes, seed=trial)
             X = rng.normal(size=(7, 3))
-            if head == "softmax_mse":
-                raw = rng.uniform(0.1, 1.0, size=(7, out_dim))
-                Y = raw / raw.sum(axis=1, keepdims=True)
-            else:
-                Y = rng.normal(size=(7, out_dim))
+            Y = rng.normal(size=(7, out_dim))
             assert gradient_check(model, X, Y) < 1e-4
 
     def test_one_output_target_shapes_agree(self):
@@ -37,27 +32,12 @@ class TestGradients:
         assert model.loss(X, y) == model.loss(X, y[:, None]) \
             == model.loss_and_grads(X, y)[0]
 
-    def test_input_gradient_matches_fd(self):
-        model = Mlp([4, 8, 2], head="linear", seed=3)
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(1, 4))
-        w = np.array([[0.7, -1.3]])
-        got = model.input_gradient(X, w)
-        eps = 1e-6
-        for j in range(4):
-            Xp, Xm = X.copy(), X.copy()
-            Xp[0, j] += eps
-            Xm[0, j] -= eps
-            fd = ((model.predict(Xp) * w).sum()
-                  - (model.predict(Xm) * w).sum()) / (2 * eps)
-            assert got[0, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-
 
 class TestTraining:
     def test_xor(self):
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         Y = np.array([[0.0], [1.0], [1.0], [0.0]])
-        model = Mlp([2, 8, 1], head="linear", seed=1)
+        model = Mlp([2, 8, 1], seed=1)
         loss = model.fit(X, Y, TrainConfig(learning_rate=0.05, epochs=5000,
                                            batch_size=4, seed=1))
         assert loss < 0.05
@@ -84,10 +64,10 @@ class TestTraining:
 
 class TestSerialization:
     def test_roundtrip(self):
-        model = Mlp([3, 6, 2], head="softmax_mse", seed=7)
+        model = Mlp([3, 6, 2], seed=7)
         clone = Mlp.from_dict(model.to_dict())
         X = np.random.default_rng(2).normal(size=(5, 3))
-        assert np.allclose(model.predict(X), clone.predict(X))
+        assert np.array_equal(model.predict(X), clone.predict(X))
 
     def test_flat_param_roundtrip(self):
         model = Mlp([3, 4, 2], seed=5)
