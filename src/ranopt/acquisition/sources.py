@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import socketserver
-import threading
 from pathlib import Path
 
 from ..errors import FileRejected
@@ -60,11 +59,6 @@ class StreamServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], pipeline: AcquisitionPipeline):
         super().__init__(address, _StreamHandler)
         self.pipeline = pipeline
-
-    def serve_in_background(self) -> threading.Thread:
-        t = threading.Thread(target=self.serve_forever, daemon=True)
-        t.start()
-        return t
 
 
 def watch_directory(directory, pipeline: AcquisitionPipeline) -> int:

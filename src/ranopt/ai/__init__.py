@@ -1,7 +1,6 @@
 """Learning components: regressors, policies, forecasting and strategy."""
 from .forecast import TrafficForecaster
 from .gpr import GprRegressor
-from .mlp import Mlp, TrainConfig, gradient_check
+from .mlp import Mlp
 
-__all__ = ["TrafficForecaster", "GprRegressor", "Mlp", "TrainConfig",
-           "gradient_check"]
+__all__ = ["TrafficForecaster", "GprRegressor", "Mlp"]

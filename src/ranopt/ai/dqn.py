@@ -216,22 +216,13 @@ def _observe_all(scenario: Scenario, w: engine.Window) -> np.ndarray:
                      for i in range(len(scenario.cells))])
 
 
-def network_collision(kpis) -> float:
-    """User-weighted collision ratio across all cells in one window."""
-    return _network_collision([k.collision_ratio for k in kpis],
-                              [k.num_users for k in kpis])
-
-
 def window_collision(w: engine.Window) -> float:
-    """`network_collision` of a window's per-cell arrays."""
-    return _network_collision(w.collision.tolist(), w.num_users.tolist())
-
-
-def _network_collision(ratios, users) -> float:
+    """User-weighted collision ratio across a window's cells."""
+    users = w.num_users.tolist()
     total = sum(users)
     if total == 0:
         return 0.0
-    return sum(r * n for r, n in zip(ratios, users)) / total
+    return sum(r * n for r, n in zip(w.collision.tolist(), users)) / total
 
 
 def apply_actions(scenario: Scenario, actions: dict[str, int]) -> Scenario:
@@ -287,48 +278,3 @@ def dqn_train(scenario: Scenario, episodes: int,
                 learner.sync_target()
         curve.append(float(np.mean(ep_rewards)))
     return agents, curve
-
-
-def greedy_actions(agents: dict[str, DqnAgent], scenario: Scenario,
-                   t_s: float, window_len_s: float = 3600.0) -> dict[str, int]:
-    return _greedy(agents, scenario,
-                   engine.window(scenario, window_len_s, t_s))
-
-
-def _greedy(agents, scenario: Scenario, w: engine.Window) -> dict[str, int]:
-    """Every agent's greedy action on its observation of window w."""
-    return {cid: agents[cid].greedy(obs)
-            for cid, obs in zip(w.cell_ids, _observe_all(scenario, w))}
-
-
-def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
-                   n_windows: int, t0_s: float = 0.0,
-                   window_len_s: float = 3600.0):
-    """Run the greedy policies in closed loop for n_windows.
-
-    Each window every agent observes the current state (including the
-    neighbors' latest pattern/offset choices) and re-acts, so the joint
-    policy settles into its own equilibrium. Returns (mean collision over
-    the windows, actions of the final window).
-    """
-    state = copy.deepcopy(scenario)
-    w = engine.window(state, window_len_s, t0_s)
-    collisions = []
-    actions: dict[str, int] = {}
-    for i in range(n_windows):
-        actions = _greedy(agents, state, w)
-        state = apply_actions(state, actions)
-        w = engine.window(state, window_len_s, t0_s + (i + 1) * window_len_s)
-        collisions.append(window_collision(w))
-    return float(np.mean(collisions)), actions
-
-
-def evaluate_joint(scenario: Scenario, actions: dict[str, int], t0_s: float,
-                   n_windows: int = 4, window_len_s: float = 3600.0) -> float:
-    """Mean reward of a fixed joint action over evaluation windows."""
-    state = apply_actions(copy.deepcopy(scenario), actions)
-    rewards = []
-    for i in range(n_windows):
-        w = engine.window(state, window_len_s, t0_s + i * window_len_s)
-        rewards.append(-window_collision(w))
-    return float(np.mean(rewards))

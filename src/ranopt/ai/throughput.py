@@ -128,20 +128,6 @@ def _predicted_rsrp(cell: CellConfig, pointings, gpr: GprRegressor | None,
     return analytic + gpr.predict(q).reshape(analytic.shape)
 
 
-def predict_network_throughput(cells: dict[str, CellConfig],
-                               radio_maps: dict[str, GprRegressor],
-                               positions, bandwidth_mhz: float,
-                               carrier_ghz: float,
-                               target_cell: str | None = None,
-                               candidate_fields: dict | None = None,
-                               demand_mbps: float = UNCAPPED_DEMAND_MBPS
-                               ) -> float:
-    """Re-attach users under predicted RSRP and sum per-cell throughput."""
-    return _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
-                                  carrier_ghz, target_cell,
-                                  [candidate_fields or {}], demand_mbps)[0]
-
-
 def _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
                            carrier_ghz, target_cell, candidates,
                            demand_mbps) -> list[float]:

@@ -103,16 +103,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _address(text: str) -> tuple[str, int]:
+    """HOST:PORT as (host, port)."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not port.isdecimal() or int(port) > 65535:
+        raise ValidationError(
+            f"--socket {text!r}: want HOST:PORT with a port in 0..65535")
+    return host, int(port)
+
+
 def cmd_ingest(args) -> int:
+    address = None if args.watch is not None else _address(args.socket)
     scenario = _load_scenario(args.scenario)
     pipeline = _fresh_pipeline(scenario)
-    if args.watch:
+    if address is None:
         n = _ingest_dir(pipeline, args.watch)
         print(f"processed {n} files")
     else:
         from .acquisition.sources import StreamServer
-        host, port = args.socket.rsplit(":", 1)
-        server = StreamServer((host, int(port)), pipeline)
+        server = StreamServer(address, pipeline)
         print(f"listening on {args.socket}; Ctrl-C to stop")
         try:
             server.serve_forever()
@@ -132,10 +141,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_warehouse_query(args) -> int:
+    task = QueryTask.from_json(Path(args.task).read_text())
     scenario = _load_scenario(args.scenario)
     pipeline = _fresh_pipeline(scenario)
     _ingest_dir(pipeline, args.in_dir)
-    task = QueryTask.from_json(Path(args.task).read_text())
     table = pipeline.warehouse.query(task)
     Path(args.out).write_text(table.to_csv())
     print(f"wrote {len(table.rows)} result rows to {args.out}")

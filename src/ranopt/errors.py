@@ -45,10 +45,6 @@ class SchemaError(PipelineError):
     pass
 
 
-class DegenerateColumn(PipelineError):
-    pass
-
-
 class NumericalFailure(RanOptError):
     """Non-finite loss, failed factorization, or diverging training."""
 

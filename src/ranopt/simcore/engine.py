@@ -10,24 +10,25 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NotFoundError
+from ..errors import NotFoundError, ValidationError
 from . import energy as energy_model
 from .radio import ShadowField, best_beam_rsrp_dbm
 from .scheduler import attach_and_rate, collision_ratio
-from .types import KpiRecord, MeasurementRecord, Scenario, UserState
+from .types import KpiRecord, MeasurementRecord, Scenario
 
 
 SHADOW_FIELDS_CACHED = 256  # cells' shadowing fields kept across steps
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario of a JSON file; ValidationError if the file is not
+    JSON or not a scenario's fields."""
     with open(path) as f:
-        return Scenario.from_dict(json.load(f))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as f:
-        json.dump(scenario.to_dict(), f, indent=2, sort_keys=True)
+        try:
+            return Scenario.from_dict(json.load(f))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(
+                f"scenario {path}: {type(e).__name__}: {e}") from None
 
 
 def hour_bucket(t_s: float) -> int:
@@ -52,16 +53,6 @@ def user_ids(users_per_cluster) -> list[str]:
     """User ids of a draw: u<cluster>-<index within the cluster>."""
     return [f"u{ci}-{i:03d}" for ci, n in enumerate(users_per_cluster)
             for i in range(n)]
-
-
-def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
-    """The draw of `draw_positions` as one record per user."""
-    per_cluster = draw_positions(scenario, t_s)
-    ids = iter(user_ids(len(pos) for pos in per_cluster))
-    return [UserState(user_id=next(ids), pos=(x, y),
-                      demand_mbps=cl.demand_mbps)
-            for cl, pos in zip(scenario.clusters, per_cluster)
-            for x, y in pos.tolist()]
 
 
 def shadow_fields(scenario: Scenario) -> dict[str, ShadowField | None]:

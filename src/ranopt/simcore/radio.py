@@ -94,14 +94,6 @@ def user_geometry(cell: CellConfig, pos_xy):
     return dist, az, el
 
 
-def compute_rsrp_dbm(cell: CellConfig, beam: Beam, pos_xy, carrier_ghz: float,
-                     shadow: ShadowField | None = None):
-    """Per-RE received power of one SSB beam at the given positions."""
-    rsrp = _rsrp_dbm(cell, pointing(cell), [beam], pos_xy, carrier_ghz,
-                     shadow)[0, 0]
-    return rsrp if np.ndim(pos_xy) > 1 else float(rsrp[0])
-
-
 def best_beam_rsrp_dbm(cell: CellConfig, pos_xy, carrier_ghz: float,
                        shadow: ShadowField | None = None):
     """(best rsrp dBm, best beam index) over the cell's 8 SSB beams."""

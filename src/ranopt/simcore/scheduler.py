@@ -23,21 +23,6 @@ def _rate_and_use(share_mhz, sinr_db, demand_mbps):
     return np.minimum(raw, cap), used
 
 
-def schedule_and_rate(bandwidth_mhz: float, sinr_db, demand_mbps):
-    """Equal-PRB-share rates for one cell's attached users.
-
-    Returns (per-user rate Mbps, cell throughput Mbps, rbur); unused share
-    lowers rbur.
-    """
-    sinr_db = np.asarray(sinr_db, dtype=float)
-    n = sinr_db.size
-    if n == 0:
-        return np.zeros(0), 0.0, 0.0
-    rate, used = _rate_and_use(bandwidth_mhz / n, sinr_db,
-                               np.asarray(demand_mbps, dtype=float))
-    return rate, float(np.sum(rate)), float(np.sum(used) / n)
-
-
 def _segment_sums(values, first):
     """Row sums of values (rows, n) over each run of columns that begins
     where first is True, each equal to np.sum of the run: a 0.0 put before

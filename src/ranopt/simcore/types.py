@@ -115,13 +115,6 @@ class CellConfig:
 
 
 @dataclass
-class UserState:
-    user_id: str
-    pos: tuple[float, float]
-    demand_mbps: float
-
-
-@dataclass
 class MeasurementRecord:
     timestamp_s: float
     user_id: str
@@ -184,8 +177,12 @@ class Scenario:
     def __post_init__(self):
         if len(self.traffic_profile) != 24:
             raise ValidationError("traffic_profile must have 24 buckets")
+        seen = set()
         for c in self.cells:
             c.validate()
+            if c.cell_id in seen:
+                raise ValidationError(f"cell_id {c.cell_id!r} repeats")
+            seen.add(c.cell_id)
 
     def cell(self, cell_id: str) -> CellConfig:
         for c in self.cells:

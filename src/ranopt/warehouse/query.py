@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import SchemaError, ValidationError
 
 OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -50,11 +50,17 @@ class QueryTask:
 
     @classmethod
     def from_json(cls, s: str) -> "QueryTask":
-        d = json.loads(s)
-        return cls(subject=d["subject"], t0=d.get("t0"), t1=d.get("t1"),
-                   filters=[tuple(f) for f in d.get("filters", [])],
-                   group_by=list(d.get("group_by", [])),
-                   aggregates=[tuple(a) for a in d.get("aggregates", [])])
+        """The task of a JSON text; ValidationError if the text is not
+        JSON or not a task's fields."""
+        try:
+            d = json.loads(s)
+            return cls(subject=d["subject"], t0=d.get("t0"), t1=d.get("t1"),
+                       filters=[tuple(f) for f in d.get("filters", [])],
+                       group_by=list(d.get("group_by", [])),
+                       aggregates=[tuple(a) for a in d.get("aggregates", [])])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(
+                f"query task: {type(e).__name__}: {e}") from None
 
 
 @dataclass

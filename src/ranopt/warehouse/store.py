@@ -29,8 +29,7 @@ from itertools import compress
 
 import numpy as np
 
-from ..errors import (AlreadyExists, DegenerateColumn, SchemaError,
-                      SubjectNotFound)
+from ..errors import AlreadyExists, SchemaError, SubjectNotFound
 from .query import QueryTask, ResultTable, run_query
 
 HOT_WINDOW_S = 24 * 3600.0
@@ -483,20 +482,6 @@ class Warehouse:
                                   f"needs a numeric column")
         columns, n, strings = self._columns(sub, names, task.t0, task.t1)
         return run_query(task, columns, strings, n)
-
-    def correlate(self, subject: str, col_a: str, col_b: str,
-                  t0: float | None = None, t1: float | None = None) -> float:
-        columns = self.read(subject, [col_a, col_b], t0, t1)
-        for col, values in columns.items():
-            if values.dtype == object:
-                raise SchemaError(f"column {col!r} is not numeric")
-        a = np.asarray(columns[col_a], dtype=float)
-        b = np.asarray(columns[col_b], dtype=float)
-        if a.size < 2:
-            raise DegenerateColumn("correlation needs at least 2 rows")
-        if np.std(a) == 0.0 or np.std(b) == 0.0:
-            raise DegenerateColumn("zero variance column")
-        return float(np.corrcoef(a, b)[0, 1])
 
     # -- bookkeeping ----------------------------------------------------
     def row_count(self, subject: str) -> int:

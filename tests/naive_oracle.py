@@ -28,6 +28,7 @@ import copy
 import re
 import threading
 from collections import deque
+from dataclasses import dataclass
 from itertools import islice
 from math import isfinite
 
@@ -36,20 +37,24 @@ import numpy as np
 from ranopt.acquisition.pipeline import BATCH_ROWS
 from ranopt.acquisition.records import (RawRecord, RejectCode, RejectReason,
                                         SOURCE_TAGS, hash_user_id)
-from ranopt.ai.dqn import (N_ACTIONS, N_SECTORS, USER_COUNT_SCALE, DqnConfig,
-                           apply_actions, obs_dim)
+from ranopt.ai.dqn import (N_ACTIONS, N_SECTORS, USER_COUNT_SCALE, DqnAgent,
+                           DqnConfig, _observe_all, apply_actions, obs_dim,
+                           window_collision)
 from ranopt.ai.mlp import Mlp, momentum_step
 from ranopt.simcore import energy as energy_model
-from ranopt.simcore.engine import hour_bucket, shadow_fields
-from ranopt.simcore.radio import (best_beam_rsrp_dbm, dbm_to_mw, noise_dbm,
-                                  wrap_deg)
+from ranopt.simcore import engine
+from ranopt.simcore.engine import (draw_positions, hour_bucket, shadow_fields,
+                                   user_ids)
+from ranopt.simcore.radio import (ShadowField, _rsrp_dbm, best_beam_rsrp_dbm,
+                                  dbm_to_mw, noise_dbm, pointing, wrap_deg)
+from ranopt.simcore.scheduler import _rate_and_use
 from ranopt.simcore.scheduler import attach_and_rate as batched_attach
 from ranopt.simcore.scheduler import collision_ratio
 from ranopt.errors import UnknownSource
 from ranopt.simcore.types import (ALLOWED_CIO_DB, N_PATTERNS, RATE_CAP_MBPS,
                                   RSRP_MAX_DBM, RSRP_MIN_DBM, SINR_MAX_DB,
-                                  SINR_MIN_DB, KpiRecord, MeasurementRecord,
-                                  UserState)
+                                  SINR_MIN_DB, Beam, CellConfig, KpiRecord,
+                                  MeasurementRecord, Scenario)
 from ranopt.warehouse.subjects import (SUBJECT_BEAM, SUBJECT_ENERGY,
                                        SUBJECT_INTERFERENCE,
                                        SUBJECT_THROUGHPUT)
@@ -142,6 +147,29 @@ def attach_and_rate(rsrp_dbm, cells, bandwidth_mhz: float, demand_mbps):
     return serving, sinr, rate, best_int, throughput, rbur
 
 
+def schedule_and_rate(bandwidth_mhz: float, sinr_db, demand_mbps):
+    """Equal-PRB-share rates for one cell's attached users.
+
+    Returns (per-user rate Mbps, cell throughput Mbps, rbur); unused share
+    lowers rbur.
+    """
+    sinr_db = np.asarray(sinr_db, dtype=float)
+    n = sinr_db.size
+    if n == 0:
+        return np.zeros(0), 0.0, 0.0
+    rate, used = _rate_and_use(bandwidth_mhz / n, sinr_db,
+                               np.asarray(demand_mbps, dtype=float))
+    return rate, float(np.sum(rate)), float(np.sum(used) / n)
+
+
+def compute_rsrp_dbm(cell: CellConfig, beam: Beam, pos_xy, carrier_ghz: float,
+                     shadow: ShadowField | None = None):
+    """Per-RE received power of one SSB beam at the given positions."""
+    rsrp = _rsrp_dbm(cell, pointing(cell), [beam], pos_xy, carrier_ghz,
+                     shadow)[0, 0]
+    return rsrp if np.ndim(pos_xy) > 1 else float(rsrp[0])
+
+
 class LinearConfigLog:
     """Snapshots of cell configs, re-sorted by time on every record."""
 
@@ -183,6 +211,23 @@ def observe_per_record(scenario, cell_index: int, measurements) -> np.ndarray:
     if not others:
         neighbor = [0.0, 0.0]
     return np.concatenate([counts / USER_COUNT_SCALE, neighbor])
+
+
+@dataclass
+class UserState:
+    user_id: str
+    pos: tuple[float, float]
+    demand_mbps: float
+
+
+def draw_users(scenario: Scenario, t_s: float) -> list[UserState]:
+    """The draw of `draw_positions` as one record per user."""
+    per_cluster = draw_positions(scenario, t_s)
+    ids = iter(user_ids(len(pos) for pos in per_cluster))
+    return [UserState(user_id=next(ids), pos=(x, y),
+                      demand_mbps=cl.demand_mbps)
+            for cl, pos in zip(scenario.clusters, per_cluster)
+            for x, y in pos.tolist()]
 
 
 def draw_users_per_user(scenario, t_s: float) -> list[UserState]:
@@ -239,6 +284,116 @@ def step_per_user(scenario, window_len_s: float, t_s: float):
     return measurements, kpis
 
 
+# -- MLP gradients: central finite differences ---------------------------
+
+def loss(model: Mlp, X, Y) -> float:
+    out, _ = model.forward(X)
+    return float(np.mean((out - model._target(Y, out)) ** 2))
+
+
+def loss_and_grads(model: Mlp, X, Y):
+    """(loss, weight grads, bias grads)."""
+    return model.grads_at(*model.forward(X), Y)
+
+
+def flatten_params(model: Mlp) -> np.ndarray:
+    return np.concatenate([W.ravel() for W in model.weights]
+                          + [b.ravel() for b in model.biases])
+
+
+def set_flat_params(model: Mlp, flat: np.ndarray) -> None:
+    i = 0
+    for W in model.weights:
+        W[...] = flat[i:i + W.size].reshape(W.shape)
+        i += W.size
+    for b in model.biases:
+        b[...] = flat[i:i + b.size].reshape(b.shape)
+        i += b.size
+
+
+def numerical_gradient(model: Mlp, X, Y, eps: float = 1e-6) -> np.ndarray:
+    """Central finite differences of the loss over all parameters."""
+    flat = flatten_params(model).copy()
+    grad = np.zeros_like(flat)
+    for j in range(flat.size):
+        for sign, slot in ((1.0, 0), (-1.0, 1)):
+            p = flat.copy()
+            p[j] += sign * eps
+            set_flat_params(model, p)
+            if slot == 0:
+                up = loss(model, X, Y)
+            else:
+                down = loss(model, X, Y)
+        grad[j] = (up - down) / (2.0 * eps)
+    set_flat_params(model, flat)
+    return grad
+
+
+def gradient_check(model: Mlp, X, Y, eps: float = 1e-6) -> float:
+    """Max relative error of analytic vs central-difference gradients.
+
+    Coordinates where a rectifier kink sits inside the probe interval make
+    the finite difference meaningless; they are detected by disagreement
+    between two probe widths and excluded.
+    """
+    _, gw, gb = loss_and_grads(model, X, Y)
+    analytic = np.concatenate([g.ravel() for g in gw]
+                              + [g.ravel() for g in gb])
+    fd_a = numerical_gradient(model, X, Y, eps)
+    fd_b = numerical_gradient(model, X, Y, eps / 4.0)
+    denom = np.maximum(np.abs(fd_a), 1e-6)
+    stable = np.abs(fd_a - fd_b) / denom < 1e-5
+    rel = np.abs(analytic - fd_a) / denom
+    return float(rel[stable].max())
+
+
+# -- DQN: greedy policies and fixed joint actions -------------------------
+
+def greedy_actions(agents: dict[str, DqnAgent], scenario: Scenario,
+                   t_s: float, window_len_s: float = 3600.0) -> dict[str, int]:
+    return _greedy(agents, scenario,
+                   engine.window(scenario, window_len_s, t_s))
+
+
+def _greedy(agents, scenario: Scenario, w: engine.Window) -> dict[str, int]:
+    """Every agent's greedy action on its observation of window w."""
+    return {cid: agents[cid].greedy(obs)
+            for cid, obs in zip(w.cell_ids, _observe_all(scenario, w))}
+
+
+def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
+                   n_windows: int, t0_s: float = 0.0,
+                   window_len_s: float = 3600.0):
+    """Run the greedy policies in closed loop for n_windows.
+
+    Each window every agent observes the current state (including the
+    neighbors' latest pattern/offset choices) and re-acts, so the joint
+    policy settles into its own equilibrium. Returns (mean collision over
+    the windows, actions of the final window).
+    """
+    state = copy.deepcopy(scenario)
+    w = engine.window(state, window_len_s, t0_s)
+    collisions = []
+    actions: dict[str, int] = {}
+    for i in range(n_windows):
+        actions = _greedy(agents, state, w)
+        state = apply_actions(state, actions)
+        w = engine.window(state, window_len_s, t0_s + (i + 1) * window_len_s)
+        collisions.append(window_collision(w))
+    return float(np.mean(collisions)), actions
+
+
+def evaluate_joint(scenario: Scenario, actions: dict[str, int], t0_s: float,
+                   n_windows: int = 4, window_len_s: float = 3600.0) -> float:
+    """Mean reward of a fixed joint action over evaluation windows."""
+    state = apply_actions(copy.deepcopy(scenario), actions)
+    rewards = []
+    for i in range(n_windows):
+        w = engine.window(state, window_len_s, t0_s + i * window_len_s)
+        rewards.append(-window_collision(w))
+    return float(np.mean(rewards))
+
+
 class PerAgentDqn:
     """One DQN agent with a deque replay, updated on its own."""
 
@@ -282,7 +437,7 @@ class PerAgentDqn:
         targets = self.q.predict(obs).copy()
         targets[np.arange(len(batch)), actions] = \
             rewards + self.config.gamma * best_next
-        _, gw, gb = self.q.loss_and_grads(obs, targets)
+        _, gw, gb = loss_and_grads(self.q, obs, targets)
         momentum_step(self.q, self._velocity, gw, gb,
                       -self.config.learning_rate)
 

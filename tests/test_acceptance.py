@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from ranopt.acquisition import AcquisitionPipeline, RawRecord, RejectCode
-from ranopt.ai.dqn import (DqnConfig, dqn_train, evaluate_joint,
-                           greedy_actions, greedy_rollout)
+from ranopt.ai.dqn import DqnConfig, dqn_train
 from ranopt.ai.forecast import TrafficForecaster
 from ranopt.ai.gpr import GprRegressor
-from ranopt.ai.mlp import Mlp, gradient_check
+from ranopt.ai.mlp import Mlp
 from ranopt.ai.strategy import (CAPACITY_FRACTION, QOS_HEADROOM,
                                 recommend_strategy)
 from ranopt.ai import throughput
@@ -27,13 +26,13 @@ from ranopt.cli import main
 from ranopt.loop.runner import run_closed_loop
 from ranopt.scenarios import load_bundled, scenario_path
 from ranopt.simcore import engine
-from ranopt.simcore.engine import draw_users
 from ranopt.simcore.radio import best_beam_rsrp_dbm
 from ranopt.warehouse import (Column, QueryTask, SubjectSpec, Warehouse,
                               create_bundled_subjects)
 
 from conftest import make_cell, make_scenario
-from naive_oracle import run_aggregates
+from naive_oracle import (draw_users, evaluate_joint, gradient_check,
+                          greedy_actions, greedy_rollout, run_aggregates)
 
 
 def true_throughput(scenario, windows=(0.0, 3600.0, 7200.0)):

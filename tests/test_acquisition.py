@@ -58,7 +58,7 @@ def csv_text(rows) -> str:
 def send_over_tcp(pipe, text) -> list[str]:
     """Send text (or bytes) to a stream server; returns its acks."""
     server = StreamServer(("127.0.0.1", 0), pipe)
-    server.serve_in_background()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         with socket.create_connection(server.server_address) as s:
             s.sendall(text.encode() if isinstance(text, str) else text)
@@ -949,7 +949,7 @@ class TestSocketBinding:
     def test_stream_over_tcp(self):
         pipe, wh = fresh_pipeline()
         server = StreamServer(("127.0.0.1", 0), pipe)
-        server.serve_in_background()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
         host, port = server.server_address
         try:
             cols = ("source_tag", "seq_no") + tuple(meas_payload())
@@ -985,7 +985,7 @@ class TestSocketBinding:
         text = csv_text([header] + [row(q) for q in seqs + seqs[::10]])
         acks = [None] * producers
         server = StreamServer(("127.0.0.1", 0), pipe)
-        server.serve_in_background()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
 
         def produce(k):
             with socket.create_connection(server.server_address) as s:

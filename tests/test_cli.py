@@ -24,7 +24,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
-    engine.save_scenario(make_scenario(shadow_sigma_db=4.0), path)
+    path.write_text(json.dumps(make_scenario(shadow_sigma_db=4.0).to_dict()))
     return str(path)
 
 
@@ -166,7 +166,7 @@ class TestIngestGolden:
         for cluster in scenario.clusters:
             cluster.mean_users = 30.0
         path = tmp_path / "scenario.json"
-        engine.save_scenario(scenario, path)
+        path.write_text(json.dumps(scenario.to_dict()))
         drops, export = tmp_path / "drops", tmp_path / "export"
         write_faulty_drops(drops, scenario)
         assert run(["ingest", "--watch", str(drops), "--scenario", str(path),
@@ -279,6 +279,53 @@ class TestLoopAndReport:
 
     def test_report_missing_file(self, tmp_path):
         assert run(["report", "--from", str(tmp_path / "nope.json")]) == 1
+
+
+class TestMalformedInput:
+    def test_repeated_cell_id_fails_the_loop(self, tmp_path, capsys):
+        scenario = json.loads(scenario_path("two_cell_detuned").read_text())
+        scenario["cells"][1]["cell_id"] = scenario["cells"][0]["cell_id"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        report = tmp_path / "report.json"
+        assert run(["loop", "--usecase", "throughput", "--scenario",
+                    str(path), "--epochs", "2", "--report",
+                    str(report)]) == 1
+        assert capsys.readouterr().err == "error: cell_id 'c1' repeats\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "ingest --socket localhost --scenario {good}",
+        "ingest --socket localhost:http --scenario {good}",
+        "ingest --socket localhost:65536 --scenario {good}",
+        "simulate --scenario {not_json} --windows 1 --out {tmp}/o",
+        "loop --usecase throughput --scenario {no_cells} --epochs 1"
+        " --report {tmp}/r.json",
+        "ingest --watch {tmp} --scenario {cell_without_id}",
+        "warehouse query --task {not_json} --in {tmp} --scenario {good}"
+        " --out {tmp}/r.csv",
+        "warehouse query --task {no_subject} --in {tmp} --scenario {good}"
+        " --out {tmp}/r.csv",
+    ], ids=["socket-no-port", "socket-port-not-int", "socket-port-too-big",
+            "scenario-not-json", "scenario-no-cells",
+            "scenario-cell-no-id", "task-not-json", "task-no-subject"])
+    def test_is_one_error_line_and_exit_1(self, argv, scenario_file,
+                                         tmp_path, capsys):
+        good = json.loads(Path(scenario_file).read_text())
+        files = {"not_json": "{cells: [", "no_cells": {
+            k: v for k, v in good.items() if k != "cells"},
+            "cell_without_id": {**good, "cells": [
+                {k: v for k, v in good["cells"][0].items()
+                 if k != "cell_id"}]},
+            "no_subject": {"aggregates": [["count", "*"]]}}
+        paths = {"good": scenario_file, "tmp": str(tmp_path)}
+        for name, content in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(
+                content if isinstance(content, str) else json.dumps(content))
+        assert run(shlex.split(argv.format(**paths))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_readme_cli_examples_parse():

@@ -1,22 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranopt.ai.dqn import (ACTION_TABLE, DqnAgent, DqnConfig, N_ACTIONS,
-                           OBS_DIM, apply_actions, dqn_train, evaluate_joint,
-                           greedy_actions, network_collision, observe)
+                           OBS_DIM, apply_actions, dqn_train, observe,
+                           window_collision)
 from ranopt.scenarios import load_bundled
 from ranopt.simcore import engine
-from ranopt.simcore.types import HotspotCluster, KpiRecord, MeasurementRecord
+from ranopt.simcore.types import HotspotCluster, MeasurementRecord
 
 from conftest import make_cell, make_scenario
-from naive_oracle import dqn_train_per_agent, observe_per_record
-
-
-def kpi(cell_id, users, coll):
-    return KpiRecord(cell_id=cell_id, window_start_s=0.0, window_len_s=3600.0,
-                     throughput_mbps=0.0, rbur=0.0, num_users=users,
-                     power_w=0.0, collision_ratio=coll)
+from naive_oracle import (dqn_train_per_agent, evaluate_joint, greedy_actions,
+                          observe_per_record)
 
 
 def meas(cell_id, pos):
@@ -33,10 +30,12 @@ class TestPrimitives:
         assert len(set(ACTION_TABLE)) == 12
 
     def test_network_collision_user_weighted(self):
-        kpis = [kpi("a", 3, 1.0 / 3.0), kpi("b", 1, 1.0), kpi("c", 0, 0.0)]
+        w = SimpleNamespace(num_users=np.array([3, 1, 0]),
+                            collision=np.array([1.0 / 3.0, 1.0, 0.0]))
         # 1 + 1 colliding users out of 4
-        assert network_collision(kpis) == pytest.approx(0.5)
-        assert network_collision([kpi("a", 0, 0.0)]) == 0.0
+        assert window_collision(w) == pytest.approx(0.5)
+        w = SimpleNamespace(num_users=np.array([0]), collision=np.array([0.0]))
+        assert window_collision(w) == 0.0
 
     def test_apply_actions_sets_fields(self):
         sc = make_scenario(cells=[make_cell("c1"), make_cell("c2")])

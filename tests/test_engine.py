@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from ranopt.errors import NotFoundError, ValidationError
 from ranopt.scenarios import load_bundled
 from ranopt.simcore import (ShadowField, antenna_gain_dbi, apply_command,
-                            compute_rsrp_dbm, draw_users, engine, step)
+                            engine, step)
 from ranopt.simcore.types import ALLOWED_CIO_DB, N_PATTERNS, PATTERN_CODEBOOK
 
 from conftest import make_cell, make_scenario
-from naive_oracle import draw_users_per_user, step_per_user
+from naive_oracle import compute_rsrp_dbm, draw_users_per_user, step_per_user
 
 BUNDLED = ("single_cell_detuned", "two_cell_detuned", "three_cell_hotspot",
            "toy_two_cell", "diurnal_energy")
@@ -40,7 +40,12 @@ class TestStep:
         # repr tells every float bit and every type apart
         assert repr(meas) == repr(ref_meas)
         assert repr(kpis) == repr(ref_kpis)
-        assert repr(draw_users(sc, t_s)) == repr(draw_users_per_user(sc, t_s))
+        per_cluster = engine.draw_positions(sc, t_s)
+        users = draw_users_per_user(sc, t_s)
+        assert engine.user_ids(len(p) for p in per_cluster) \
+            == [u.user_id for u in users]
+        assert repr([tuple(p) for pos in per_cluster for p in pos.tolist()]) \
+            == repr([u.pos for u in users])
 
     def test_deterministic(self, single_cell_scenario):
         m1, k1 = step(single_cell_scenario, 3600.0, 0.0)
@@ -126,8 +131,15 @@ class TestStep:
     def test_draw_users_scales_with_profile(self):
         profile = [0.5] * 24
         sc = make_scenario(profile=profile)
-        users = draw_users(sc, 0.0)
+        [users] = engine.draw_positions(sc, 0.0)
         assert len(users) == round(12.0 * 0.5)
+
+
+class TestScenario:
+    def test_repeated_cell_id_is_refused(self):
+        with pytest.raises(ValidationError, match="'c1' repeats"):
+            make_scenario(cells=[make_cell("c1"), make_cell("c2"),
+                                 make_cell("c1", azimuth_deg=180.0)])
 
 
 class TestApplyCommand:

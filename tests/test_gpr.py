@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranopt.ai.gpr import PREDICT_CHUNK_ROWS, GprRegressor
-from ranopt.simcore import ShadowField, compute_rsrp_dbm
+from ranopt.simcore import ShadowField
 from ranopt.simcore.types import PATTERN_CODEBOOK
 
 from conftest import make_cell
+from naive_oracle import compute_rsrp_dbm
 
 
 def grid_inputs(n_side=8, extent=200.0, az=0.0, tilt=6.0):

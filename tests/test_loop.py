@@ -74,9 +74,10 @@ def enumerated_best_power(loop) -> dict:
                                  columns["pos_y_m"][latest]])
     cap = throughput.estimate_demand_cap(columns["rate_mbps"])
     powers = [float(p) for p in range(30, 54)]
-    scores = [throughput.predict_network_throughput(
+    scores = [throughput._candidate_throughputs(
                   cells, maps, positions, loop.scenario.bandwidth_mhz,
-                  loop.scenario.carrier_ghz, target, {"tx_power_dbm": p}, cap)
+                  loop.scenario.carrier_ghz, target, [{"tx_power_dbm": p}],
+                  cap)[0]
               for p in powers]
     return {"tx_power_dbm": powers[scores.index(max(scores))]}
 

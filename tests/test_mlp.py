@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from ranopt.ai.mlp import (Mlp, TrainConfig, flatten_params, gradient_check,
-                           numerical_gradient, set_flat_params)
-from ranopt.errors import NumericalFailure
+from ranopt.ai.mlp import Mlp
 
-
-def analytic_flat_grad(model, X, Y):
-    _, gw, gb = model.loss_and_grads(X, Y)
-    return np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
+from naive_oracle import (flatten_params, gradient_check, loss,
+                          loss_and_grads, set_flat_params)
 
 
 class TestGradients:
@@ -25,41 +21,19 @@ class TestGradients:
 
     def test_one_output_target_shapes_agree(self):
         # a 1-D target of a one-output net is a column, in the loss that
-        # fit returns and gradient_check differentiates as in training
+        # gradient_check differentiates as in the loss that grads_at gives
         model = Mlp([2, 4, 1], seed=0)
         X = np.random.default_rng(0).normal(size=(5, 2))
         y = np.arange(5.0)
-        assert model.loss(X, y) == model.loss(X, y[:, None]) \
-            == model.loss_and_grads(X, y)[0]
+        assert loss(model, X, y) == loss(model, X, y[:, None]) \
+            == loss_and_grads(model, X, y)[0]
 
 
 class TestTraining:
-    def test_xor(self):
-        X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
-        Y = np.array([[0.0], [1.0], [1.0], [0.0]])
-        model = Mlp([2, 8, 1], seed=1)
-        loss = model.fit(X, Y, TrainConfig(learning_rate=0.05, epochs=5000,
-                                           batch_size=4, seed=1))
-        assert loss < 0.05
-
-    def test_zero_epochs_identity(self):
-        model = Mlp([3, 5, 1], seed=9)
-        before = flatten_params(model).copy()
-        model.fit(np.zeros((4, 3)), np.zeros((4, 1)),
-                  TrainConfig(epochs=0, seed=9))
-        assert np.array_equal(flatten_params(model), before)
-
     def test_deterministic_forward(self):
         model = Mlp([3, 5, 2], seed=2)
         X = np.random.default_rng(1).normal(size=(10, 3))
         assert np.array_equal(model.predict(X), model.predict(X))
-
-    def test_nonfinite_aborts(self):
-        model = Mlp([2, 4, 1], seed=0)
-        X = np.array([[1e150, 1e150]])
-        Y = np.array([[0.0]])
-        with pytest.raises(NumericalFailure):
-            model.fit(X, Y, TrainConfig(learning_rate=1e10, epochs=50, seed=0))
 
 
 class TestSerialization:

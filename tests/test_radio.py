@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from ranopt.simcore import (BORESIGHT_GAIN_DBI, NO_SIGNAL_DBM, ShadowField,
                             antenna_gain_dbi, best_beam_rsrp_dbm,
-                            compute_rsrp_dbm, compute_sinr_db, dbm_to_mw,
-                            noise_dbm, path_loss_db)
+                            compute_sinr_db, dbm_to_mw, noise_dbm,
+                            path_loss_db)
 from ranopt.simcore.radio import best_beam_rsrp_dbm_variants, user_geometry
 from ranopt.simcore.types import (Beam, N_PATTERNS, N_RE, RSRP_MAX_DBM,
                                   RSRP_MIN_DBM)
 
 from conftest import make_cell
+from naive_oracle import compute_rsrp_dbm
 
 
 class TestPathLoss:

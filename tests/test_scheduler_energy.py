@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ranopt.simcore import (aau_power_w, collision_ratio, compute_sinr_db,
-                            dbm_to_mw, energy_step, noise_dbm,
-                            schedule_and_rate)
+                            dbm_to_mw, energy_step, noise_dbm)
 from ranopt.simcore.scheduler import attach_and_rate
 
 from conftest import make_cell
 from naive_oracle import attach_and_rate as oracle_attach_and_rate
+from naive_oracle import schedule_and_rate
 
 
 def naive_attach_and_rate(rsrp, cells, bandwidth_mhz, demand):

@@ -4,17 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from ranopt.ai import throughput
 from ranopt.ai.surrogate import build_grid_axes
-from ranopt.ai.throughput import (ConfigLog, build_surrogate_dataset,
+from ranopt.ai.throughput import (UNCAPPED_DEMAND_MBPS, ConfigLog,
+                                  _candidate_throughputs,
+                                  build_surrogate_dataset,
                                   estimate_demand_cap, fit_radio_maps,
-                                  predict_network_throughput, predicted_rsrp,
-                                  recommend_config)
+                                  predicted_rsrp, recommend_config)
 from ranopt.errors import InsufficientHistory, InvalidBounds
 from ranopt.simcore import engine
 from ranopt.simcore.radio import (best_beam_rsrp_dbm, dbm_to_mw, noise_dbm)
-from ranopt.simcore.scheduler import schedule_and_rate
 
 from conftest import make_cell, make_scenario
-from naive_oracle import LinearConfigLog
+from naive_oracle import LinearConfigLog, draw_users, schedule_and_rate
 
 
 class TestGridAxes:
@@ -114,9 +114,10 @@ class TestRadioMaps:
         analytic, _ = best_beam_rsrp_dbm(cells["c2"], pts, sc.carrier_ghz)
         assert np.array_equal(predicted_rsrp(cells["c2"], None, pts,
                                              sc.carrier_ghz), analytic)
-        assert predict_network_throughput(
-            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
-            target_cell="c2", candidate_fields={"tilt_deg": 4.0}) > 0.0
+        [score] = _candidate_throughputs(
+            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz, "c2",
+            [{"tilt_deg": 4.0}], UNCAPPED_DEMAND_MBPS)
+        assert score > 0.0
 
     def test_predicted_rsrp_without_shadowing(self):
         # no shadowing: residual is ~0 and the prediction matches physics
@@ -135,7 +136,7 @@ class TestRadioMaps:
         cells = {c.cell_id: c for c in state.cells}
         maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         # held-out window from the same hotspot
-        users = engine.draw_users(sc, 7 * 3600.0)
+        users = draw_users(sc, 7 * 3600.0)
         pts = np.array([u.pos for u in users])
         shadows = engine.shadow_fields(sc)
         truth, _ = best_beam_rsrp_dbm(cells["c1"], pts, sc.carrier_ghz,
@@ -149,8 +150,9 @@ class TestRadioMaps:
         cells = {c.cell_id: c for c in state.cells}
         maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         pts = np.array([[200.0, 0.0], [260.0, 40.0], [320.0, -60.0]])
-        got = predict_network_throughput(cells, maps, pts, sc.bandwidth_mhz,
-                                         sc.carrier_ghz)
+        [got] = _candidate_throughputs(cells, maps, pts, sc.bandwidth_mhz,
+                                       sc.carrier_ghz, None, [{}],
+                                       UNCAPPED_DEMAND_MBPS)
         rsrp, _ = best_beam_rsrp_dbm(cells["c1"], pts, sc.carrier_ghz)
         noise_mw = dbm_to_mw(noise_dbm(sc.bandwidth_mhz))
         sinr = 10.0 * np.log10(dbm_to_mw(rsrp) / noise_mw)
@@ -181,9 +183,9 @@ class TestRecommendConfig:
         # other field would be dropped without a word
         cells = {"c1": make_cell()}
         with pytest.raises(ValueError, match="may set only"):
-            predict_network_throughput(
-                cells, {}, [[200.0, 0.0]], 20.0, 3.5, target_cell="c1",
-                candidate_fields={"tilt_deg": 4.0, "cio_db": 3.0})
+            _candidate_throughputs(
+                cells, {}, [[200.0, 0.0]], 20.0, 3.5, "c1",
+                [{"tilt_deg": 4.0, "cio_db": 3.0}], UNCAPPED_DEMAND_MBPS)
 
     def test_ties_go_to_the_smallest_tuple(self, monkeypatch):
         sc = make_scenario(cells=[make_cell()], shadow_sigma_db=0.0)
@@ -214,10 +216,9 @@ class TestRecommendConfig:
             bounds, {"azimuth_deg": 10.0, "tilt_deg": 2.0}, demand_mbps=80.0)
         assert len(y) == 5 * 5 * 3
         for x, score in zip(X, y):
-            want = predict_network_throughput(
-                cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
-                target_cell="c2", candidate_fields=dict(zip(names, x)),
-                demand_mbps=80.0)
+            [want] = _candidate_throughputs(
+                cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz, "c2",
+                [dict(zip(names, x))], 80.0)
             assert score == pytest.approx(want, rel=1e-12)
 
     def test_grid_above_batch_size_scored_exactly(self, monkeypatch):
@@ -250,11 +251,10 @@ class TestRecommendConfig:
 
         maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         pts = positions(meas, meas["t_s"] == meas["t_s"][-1])
-        exact = [predict_network_throughput(
-            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz,
-            target_cell="c1", candidate_fields=p,
-            demand_mbps=estimate_demand_cap(meas["rate_mbps"]))
-            for p in points]
+        cap = estimate_demand_cap(meas["rate_mbps"])
+        exact = [_candidate_throughputs(
+            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz, "c1", [p],
+            cap)[0] for p in points]
         best = max(exact)
         assert predicted == pytest.approx(best, rel=1e-12)
         first = next(p for p, v in zip(points, exact)

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranopt.errors import (AlreadyExists, DegenerateColumn, SchemaError,
-                           SubjectNotFound)
-from ranopt.simcore import aau_power_w
+from ranopt.errors import AlreadyExists, SchemaError, SubjectNotFound
 from ranopt.warehouse import (Column, QueryTask, SubjectSpec, Warehouse,
                               bundled_subjects, create_bundled_subjects)
 from ranopt.warehouse.query import aggregate_values
 
-from conftest import make_cell
 from naive_oracle import NaiveWarehouse, run_aggregates
 
 
@@ -210,8 +207,6 @@ class TestQuery:
             wh.query(QueryTask(subject="kpi", aggregates=[("max", "cell_id")]))
         with pytest.raises(SchemaError, match="count"):
             QueryTask(subject="kpi", aggregates=[("sum", "*")])
-        with pytest.raises(SchemaError, match="numeric"):
-            wh.correlate("kpi", "cell_id", "rbur")
 
     def test_percentiles_against_numpy(self):
         wh = fresh()
@@ -481,42 +476,6 @@ class TestTiering:
         wh.migrate_tiers(8 * 24 * 3600.0)
         assert wh.row_count("kpi") == 0
         assert wh.counters("kpi") == {"appended": 1, "expired": 1, "retained": 0}
-
-
-class TestCorrelate:
-    def test_identity(self):
-        wh = fresh()
-        put(wh, "kpi", [(float(i), "c1", float(i), float(i) / 10)
-                          for i in range(10)])
-        assert wh.correlate("kpi", "throughput_mbps", "throughput_mbps") \
-            == pytest.approx(1.0)
-
-    def test_negation(self):
-        wh = fresh()
-        put(wh, "kpi", [(float(i), "c1", float(i), 1.0 - float(i) / 10)
-                          for i in range(10)])
-        assert wh.correlate("kpi", "throughput_mbps", "rbur") \
-            == pytest.approx(-1.0)
-
-    def test_zero_variance(self):
-        wh = fresh()
-        put(wh, "kpi", [(float(i), "c1", 5.0, 0.1) for i in range(5)])
-        with pytest.raises(DegenerateColumn):
-            wh.correlate("kpi", "throughput_mbps", "rbur")
-
-    def test_energy_model_pairs_match_recompute(self):
-        # (rbur, power) pairs produced by the energy model
-        cell = make_cell()
-        rburs = [0.1, 0.3, 0.5, 0.7, 0.9]
-        powers = [aau_power_w(cell, r) for r in rburs]
-        wh = Warehouse()
-        wh.create_subject(SubjectSpec("en", [Column("t_s", "float"),
-                                             Column("rbur", "float"),
-                                             Column("power_w", "float")]))
-        put(wh, "en", [(float(i), r, p)
-                         for i, (r, p) in enumerate(zip(rburs, powers))])
-        r = wh.correlate("en", "rbur", "power_w")
-        assert r == pytest.approx(np.corrcoef(rburs, powers)[0, 1])
 
 
 class TestOracleEquivalence:
