@@ -18,11 +18,8 @@ class TrafficForecaster:
     fitted on the day-over-day residuals corrects short-term drift.
     """
 
-    def __init__(self, period: int = PERIOD, ar_order: int = AR_ORDER):
-        self.period = int(period)
-        self.ar_order = int(ar_order)
+    def __init__(self):
         self._history = None
-        self._coefs = np.zeros(self.ar_order)
 
     def fit(self, history) -> "TrafficForecaster":
         y = np.asarray(history, dtype=float).ravel()
@@ -31,18 +28,18 @@ class TrafficForecaster:
                 f"need at least {MIN_HISTORY} hourly samples, got {y.size}")
         if not np.isfinite(y).all():
             raise ValueError("non-finite history values")
-        resid = y[self.period:] - y[:-self.period]
-        rows = resid.size - self.ar_order
-        if rows >= self.ar_order and np.ptp(resid) > 0.0:
-            A = np.column_stack([resid[self.ar_order - 1 - j:
-                                       self.ar_order - 1 - j + rows]
-                                 for j in range(self.ar_order)])
-            b = resid[self.ar_order:]
+        resid = y[PERIOD:] - y[:-PERIOD]
+        rows = resid.size - AR_ORDER
+        if rows >= AR_ORDER and np.ptp(resid) > 0.0:
+            A = np.column_stack([resid[AR_ORDER - 1 - j:
+                                       AR_ORDER - 1 - j + rows]
+                                 for j in range(AR_ORDER)])
+            b = resid[AR_ORDER:]
             self._coefs, *_ = np.linalg.lstsq(A, b, rcond=None)
         else:
-            self._coefs = np.zeros(self.ar_order)
+            self._coefs = np.zeros(AR_ORDER)
         self._history = y
-        self._resid_tail = list(resid[-self.ar_order:])
+        self._resid_tail = list(resid[-AR_ORDER:])
         return self
 
     def predict(self, horizon: int):
@@ -54,8 +51,8 @@ class TrafficForecaster:
         tail = list(self._resid_tail)
         out = []
         for h in range(1, horizon + 1):
-            base = y[y.size - self.period + h - 1]
-            r_hat = float(np.dot(self._coefs, tail[::-1][:self.ar_order]))
+            base = y[y.size - PERIOD + h - 1]
+            r_hat = float(np.dot(self._coefs, tail[::-1][:AR_ORDER]))
             out.append(base + r_hat)
             tail.append(r_hat)
         return np.array(out)

@@ -4,10 +4,14 @@ Strategies stack three shutdown levers on one cell:
   ESS  - symbol shutdown (symbol_fraction < 1), no capacity loss;
   ECS  - channel shutdown (half the channels), capacity halves;
   CWS  - carrier/wake shutdown (carrier off), capacity goes to zero.
-A strategy is only kept if its remaining capacity covers 1.2x the forecast
-peak load; otherwise the recommendation falls back to the next-milder one.
+The recommendation is an exact search over the four strategies: of those
+whose capacity covers min(1.2x the forecast peak, 1), the one the energy
+model expects to save most over the forecast horizon, the first in
+`STRATEGIES` order on a tie.
 """
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,10 +19,6 @@ from ..simcore.energy import energy_step
 from ..simcore.types import CellConfig
 
 STRATEGIES = ("none", "ESS", "ESS+ECS", "ESS+ECS+CWS")
-
-# Fraction of full capacity that remains under each strategy.
-CAPACITY_FRACTION = {"none": 1.0, "ESS": 1.0, "ESS+ECS": 0.5,
-                     "ESS+ECS+CWS": 0.0}
 QOS_HEADROOM = 1.2
 
 STRATEGY_FIELDS = {
@@ -33,42 +33,29 @@ STRATEGY_FIELDS = {
 }
 
 
-def rule_strategy(forecast_rbur) -> str:
-    """Threshold rules on the forecast load, before the capacity check."""
-    f = np.asarray(forecast_rbur, dtype=float)
-    peak = float(f.max())
-    if peak < 0.05:
-        return "ESS+ECS+CWS"
-    if peak < 0.20:
-        return "ESS+ECS"
-    if peak < 0.60:
-        return "ESS"
-    return "none"
+def capacity(cell) -> float:
+    """Fraction of full capacity a cell's config can serve."""
+    return float(cell.carrier_on) * cell.channel_fraction
 
 
-def qos_filter(strategy: str, forecast_rbur) -> str:
-    """Step back toward milder strategies until capacity covers 1.2x peak."""
-    peak = float(np.asarray(forecast_rbur, dtype=float).max())
-    i = STRATEGIES.index(strategy)
-    while i > 0 and CAPACITY_FRACTION[STRATEGIES[i]] < QOS_HEADROOM * peak:
-        i -= 1
-    return STRATEGIES[i]
+CAPACITY_FRACTION = {name: capacity(SimpleNamespace(**fields))
+                     for name, fields in STRATEGY_FIELDS.items()}
 
 
-def expected_saving_wh(cell: CellConfig, strategy: str, forecast_rbur,
-                       window_len_s: float = 3600.0) -> float:
-    """Energy saved vs the always-on config over the forecast horizon.
+def expected_saving_wh(cell: CellConfig, strategy: str,
+                       forecast_rbur) -> float:
+    """Energy saved vs the always-on config over the hourly forecast.
 
-    Served load is scaled by the strategy's remaining capacity, so a config
-    that sheds traffic is not credited with the energy of serving it.
+    Served load is capped at the strategy's capacity, so a config that
+    sheds traffic is not credited with the energy of serving it.
     """
     base = cell.replace(**STRATEGY_FIELDS["none"])
     cand = cell.replace(**STRATEGY_FIELDS[strategy])
-    cap = CAPACITY_FRACTION[strategy]
+    cap = capacity(cand)
     saved = 0.0
     for load in np.asarray(forecast_rbur, dtype=float):
-        _, wh_base = energy_step(base, load, window_len_s)
-        _, wh_cand = energy_step(cand, min(load, cap), window_len_s)
+        _, wh_base = energy_step(base, load, 3600.0)
+        _, wh_cand = energy_step(cand, min(load, cap), 3600.0)
         saved += wh_base - wh_cand
     return saved
 
@@ -79,7 +66,8 @@ def recommend_strategy(cell: CellConfig, forecast_rbur
     f = np.asarray(forecast_rbur, dtype=float)
     if f.size == 0:
         raise ValueError("empty forecast")
-    chosen = qos_filter(rule_strategy(f), f)
-    return chosen, dict(STRATEGY_FIELDS[chosen]), \
-        expected_saving_wh(cell, chosen, f)
-
+    need = min(QOS_HEADROOM * float(f.max()), 1.0)
+    saving = {name: expected_saving_wh(cell, name, f) for name in STRATEGIES
+              if CAPACITY_FRACTION[name] >= need}
+    chosen = max(saving, key=saving.get)
+    return chosen, dict(STRATEGY_FIELDS[chosen]), saving[chosen]

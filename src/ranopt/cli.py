@@ -175,28 +175,38 @@ def cmd_loop(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = LoopReport.from_json(Path(args.from_path).read_text())
+    text = Path(args.from_path).read_text()
+    try:
+        summary = _summary(LoopReport.from_json(text), args.format)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(
+            f"report {args.from_path}: {type(e).__name__}: {e}") from None
+    print(summary, end="")
+    return EXIT_OK
+
+
+def _summary(report: LoopReport, fmt: str) -> str:
+    """The report's epochs as CSV rows or as text lines."""
     header = ["epoch", "decision", "cell_id", "fields",
               "objective_before", "objective_after"]
     rows = [[e["epoch"], e["decision"], e["command"]["cell_id"],
              json.dumps(e["command"]["fields"], sort_keys=True),
              e["before"]["objective"], e["after"]["objective"]]
             for e in report.entries]
-    if args.format == "csv":
-        buf = io.StringIO()
+    buf = io.StringIO()
+    if fmt == "csv":
         w = csv.writer(buf)
         w.writerow(header)
         w.writerows(rows)
-        print(buf.getvalue(), end="")
     else:
-        print(f"use case: {report.use_case}  seed: {report.seed}  "
-              f"epochs: {len(report.entries)}")
+        buf.write(f"use case: {report.use_case}  seed: {report.seed}  "
+                  f"epochs: {len(report.entries)}\n")
         for r in rows:
-            print(f"  epoch {r[0]}: {r[1]:<11} {r[2]} {r[3]} "
-                  f"objective {r[4]:.3f} -> {r[5]:.3f}")
+            buf.write(f"  epoch {r[0]}: {r[1]:<11} {r[2]} {r[3]} "
+                      f"objective {r[4]:.3f} -> {r[5]:.3f}\n")
         if report.error:
-            print(f"aborted: {report.error}")
-    return EXIT_OK
+            buf.write(f"aborted: {report.error}\n")
+    return buf.getvalue()
 
 
 _HANDLERS = {"simulate": cmd_simulate, "ingest": cmd_ingest,

@@ -75,6 +75,8 @@ class LoopReport:
     @classmethod
     def from_json(cls, s: str) -> "LoopReport":
         d = json.loads(s)
+        if not isinstance(d["entries"], list):
+            raise TypeError("entries is not a list")
         return cls(use_case=d["use_case"], seed=d["seed"],
                    window_len_s=d["window_len_s"], entries=d["entries"],
                    final_config=d["final_config"], commands=d["commands"],

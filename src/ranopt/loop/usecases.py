@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 
 from ..ai import dqn as dqn_mod
 from ..ai.forecast import MIN_HISTORY, TrafficForecaster
-from ..ai.strategy import recommend_strategy
+from ..ai.strategy import capacity, recommend_strategy
 from ..ai.throughput import MEASUREMENT_COLUMNS, recommend_config
 from ..errors import InsufficientHistory
 from ..simcore.energy import energy_step
@@ -31,8 +30,6 @@ QOS_SERVED_FLOOR = 0.99
 ENERGY_FORECAST_HORIZON = 4
 DQN_EPISODES = 12
 DQN_EPISODE_LEN = 25
-_capacity_rank = attrgetter("carrier_on", "channel_fraction",
-                            "symbol_fraction")
 
 
 def _window_positions(loop, snap) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +167,7 @@ class Energy(UseCase):
         forecaster = TrafficForecaster().fit(history)
         forecast = forecaster.predict(ENERGY_FORECAST_HORIZON)
         cell = loop.scenario.cell(target)
-        _, fields, _saving = recommend_strategy(cell, np.clip(forecast, 0, 1))
+        _, fields, _ = recommend_strategy(cell, np.clip(forecast, 0, 1))
         delta = {k: v for k, v in fields.items() if getattr(cell, k) != v}
         return Command(target, delta, loop.use_case, loop.epoch)
 
@@ -179,7 +176,7 @@ class Energy(UseCase):
             return "rolled_back"
         # a capacity-restoring command is driven by the QoS floor and
         # necessarily spends more energy; it must not be vetoed for that
-        if any(_capacity_rank(loop.scenario.cell(cid)) > _capacity_rank(prior)
+        if any(capacity(loop.scenario.cell(cid)) > capacity(prior)
                for cid, prior in prior_cells.items()):
             return "accepted"
         # load-matched counterfactual: what the prior config would have

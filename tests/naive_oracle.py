@@ -6,6 +6,9 @@
 * `attach_and_rate`, the per-cell loop that rated one network at a time,
   frozen with its SINR and scheduler arithmetic inlined, for the batched
   kernel in `ranopt.simcore.scheduler`;
+* `enumerated_strategy`, the four energy strategies scored one at a time
+  with their capacity and hourly saving worked out here, for the search
+  of `ranopt.ai.strategy.recommend_strategy`;
 * `LinearConfigLog`, the config log that re-sorts on every record and
   scans every entry on lookup, for `ranopt.ai.throughput.ConfigLog`;
 * `observe_per_record`, the DQN observation that counted a cell's users
@@ -41,6 +44,7 @@ from ranopt.ai.dqn import (N_ACTIONS, N_SECTORS, USER_COUNT_SCALE, DqnAgent,
                            DqnConfig, _observe_all, apply_actions, obs_dim,
                            window_collision)
 from ranopt.ai.mlp import Mlp, momentum_step
+from ranopt.ai.strategy import STRATEGIES, STRATEGY_FIELDS
 from ranopt.simcore import energy as energy_model
 from ranopt.simcore import engine
 from ranopt.simcore.engine import (draw_positions, hour_bucket, shadow_fields,
@@ -168,6 +172,30 @@ def compute_rsrp_dbm(cell: CellConfig, beam: Beam, pos_xy, carrier_ghz: float,
     rsrp = _rsrp_dbm(cell, pointing(cell), [beam], pos_xy, carrier_ghz,
                      shadow)[0, 0]
     return rsrp if np.ndim(pos_xy) > 1 else float(rsrp[0])
+
+
+def enumerated_strategy(cell: CellConfig, forecast) -> tuple[str, float]:
+    """(strategy, saving in Wh) by enumeration: each strategy's capacity
+    (carrier on times channel fraction) and saving against always-on, one
+    hour per forecast step, of the strategies whose capacity covers
+    min(1.2 x peak, 1) the first with the largest saving."""
+    loads = [float(v) for v in forecast]
+    need = min(1.2 * max(loads), 1.0)
+    base = cell.replace(**STRATEGY_FIELDS["none"])
+    best = None
+    for name in STRATEGIES:
+        cand = cell.replace(**STRATEGY_FIELDS[name])
+        cap = cand.channel_fraction if cand.carrier_on else 0.0
+        if cap < need:
+            continue
+        saving = 0.0
+        for load in loads:
+            saving += (energy_model.energy_step(base, load, 3600.0)[1]
+                       - energy_model.energy_step(cand, min(load, cap),
+                                                  3600.0)[1])
+        if best is None or saving > best[1]:
+            best = (name, saving)
+    return best
 
 
 class LinearConfigLog:

@@ -10,7 +10,7 @@ import pytest
 from ranopt.acquisition.pipeline import ENVELOPE
 from ranopt.cli import build_parser, main
 from ranopt.errors import InsufficientHistory
-from ranopt.loop import USE_CASES, Command
+from ranopt.loop import USE_CASES, Command, LoopReport
 from ranopt.loop.usecases import Throughput
 from ranopt.scenarios import scenario_path
 from ranopt.simcore import KpiRecord, MeasurementRecord, engine
@@ -19,6 +19,7 @@ from ranopt.warehouse.query import QueryTask
 from conftest import make_scenario, two_cell_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+REPORT = LoopReport("energy", 0, 3600.0).to_dict()  # no epochs
 
 
 @pytest.fixture
@@ -306,9 +307,15 @@ class TestMalformedInput:
         " --out {tmp}/r.csv",
         "warehouse query --task {no_subject} --in {tmp} --scenario {good}"
         " --out {tmp}/r.csv",
+        "report --from {report_not_json}",
+        "report --from {empty}",
+        "report --from {entries_not_list}",
+        "report --from {objective_not_number}",
     ], ids=["socket-no-port", "socket-port-not-int", "socket-port-too-big",
             "scenario-not-json", "scenario-no-cells",
-            "scenario-cell-no-id", "task-not-json", "task-no-subject"])
+            "scenario-cell-no-id", "task-not-json", "task-no-subject",
+            "report-not-json", "report-empty", "report-entries-not-list",
+            "report-objective-not-number"])
     def test_is_one_error_line_and_exit_1(self, argv, scenario_file,
                                          tmp_path, capsys):
         good = json.loads(Path(scenario_file).read_text())
@@ -317,7 +324,14 @@ class TestMalformedInput:
             "cell_without_id": {**good, "cells": [
                 {k: v for k, v in good["cells"][0].items()
                  if k != "cell_id"}]},
-            "no_subject": {"aggregates": [["count", "*"]]}}
+            "no_subject": {"aggregates": [["count", "*"]]},
+            "report_not_json": "{bad", "empty": {},
+            "entries_not_list": {**REPORT, "entries": {}},
+            "objective_not_number": {**REPORT, "entries": [{
+                "epoch": 0, "decision": "accepted",
+                "command": {"cell_id": "c1", "fields": {}},
+                "before": {"objective": None},
+                "after": {"objective": 1.0}}]}}
         paths = {"good": scenario_file, "tmp": str(tmp_path)}
         for name, content in files.items():
             paths[name] = str(tmp_path / f"{name}.json")

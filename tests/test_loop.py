@@ -339,6 +339,13 @@ class TestEnergyDecide:
         assert after.objective < before.objective  # more energy spent
         assert self.decide(half, self.FULL, before, after) == "accepted"
 
+    def test_dropping_ess_restores_no_capacity(self):
+        # ESS keeps full capacity, so switching it off is judged on energy
+        before = energy_snap(100.0, 10, 0.4, self.ESS)
+        after = energy_snap(100.0, 10, 0.4, self.FULL)
+        assert self.decide(self.ESS, self.FULL, before, after) \
+            == "rolled_back"
+
     def test_counterfactual_accepts_a_saving_at_equal_load(self):
         # the verify window is busier than the baseline one, so it burns
         # more than the baseline did, but less than the prior config

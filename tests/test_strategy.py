@@ -1,45 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ranopt.ai.strategy import (CAPACITY_FRACTION, QOS_HEADROOM, STRATEGIES,
                                 STRATEGY_FIELDS, expected_saving_wh,
-                                qos_filter, recommend_strategy, rule_strategy)
+                                recommend_strategy)
 from ranopt.simcore.energy import energy_step
 
 from conftest import make_cell
+from naive_oracle import enumerated_strategy
+
+# peak thresholds a rule-based pick would use (0.05, 0.20, 0.60) and the
+# peaks where 1.2 x peak meets half and full capacity, exact and rounded
+EDGE_PEAKS = (0.0, 0.05, 0.20, 5 / 12, 0.4167, 0.60, 5 / 6, 0.8333, 1.0)
 
 
 class TestRules:
-    @pytest.mark.parametrize("peak,expected", [
-        (0.01, "ESS+ECS+CWS"), (0.049, "ESS+ECS+CWS"),
-        (0.05, "ESS+ECS"), (0.19, "ESS+ECS"),
-        (0.20, "ESS"), (0.59, "ESS"),
-        (0.60, "none"), (0.95, "none"),
-    ])
-    def test_thresholds(self, peak, expected):
-        forecast = [peak * 0.3] * 23 + [peak]
-        assert rule_strategy(forecast) == expected
-
-    def test_qos_fallback_from_cws(self):
-        # carrier-off capacity is zero, so any nonzero peak forces a fallback
-        assert qos_filter("ESS+ECS+CWS", [0.01]) == "ESS+ECS"
-        assert qos_filter("ESS+ECS+CWS", [0.0]) == "ESS+ECS+CWS"
-
-    def test_qos_fallback_from_ecs(self):
-        # half capacity cannot cover 1.2 * 0.45
-        assert qos_filter("ESS+ECS", [0.45]) == "ESS"
-        assert qos_filter("ESS+ECS", [0.40]) == "ESS+ECS"
-
     def test_never_violates_capacity(self):
         rng = np.random.default_rng(0)
         cell = make_cell()
         for _ in range(300):
             f = rng.uniform(0.0, rng.uniform(0.02, 1.0), 24)
             name, fields, saving = recommend_strategy(cell, f)
-            if name != "none":
-                assert CAPACITY_FRACTION[name] >= QOS_HEADROOM * f.max()
+            assert CAPACITY_FRACTION[name] \
+                >= min(QOS_HEADROOM * f.max(), 1.0)
             assert fields == STRATEGY_FIELDS[name]
             assert saving >= -1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(peak=st.sampled_from(EDGE_PEAKS) | st.floats(0.0, 1.0),
+           shares=st.lists(st.floats(0.0, 1.0), max_size=23),
+           at=st.integers(0, 23))
+    @example(peak=0.0, shares=[0.0] * 23, at=0)  # all zero
+    @example(peak=1.0, shares=[1.0] * 23, at=0)  # all one
+    def test_search_equals_enumeration(self, peak, shares, at):
+        forecast = [peak * x for x in shares]
+        forecast.insert(at, peak)
+        cell = make_cell()
+        name, fields, saving = recommend_strategy(cell, forecast)
+        assert (name, saving) == enumerated_strategy(cell, forecast)
+        assert fields == STRATEGY_FIELDS[name]
 
     def test_empty_forecast_rejected(self):
         with pytest.raises(ValueError):
