@@ -1,8 +1,9 @@
 """Exact Gaussian process regression with a squared-exponential kernel.
 
-Inputs are rows of [pos_x m, pos_y m, azimuth deg, tilt deg]; targets are
-RSRP in dBm. The prior mean is the training-target average, so predictions
-revert to that offset far from the data.
+Inputs are rows with one column per length scale; the radio maps pass
+positions [pos_x m, pos_y m] with the first two default scales, and an RSRP
+residual in dB as the target. The prior mean is the training-target
+average, so predictions revert to that offset far from the data.
 """
 from __future__ import annotations
 

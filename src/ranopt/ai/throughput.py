@@ -2,15 +2,13 @@
 
 Per cell, a GPR learns the residual between measured RSRP (the warehouse's
 ``MEASUREMENT_COLUMNS``, as arrays) and the analytic antenna/propagation
-model at the config that was active when each sample was taken; a cell
-with too few samples has no GPR and a zero residual. A
-candidate config of one cell is scored by analytic model + learned
-residual: users are re-attached and network throughput is predicted with the
-simulator's radio kernel and ``attach_and_rate``. Candidates are scored in
-batches of ``CANDIDATE_BATCH``: per batch, one radio-kernel call and one GPR
-query over every (candidate, user) pair of the target cell and one
-``attach_and_rate`` call over a leading candidate axis; the other cells'
-RSRP is predicted once.
+model at the config that was active when each sample was taken.  The
+residual is a field of position alone: in the simulator, shadowing adds the
+same value to every beam at every pointing.  A cell with too few samples
+has no GPR and a zero residual.  A candidate config of one cell is scored
+by analytic model + learned residual: users are re-attached and network
+throughput is predicted with the simulator's radio kernel and
+``attach_and_rate``, over every candidate in one call.
 
 ``recommend_config`` scores every point of the target cell's candidate grid
 exactly and takes the argmax; no surrogate model stands in for the scores.
@@ -27,12 +25,11 @@ from ..simcore.radio import (best_beam_rsrp_dbm, best_beam_rsrp_dbm_variants,
                              pointing)
 from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
-from .gpr import GprRegressor
+from .gpr import DEFAULT_LENGTH_SCALES, GprRegressor
 from .surrogate import GRID_FIELDS, build_grid_axes
 
 UNCAPPED_DEMAND_MBPS = 1e9
 MIN_SAMPLES_PER_CELL = 8
-CANDIDATE_BATCH = 200  # candidates per attach_and_rate call; bounds its arrays
 # the beam-management columns the radio maps and the demand cap read
 MEASUREMENT_COLUMNS = ("t_s", "cell_id", "rsrp_dbm", "pos_x_m", "pos_y_m",
                        "rate_mbps")
@@ -100,32 +97,23 @@ def fit_radio_maps(columns: dict, cells: dict[str, CellConfig],
             cfg = base.replace(**dict(zip(_CONFIG_FIELDS, values)))
             pred, _ = best_beam_rsrp_dbm(cfg, pos[rows[mask]], carrier_ghz)
             resid[mask] -= pred
-        angles = np.array(list(configs), dtype=float)[config, :2]
-        gpr = GprRegressor()
-        gpr.fit(np.column_stack([pos[rows], angles]), resid)
-        maps[cid] = gpr
+        maps[cid] = GprRegressor(DEFAULT_LENGTH_SCALES[:2]).fit(pos[rows],
+                                                                resid)
     return maps
 
 
 def predicted_rsrp(cell: CellConfig, gpr: GprRegressor | None, positions,
-                   carrier_ghz: float) -> np.ndarray:
-    """Analytic best-beam RSRP at the cell's current fields + GPR residual
-    (none without a GPR)."""
-    return _predicted_rsrp(cell, pointing(cell), gpr, positions,
-                           carrier_ghz)[0]
-
-
-def _predicted_rsrp(cell: CellConfig, pointings, gpr: GprRegressor | None,
-                    positions, carrier_ghz: float) -> np.ndarray:
-    """(variants, users) predicted RSRP of the cell at each row of
-    pointings, with one GPR query over every (variant, user) pair."""
+                   carrier_ghz: float, pointings=None) -> np.ndarray:
+    """Analytic best-beam RSRP + GPR residual (none without a GPR): at the
+    cell's current fields as (users,), or as (variants, users) at each
+    (azimuth, tilt, power) row of pointings.  The residual depends on
+    position alone, so one GPR query serves every variant."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    analytic = best_beam_rsrp_dbm_variants(cell, pointings, pos, carrier_ghz)
-    if gpr is None:
-        return analytic
-    q = np.column_stack([np.tile(pos, (len(pointings), 1)),
-                         np.repeat(pointings[:, :2], pos.shape[0], axis=0)])
-    return analytic + gpr.predict(q).reshape(analytic.shape)
+    rows = pointing(cell) if pointings is None else pointings
+    rsrp = best_beam_rsrp_dbm_variants(cell, rows, pos, carrier_ghz)
+    if gpr is not None:
+        rsrp += gpr.predict(pos)
+    return rsrp[0] if pointings is None else rsrp
 
 
 def _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
@@ -149,8 +137,8 @@ def _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
             raise ValueError(f"a candidate may set only {GRID_FIELDS}")
         pointings = np.array([[*{**own, **f}.values()] for f in candidates],
                              dtype=float)
-        rsrp[:, ids.index(target_cell)] = _predicted_rsrp(
-            cell, pointings, radio_maps.get(target_cell), pos, carrier_ghz)
+        rsrp[:, ids.index(target_cell)] = predicted_rsrp(
+            cell, radio_maps.get(target_cell), pos, carrier_ghz, pointings)
     throughput = attach_and_rate(rsrp, [cells[cid] for cid in ids],
                                  bandwidth_mhz, demand_mbps)[4]
     return [sum(row) for row in throughput.tolist()]  # added in cell order
@@ -170,18 +158,16 @@ def build_surrogate_dataset(cells, radio_maps, positions, bandwidth_mhz,
                             steps: dict | None = None,
                             demand_mbps: float = UNCAPPED_DEMAND_MBPS):
     """Predicted throughput at every point of one cell's candidate grid,
-    scored CANDIDATE_BATCH candidates at a time.  Returns (X, y, names),
-    points in np.ndindex order, X's columns the fields in names."""
+    all scored in one call.  Returns (X, y, names), points in np.ndindex
+    order, X's columns the fields in names."""
     axes = build_grid_axes(bounds, steps)
     names = list(axes)
     idx = np.indices([len(axes[n]) for n in names]).reshape(len(names), -1).T
     X = np.column_stack([axes[n][idx[:, j]] for j, n in enumerate(names)])
-    grid = [dict(zip(names, x)) for x in X.tolist()]
-    y = []
-    for i in range(0, len(grid), CANDIDATE_BATCH):
-        y += _candidate_throughputs(cells, radio_maps, positions,
-                                    bandwidth_mhz, carrier_ghz, target_cell,
-                                    grid[i:i + CANDIDATE_BATCH], demand_mbps)
+    y = _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
+                               carrier_ghz, target_cell,
+                               [dict(zip(names, x)) for x in X.tolist()],
+                               demand_mbps)
     return X, np.array(y), names
 
 

@@ -159,6 +159,29 @@ class TestBestBeam:
             best_beam_rsrp_dbm_variants(cell, pointings, pos, 3.55),
             np.array(one_each))
 
+    @settings(max_examples=150, deadline=None)
+    @given(azimuth=st.floats(0.0, 359.99), tilt=st.floats(0.0, 15.0),
+           power=st.floats(30.0, 53.0),
+           pattern_id=st.integers(0, N_PATTERNS - 1),
+           pos=st.lists(st.tuples(st.floats(-3000.0, 3000.0),
+                                  st.floats(-3000.0, 3000.0)),
+                        min_size=1, max_size=50),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_shadowing_adds_a_field_of_position_alone(
+            self, azimuth, tilt, power, pattern_id, pos, seed):
+        # the throughput radio map learns the residual on positions alone;
+        # that holds only while shadowing ignores the cell's pointing
+        cell = make_cell(azimuth_deg=azimuth, tilt_deg=tilt,
+                         tx_power_dbm=power, pattern_id=pattern_id)
+        pos = np.array(pos)
+        shadow = ShadowField(seed, "c1", 6.0, 50.0)
+        shadowed, _ = best_beam_rsrp_dbm(cell, pos, 3.55, shadow)
+        bare, _ = best_beam_rsrp_dbm(cell, pos, 3.55)
+        inside = ((RSRP_MIN_DBM < shadowed) & (shadowed < RSRP_MAX_DBM)
+                  & (RSRP_MIN_DBM < bare) & (bare < RSRP_MAX_DBM))
+        assert np.allclose((shadowed - bare)[inside], shadow.at(pos)[inside],
+                           rtol=0.0, atol=1e-9)
+
     def test_carrier_off_reports_no_signal_on_beam_zero(self):
         pos = np.array([[100.0, 0.0], [0.0, 100.0]])
         best, idx = best_beam_rsrp_dbm(make_cell(carrier_on=False), pos, 3.55)

@@ -144,6 +144,38 @@ class TestRadioMaps:
         pred = predicted_rsrp(cells["c1"], maps["c1"], pts, sc.carrier_ghz)
         assert np.mean(np.abs(pred - truth)) < 3.0
 
+    def test_map_transfers_to_a_moved_pointing(self):
+        # shadowing is a field of position, so a map fitted under one
+        # pointing predicts the residual at another as well as at its own
+        moved_errors, analytic_errors = [], []
+        for seed in range(5):
+            sc = make_scenario(seed=seed, shadow_sigma_db=4.0)
+            meas, log, state = simulate_history(sc, [{}] * 6)
+            cells = {c.cell_id: c for c in state.cells}
+            gpr = fit_radio_maps(meas, cells, log, sc.carrier_ghz)["c1"]
+            pts = np.array([u.pos for u in draw_users(sc, 7 * 3600.0)])
+            shadow = engine.shadow_fields(sc)["c1"]
+
+            def errors(cell, radio_map):
+                truth, _ = best_beam_rsrp_dbm(cell, pts, sc.carrier_ghz,
+                                              shadow)
+                return np.abs(predicted_rsrp(cell, radio_map, pts,
+                                             sc.carrier_ghz) - truth)
+
+            own = errors(cells["c1"], gpr).mean()
+            for moved in ({"azimuth_deg": 20.0}, {"azimuth_deg": 25.0},
+                          {"azimuth_deg": 330.0}, {"tilt_deg": 2.0},
+                          {"tilt_deg": 10.0}):
+                cell = cells["c1"].replace(**moved)
+                moved_errors.append(errors(cell, gpr))
+                assert moved_errors[-1].mean() == pytest.approx(
+                    own, abs=0.01), (seed, moved)
+                analytic_errors.append(errors(cell, None))
+        # pooled over the seeds: on 12 held-out users, one seed's map
+        # (seed 4) falls just short of half the analytic error
+        assert (np.concatenate(moved_errors).mean()
+                < 0.5 * np.concatenate(analytic_errors).mean())
+
     def test_throughput_prediction_single_cell_oracle(self):
         sc = make_scenario(shadow_sigma_db=0.0)
         meas, log, state = simulate_history(sc, [{}, {}])
@@ -221,7 +253,7 @@ class TestRecommendConfig:
                 [dict(zip(names, x))], 80.0)
             assert score == pytest.approx(want, rel=1e-12)
 
-    def test_grid_above_batch_size_scored_exactly(self, monkeypatch):
+    def test_large_grid_scored_exactly(self, monkeypatch):
         cell = make_cell(azimuth_deg=30.0)
         sc = make_scenario(cells=[cell], shadow_sigma_db=0.0)
         meas, log, state = simulate_history(sc, [{}] * 3)
@@ -247,7 +279,6 @@ class TestRecommendConfig:
             steps)
         monkeypatch.undo()
         assert sum(batches) == 1755
-        assert max(batches) == throughput.CANDIDATE_BATCH
 
         maps = fit_radio_maps(meas, cells, log, sc.carrier_ghz)
         pts = positions(meas, meas["t_s"] == meas["t_s"][-1])
