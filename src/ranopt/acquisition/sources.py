@@ -14,7 +14,7 @@ import io
 import socketserver
 from pathlib import Path
 
-from ..errors import FileRejected
+from ..errors import FileRejected, NotFoundError
 from .pipeline import AcquisitionPipeline, parse_header, read_rows
 
 
@@ -63,7 +63,10 @@ class StreamServer(socketserver.ThreadingTCPServer):
 
 def watch_directory(directory, pipeline: AcquisitionPipeline) -> int:
     """Ingest every CSV/TXT file of a directory, in name order; a file
-    refused as a whole is recorded with `reject_file`."""
+    refused as a whole is recorded with `reject_file`.  NotFoundError if
+    the directory does not exist or is not a directory."""
+    if not Path(directory).is_dir():
+        raise NotFoundError(f"no directory {str(directory)!r}")
     processed = 0
     for path in sorted(Path(directory).glob("*")):
         if path.suffix.lower() not in (".csv", ".txt"):

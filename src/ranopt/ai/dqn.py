@@ -69,6 +69,9 @@ class DqnAgent:
     def greedy(self, obs) -> int:
         return self._learner.greedy(np.asarray(obs)[None])[0]
 
+    def q_values(self, obs) -> np.ndarray:
+        return self._learner.q_values(np.asarray(obs)[None])[0]
+
     def remember(self, obs, action, reward, next_obs) -> None:
         self._learner.remember(np.asarray(obs)[None], [action], reward,
                                np.asarray(next_obs)[None])
@@ -128,10 +131,15 @@ class _Learner:
                         self.masks[rows], [v[rows] for v in self.velocity],
                         {name: a[rows] for name, a in self.ring.items()})
 
+    def q_values(self, obs) -> np.ndarray:
+        """Each agent's Q-values for its row of obs (k, dim), -inf on the
+        actions it may not take: (k, N_ACTIONS)."""
+        qvals = self.q.predict(np.asarray(obs, dtype=float)[:, None, :])
+        return qvals[:, 0] + self.masks
+
     def greedy(self, obs) -> list[int]:
         """Each agent's best allowed action for its row of obs (k, dim)."""
-        qvals = self.q.predict(np.asarray(obs, dtype=float)[:, None, :])
-        return (qvals[:, 0] + self.masks).argmax(axis=1).tolist()
+        return self.q_values(obs).argmax(axis=1).tolist()
 
     def act(self, obs, epsilon: float, rng) -> list[int]:
         """Epsilon-greedy actions, agent by agent: a uniform allowed action

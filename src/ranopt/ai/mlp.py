@@ -21,7 +21,6 @@ MOMENTUM = 0.9
 class Mlp:
     def __init__(self, layer_sizes, seed: int = 0):
         self.layer_sizes = list(layer_sizes)
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
@@ -69,22 +68,8 @@ class Mlp:
                     * (acts[i] > 0.0)
         return loss, gw, gb
 
-    # -- (de)serialization ----------------------------------------------
-    def to_dict(self) -> dict:
-        return {"kind": "mlp", "layer_sizes": self.layer_sizes,
-                "seed": self.seed,
-                "weights": [W.tolist() for W in self.weights],
-                "biases": [b.tolist() for b in self.biases]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        m = cls(d["layer_sizes"], seed=d.get("seed", 0))
-        m.weights = [np.array(W) for W in d["weights"]]
-        m.biases = [np.array(b) for b in d["biases"]]
-        return m
-
     def copy(self) -> "Mlp":
-        return Mlp.from_dict(self.to_dict())
+        return copy.deepcopy(self)
 
     @classmethod
     def stack(cls, models: list["Mlp"]) -> "Mlp":

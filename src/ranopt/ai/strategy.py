@@ -4,14 +4,12 @@ Strategies stack three shutdown levers on one cell:
   ESS  - symbol shutdown (symbol_fraction < 1), no capacity loss;
   ECS  - channel shutdown (half the channels), capacity halves;
   CWS  - carrier/wake shutdown (carrier off), capacity goes to zero.
-The recommendation is an exact search over the four strategies: of those
-whose capacity covers min(1.2x the forecast peak, 1), the one the energy
-model expects to save most over the forecast horizon, the first in
-`STRATEGIES` order on a tie.
+The energy use case searches the four strategies exactly: of those whose
+capacity covers min(1.2x the forecast peak, 1), the one the energy model
+expects to save most over the forecast horizon (`predicted_savings`), the
+first in `STRATEGIES` order on a tie.
 """
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,19 +36,16 @@ def capacity(cell) -> float:
     return float(cell.carrier_on) * cell.channel_fraction
 
 
-CAPACITY_FRACTION = {name: capacity(SimpleNamespace(**fields))
-                     for name, fields in STRATEGY_FIELDS.items()}
-
-
-def expected_saving_wh(cell: CellConfig, strategy: str,
+def expected_saving_wh(cell: CellConfig, fields: dict,
                        forecast_rbur) -> float:
-    """Energy saved vs the always-on config over the hourly forecast.
+    """Energy saved vs the always-on config over the hourly forecast, by
+    the cell with its config fields set to `fields`.
 
-    Served load is capped at the strategy's capacity, so a config that
-    sheds traffic is not credited with the energy of serving it.
+    Served load is capped at the config's capacity, so a config that sheds
+    traffic is not credited with the energy of serving it.
     """
     base = cell.replace(**STRATEGY_FIELDS["none"])
-    cand = cell.replace(**STRATEGY_FIELDS[strategy])
+    cand = cell.replace(**fields)
     cap = capacity(cand)
     saved = 0.0
     for load in np.asarray(forecast_rbur, dtype=float):
@@ -60,14 +55,15 @@ def expected_saving_wh(cell: CellConfig, strategy: str,
     return saved
 
 
-def recommend_strategy(cell: CellConfig, forecast_rbur
-                       ) -> tuple[str, dict, float]:
-    """(strategy name, config fields to apply, expected saving in Wh)."""
+def predicted_savings(cell: CellConfig, candidates: list[dict],
+                      forecast_rbur) -> list[float]:
+    """The expected saving of each candidate (config fields of cell) over
+    the forecast; -inf for one whose capacity is below min(QOS_HEADROOM x
+    the forecast peak, 1)."""
     f = np.asarray(forecast_rbur, dtype=float)
     if f.size == 0:
         raise ValueError("empty forecast")
     need = min(QOS_HEADROOM * float(f.max()), 1.0)
-    saving = {name: expected_saving_wh(cell, name, f) for name in STRATEGIES
-              if CAPACITY_FRACTION[name] >= need}
-    chosen = max(saving, key=saving.get)
-    return chosen, dict(STRATEGY_FIELDS[chosen]), saving[chosen]
+    return [expected_saving_wh(cell, fields, f)
+            if capacity(cell.replace(**fields)) >= need else -np.inf
+            for fields in candidates]

@@ -1,6 +1,7 @@
 """The throughput use case's candidate grid: one value axis per config field.
 
-``throughput.recommend_config`` scores every point of this grid exactly.
+The loop's throughput and MIMO use cases score every point of this grid
+exactly, with ``throughput.predicted_throughputs``.
 """
 from __future__ import annotations
 

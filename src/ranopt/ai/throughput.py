@@ -10,8 +10,9 @@ by analytic model + learned residual: users are re-attached and network
 throughput is predicted with the simulator's radio kernel and
 ``attach_and_rate``, over every candidate in one call.
 
-``recommend_config`` scores every point of the target cell's candidate grid
-exactly and takes the argmax; no surrogate model stands in for the scores.
+``predicted_throughputs`` scores every candidate exactly, at the latest
+users' positions; no surrogate model stands in for the scores.  The loop's
+throughput and MIMO use cases take its argmax over their grids.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from ..simcore.radio import (best_beam_rsrp_dbm, best_beam_rsrp_dbm_variants,
 from ..simcore.scheduler import attach_and_rate
 from ..simcore.types import CellConfig
 from .gpr import DEFAULT_LENGTH_SCALES, GprRegressor
-from .surrogate import GRID_FIELDS, build_grid_axes
+from .surrogate import GRID_FIELDS
 
 UNCAPPED_DEMAND_MBPS = 1e9
 MIN_SAMPLES_PER_CELL = 8
@@ -153,43 +154,22 @@ def estimate_demand_cap(rates) -> float:
     return best if best > 0.0 else UNCAPPED_DEMAND_MBPS
 
 
-def build_surrogate_dataset(cells, radio_maps, positions, bandwidth_mhz,
-                            carrier_ghz, target_cell, bounds,
-                            steps: dict | None = None,
-                            demand_mbps: float = UNCAPPED_DEMAND_MBPS):
-    """Predicted throughput at every point of one cell's candidate grid,
-    all scored in one call.  Returns (X, y, names), points in np.ndindex
-    order, X's columns the fields in names."""
-    axes = build_grid_axes(bounds, steps)
-    names = list(axes)
-    idx = np.indices([len(axes[n]) for n in names]).reshape(len(names), -1).T
-    X = np.column_stack([axes[n][idx[:, j]] for j, n in enumerate(names)])
-    y = _candidate_throughputs(cells, radio_maps, positions, bandwidth_mhz,
-                               carrier_ghz, target_cell,
-                               [dict(zip(names, x)) for x in X.tolist()],
-                               demand_mbps)
-    return X, np.array(y), names
-
-
-def recommend_config(columns: dict, cells: dict[str, CellConfig],
-                     config_log: ConfigLog, target_cell: str, bounds: dict,
-                     bandwidth_mhz: float, carrier_ghz: float,
-                     steps: dict | None = None):
-    """Radio maps from the arrays of MEASUREMENT_COLUMNS, then the best
-    config of target_cell on the grid at the latest users' positions.
-
-    Every grid point is scored exactly, and the first maximum in np.ndindex
-    order wins, so ties go to the smaller (azimuth, tilt, power) tuple.
-    Returns (fields, predicted_throughput_mbps).  Raises
-    InsufficientHistory if target_cell has too few usable measurements.
-    """
-    maps = fit_radio_maps(columns, cells, config_log, carrier_ghz,
-                          target_cell)
+def predicted_throughputs(columns: dict, cells: dict[str, CellConfig],
+                          config_log: ConfigLog, target_cell: str,
+                          candidates: list[dict], bandwidth_mhz: float,
+                          carrier_ghz: float) -> list[float]:
+    """Radio maps from the arrays of MEASUREMENT_COLUMNS, then the network
+    throughput of each candidate config of target_cell (fields of
+    GRID_FIELDS) at the latest users' positions, all scored in one call;
+    no score at all if target_cell has too few usable measurements."""
+    try:
+        maps = fit_radio_maps(columns, cells, config_log, carrier_ghz,
+                              target_cell)
+    except InsufficientHistory:
+        return []
     latest = columns["t_s"] == columns["t_s"].max()
     positions = np.column_stack([columns["pos_x_m"][latest],
                                  columns["pos_y_m"][latest]])
-    X, y, names = build_surrogate_dataset(
+    return _candidate_throughputs(
         cells, maps, positions, bandwidth_mhz, carrier_ghz, target_cell,
-        bounds, steps, demand_mbps=estimate_demand_cap(columns["rate_mbps"]))
-    k = int(np.argmax(y))
-    return dict(zip(names, X[k].tolist())), float(y[k])
+        candidates, estimate_demand_cap(columns["rate_mbps"]))

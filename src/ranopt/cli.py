@@ -1,5 +1,5 @@
-"""Command-line entry point: simulate, ingest, query, optimize, loop, report;
-`optimize` and `loop` take the use cases of the `loop.usecases` registry."""
+"""Command-line entry point: simulate, ingest, query, loop, report; `loop`
+takes the use cases of the `loop.usecases` registry."""
 from __future__ import annotations
 
 import argparse
@@ -48,14 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of simulator CSVs to ingest first")
     q.add_argument("--scenario", required=True)
     q.add_argument("--out", required=True)
-
-    s = sub.add_parser("optimize",
-                       help="write the models the loop's offline phase trains")
-    s.add_argument("--usecase", required=True,
-                   choices=[n for n, uc in USE_CASES.items() if uc.exports])
-    s.add_argument("--scenario", required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", required=True)
 
     s = sub.add_parser("loop", help="run the closed optimization loop")
     s.add_argument("--usecase", required=True, choices=list(USE_CASES))
@@ -151,18 +143,6 @@ def cmd_warehouse_query(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    scenario = _load_scenario(args.scenario, args.seed)
-    out: dict = {"use_case": args.usecase, "seed": args.seed}
-    use_case = USE_CASES[args.usecase]
-    for key, model in use_case.offline(scenario, args.seed).items():
-        name, to_json = use_case.exports[key]
-        out[name] = to_json(model)
-    Path(args.out).write_text(json.dumps(out, sort_keys=True))
-    print(f"wrote {args.usecase} model to {args.out}")
-    return EXIT_OK
-
-
 def cmd_loop(args) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
     # an epoch that raises still saves the report of the epochs before it
@@ -210,7 +190,7 @@ def _summary(report: LoopReport, fmt: str) -> str:
 
 
 _HANDLERS = {"simulate": cmd_simulate, "ingest": cmd_ingest,
-             "optimize": cmd_optimize, "loop": cmd_loop, "report": cmd_report}
+             "loop": cmd_loop, "report": cmd_report}
 
 
 def main(argv=None) -> int:

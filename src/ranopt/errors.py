@@ -18,7 +18,8 @@ class InvalidBounds(ValidationError):
 
 
 class InsufficientHistory(ValidationError):
-    """Forecasting requires at least two full seasonal periods."""
+    """A model lacks the history it needs: the traffic forecaster two full
+    seasonal periods, a target cell's radio map enough measurements."""
 
 
 class PipelineError(RanOptError):

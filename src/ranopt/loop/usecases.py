@@ -1,25 +1,32 @@
 """The loop's use cases, one object each, named by one registry.
 
 This is the one place that knows what differs between use cases: the
-objective, the command an epoch proposes, the verify decision, the offline
-models and their export, and the history needed first.  `ClosedLoop` holds
-its use case's object and calls it.
+objective, the candidate commands of an epoch and their predicted
+objective, the verify decision, the offline models and the history needed
+first.  `ClosedLoop` holds its use case's object and calls it.
 
-The throughput and MIMO use cases are one exact search on the radio maps
-(`recommend_config`) over different boxes: azimuth and tilt around the
-target's pointing for throughput, the target's transmit power alone for
-MIMO.  Only the interference use case trains models offline."""
+Every use case decides one way, in `UseCase.optimize`: it deploys the
+first candidate of the largest prediction.  Throughput and MIMO score a
+grid on the radio maps (`predicted_throughputs`) over different boxes:
+azimuth and tilt around the target's pointing for throughput, the
+target's transmit power alone for MIMO.  Interference scores the DQN
+actions by the target agent's Q-values, and energy scores the four
+shutdown strategies by their expected saving.  Only the interference use
+case trains models offline."""
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import replace
 
 import numpy as np
 
 from ..ai import dqn as dqn_mod
 from ..ai.forecast import MIN_HISTORY, TrafficForecaster
-from ..ai.strategy import capacity, recommend_strategy
-from ..ai.throughput import MEASUREMENT_COLUMNS, recommend_config
+from ..ai.strategy import (STRATEGIES, STRATEGY_FIELDS, capacity,
+                           predicted_savings)
+from ..ai.surrogate import build_grid_axes
+from ..ai.throughput import MEASUREMENT_COLUMNS, predicted_throughputs
 from ..errors import InsufficientHistory
 from ..simcore.energy import energy_step
 from ..warehouse.subjects import SUBJECT_BEAM, SUBJECT_ENERGY
@@ -30,6 +37,8 @@ QOS_SERVED_FLOOR = 0.99
 ENERGY_FORECAST_HORIZON = 4
 DQN_EPISODES = 12
 DQN_EPISODE_LEN = 25
+# the throughput and MIMO grids' steps
+GRID_STEPS = {"azimuth_deg": 10.0, "tilt_deg": 2.0, "tx_power_dbm": 1.0}
 
 
 def _window_positions(loop, snap) -> tuple[np.ndarray, np.ndarray]:
@@ -64,16 +73,30 @@ def _qos_holds(before, after) -> bool:
 
 
 class UseCase:
-    # model key -> (its name in the `ranopt optimize` export, its JSON form)
-    exports: dict = {}
     warm_up_windows = 0
 
     def objective(self, per_cell: dict) -> float:
         return sum(v.get("throughput_mbps", 0.0) for v in per_cell.values())
 
+    def candidates(self, loop, cell) -> list[dict]:
+        """The fields of each command the epoch may deploy to `cell`."""
+        return []
+
+    def predict(self, loop, target: str, candidates: list[dict],
+                before) -> list[float]:
+        """The predicted objective of each candidate, from warehouse reads
+        only; none when the use case cannot predict yet."""
+        return []
+
     def optimize(self, loop, before) -> Command:
-        """The epoch's command, from warehouse reads only; here a no-op."""
-        return Command(loop.target_cell(), {}, loop.use_case, loop.epoch)
+        """The epoch's command: the first candidate of the largest
+        prediction, or a no-op when there is no candidate or no score."""
+        target = loop.target_cell()
+        candidates = self.candidates(loop, loop.scenario.cell(target))
+        scores = self.predict(loop, target, candidates, before) \
+            if candidates else []
+        fields = candidates[int(np.argmax(scores))] if scores else {}
+        return Command(target, fields, loop.use_case, loop.epoch)
 
     def decide(self, loop, before, after, prior_cells: dict) -> str:
         return rollback_if_worse(before, after)
@@ -92,19 +115,17 @@ class Throughput(UseCase):
                 "tilt_deg": (0.0, 14.0),
                 "tx_power_dbm": (cell.tx_power_dbm, cell.tx_power_dbm)}
 
-    def optimize(self, loop, before) -> Command:
-        target = loop.target_cell()
+    def candidates(self, loop, cell) -> list[dict]:
+        """Every point of the box's grid, in np.ndindex order."""
+        axes = build_grid_axes(self.box(cell), GRID_STEPS)
+        return [dict(zip(axes, point)) for point in
+                itertools.product(*(a.tolist() for a in axes.values()))]
+
+    def predict(self, loop, target, candidates, before) -> list[float]:
         columns = loop.warehouse.read(SUBJECT_BEAM, MEASUREMENT_COLUMNS)
-        steps = {"azimuth_deg": 10.0, "tilt_deg": 2.0, "tx_power_dbm": 1.0}
-        try:
-            fields, _ = recommend_config(
-                columns, loop.cells(), loop.config_log, target,
-                self.box(loop.scenario.cell(target)),
-                loop.scenario.bandwidth_mhz, loop.scenario.carrier_ghz,
-                steps=steps)
-        except InsufficientHistory:  # too few measurements of the target
-            return super().optimize(loop, before)
-        return Command(target, fields, loop.use_case, loop.epoch)
+        return predicted_throughputs(
+            columns, loop.cells(), loop.config_log, target, candidates,
+            loop.scenario.bandwidth_mhz, loop.scenario.carrier_ghz)
 
 
 class Mimo(Throughput):
@@ -114,10 +135,6 @@ class Mimo(Throughput):
 
 
 class Interference(UseCase):
-    exports = {"dqn_agents": ("agents", lambda agents: {
-                   cid: a.q.to_dict() for cid, a in agents.items()}),
-               "dqn_curve": ("learning_curve", lambda curve: curve)}
-
     def objective(self, per_cell: dict) -> float:
         users = sum(v.get("num_users", 0) for v in per_cell.values())
         if users == 0:
@@ -126,18 +143,20 @@ class Interference(UseCase):
                    for v in per_cell.values())
         return -coll / users
 
-    def optimize(self, loop, before) -> Command:
+    def candidates(self, loop, cell) -> list[dict]:
+        """Every (pattern, offset) action, in ACTION_TABLE order."""
+        return [{"pattern_id": pattern, "cio_db": cio}
+                for pattern, cio in dqn_mod.ACTION_TABLE]
+
+    def predict(self, loop, target, candidates, before) -> list[float]:
+        """The target agent's masked Q-values at the baseline window."""
         agents = loop.models.get("dqn_agents")
-        target = loop.target_cell()
         if not agents or target not in agents:
-            return super().optimize(loop, before)
+            return []
         cell_index = [c.cell_id for c in loop.scenario.cells].index(target)
         obs = dqn_mod.observe(loop.scenario, cell_index,
                               *_window_positions(loop, before))
-        action = agents[target].greedy(obs)
-        pattern, cio = dqn_mod.ACTION_TABLE[action]
-        return Command(target, {"pattern_id": pattern, "cio_db": cio},
-                       loop.use_case, loop.epoch)
+        return agents[target].q_values(obs).tolist()
 
     def offline(self, scenario, seed: int) -> dict:
         """The DQN agents and their learning curve."""
@@ -153,8 +172,13 @@ class Energy(UseCase):
     def objective(self, per_cell: dict) -> float:
         return -sum(v.get("energy_wh", 0.0) for v in per_cell.values())
 
-    def optimize(self, loop, before) -> Command:
-        target = loop.target_cell()
+    def candidates(self, loop, cell) -> list[dict]:
+        """Each strategy, in STRATEGIES order, as the fields it changes."""
+        return [{k: v for k, v in STRATEGY_FIELDS[name].items()
+                 if getattr(cell, k) != v} for name in STRATEGIES]
+
+    def forecast(self, loop, target: str) -> np.ndarray:
+        """The target's load over the forecast horizon, within [0, 1]."""
         energy = loop.warehouse.read(SUBJECT_ENERGY,
                                      ("t_s", "cell_id", "rbur"))
         mine = energy["cell_id"] == target
@@ -165,11 +189,11 @@ class Energy(UseCase):
                 f"energy use case needs {MIN_HISTORY} windows of load "
                 f"history, have {len(history)}; warm the loop up first")
         forecaster = TrafficForecaster().fit(history)
-        forecast = forecaster.predict(ENERGY_FORECAST_HORIZON)
-        cell = loop.scenario.cell(target)
-        _, fields, _ = recommend_strategy(cell, np.clip(forecast, 0, 1))
-        delta = {k: v for k, v in fields.items() if getattr(cell, k) != v}
-        return Command(target, delta, loop.use_case, loop.epoch)
+        return np.clip(forecaster.predict(ENERGY_FORECAST_HORIZON), 0, 1)
+
+    def predict(self, loop, target, candidates, before) -> list[float]:
+        return predicted_savings(loop.scenario.cell(target), candidates,
+                                 self.forecast(loop, target))
 
     def decide(self, loop, before, after, prior_cells: dict) -> str:
         if not _qos_holds(before, after):

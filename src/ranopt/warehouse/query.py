@@ -26,6 +26,11 @@ class QueryTask:
     aggregates: list[tuple[str, str]] = field(default_factory=list)  # (agg, column)
 
     def __post_init__(self):
+        for name in ("t0", "t1"):
+            bound = getattr(self, name)
+            if bound is not None and not is_number(bound):
+                raise SchemaError(f"{name} {bound!r} is neither a number "
+                                  f"nor null")
         for _, op, _lit in self.filters:
             if op not in OPS:
                 raise SchemaError(f"unknown filter operator {op!r}")
@@ -61,6 +66,12 @@ class QueryTask:
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(
                 f"query task: {type(e).__name__}: {e}") from None
+
+
+def is_number(value) -> bool:
+    """An int or a float, numpy's included, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from itertools import compress
 import numpy as np
 
 from ..errors import AlreadyExists, SchemaError, SubjectNotFound
-from .query import QueryTask, ResultTable, run_query
+from .query import QueryTask, ResultTable, is_number, run_query
 
 HOT_WINDOW_S = 24 * 3600.0
 DEFAULT_RETENTION_HOURS = 7 * 24
@@ -476,6 +476,12 @@ class Warehouse:
                 raise SchemaError(
                     f"subject {task.subject!r}: unknown column {col!r}")
             names.append(col)
+        for col, op, lit in task.filters:
+            if not (isinstance(lit, str) if col in sub.strings
+                    else is_number(lit)):
+                raise SchemaError(
+                    f"subject {task.subject!r}: filter {col} {op} {lit!r}: "
+                    f"column {col!r} holds {sub.dtypes[col]} values")
         for agg, col in task.aggregates:
             if agg != "count" and col in sub.strings:
                 raise SchemaError(f"subject {task.subject!r}: {agg}({col}) "

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from ranopt.loop.usecases import Energy, Throughput
 from ranopt.simcore import CellConfig, HotspotCluster, Scenario
 
 FLAT_PROFILE = [1.0] * 24
@@ -36,3 +39,55 @@ def two_cell_scenario():
     clusters = [HotspotCluster((200.0, 50.0), 30.0, 6.0),
                 HotspotCluster((300.0, -50.0), 30.0, 6.0)]
     return make_scenario(cells=cells, clusters=clusters)
+
+
+def stub_loop(scenario, use_case="stub", **attrs):
+    """What a use case's decision reads of a ClosedLoop at epoch 0 whose
+    target is the scenario's first cell; attrs add the rest (warehouse,
+    config_log, models)."""
+    return SimpleNamespace(
+        scenario=scenario, use_case=use_case, epoch=0,
+        target_cell=lambda: scenario.cells[0].cell_id,
+        cells=lambda: {c.cell_id: c for c in scenario.cells}, **attrs)
+
+
+def deploy(case, loop, before=None):
+    """(fields, score): the fields of the command `case.optimize` deploys
+    on loop, and the prediction of the candidate it deployed (None when
+    nothing was scored)."""
+    seen = []
+    predict = case.predict
+
+    def spy(*args):
+        seen.append((args[2], predict(*args)))
+        return seen[-1][1]
+
+    case.predict = spy  # on this object only
+    try:
+        fields = case.optimize(loop, before).fields
+    finally:
+        del case.predict
+    if not seen or not seen[0][1]:
+        return fields, None
+    candidates, scores = seen[0]
+    return fields, scores[candidates.index(fields)]
+
+
+class GridSearch(Throughput):
+    """The throughput use case over a given search box."""
+
+    def __init__(self, bounds: dict):
+        self.bounds = bounds
+
+    def box(self, cell) -> dict:
+        return self.bounds
+
+
+class FixedForecast(Energy):
+    """The energy use case with a given load forecast."""
+
+    def __init__(self, load):
+        self.load = load
+
+    def forecast(self, loop, target: str):
+        return self.load

@@ -7,8 +7,9 @@
   frozen with its SINR and scheduler arithmetic inlined, for the batched
   kernel in `ranopt.simcore.scheduler`;
 * `enumerated_strategy`, the four energy strategies scored one at a time
-  with their capacity and hourly saving worked out here, for the search
-  of `ranopt.ai.strategy.recommend_strategy`;
+  with their capacity and hourly saving worked out here, for the energy
+  use case's search: `ranopt.ai.strategy.predicted_savings` under
+  `UseCase.optimize`'s argmax;
 * `LinearConfigLog`, the config log that re-sorts on every record and
   scans every entry on lookup, for `ranopt.ai.throughput.ConfigLog`;
 * `observe_per_record`, the DQN observation that counted a cell's users

@@ -8,6 +8,7 @@ reference.
 import copy
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from ranopt.ai.dqn import DqnConfig, dqn_train
 from ranopt.ai.forecast import TrafficForecaster
 from ranopt.ai.gpr import GprRegressor
 from ranopt.ai.mlp import Mlp
-from ranopt.ai.strategy import (CAPACITY_FRACTION, QOS_HEADROOM,
-                                recommend_strategy)
+from ranopt.ai.strategy import QOS_HEADROOM, STRATEGY_FIELDS, capacity
 from ranopt.ai import throughput
 from ranopt.ai.surrogate import build_grid_axes
-from ranopt.ai.throughput import ConfigLog, recommend_config
+from ranopt.ai.throughput import ConfigLog
 from ranopt.cli import main
+from ranopt.loop import usecases
 from ranopt.loop.runner import run_closed_loop
 from ranopt.scenarios import load_bundled, scenario_path
 from ranopt.simcore import engine
@@ -30,7 +31,8 @@ from ranopt.simcore.radio import best_beam_rsrp_dbm
 from ranopt.warehouse import (Column, QueryTask, SubjectSpec, Warehouse,
                               create_bundled_subjects)
 
-from conftest import make_cell, make_scenario
+from conftest import (FixedForecast, GridSearch, deploy, make_cell,
+                      make_scenario, stub_loop)
 from naive_oracle import (draw_users, evaluate_joint, gradient_check,
                           greedy_actions, greedy_rollout, run_aggregates)
 
@@ -154,12 +156,14 @@ class TestThroughputGain:
 class TestGridSearchOracle:
     def test_matches_exhaustive_argmax_on_random_surrogates(self,
                                                             monkeypatch):
-        # recommend_config's grid order and first-maximum rule, with a
-        # random MLP surface standing in for the radio-map scores
+        # the throughput use case's grid order and first-maximum rule, with
+        # a random MLP surface standing in for the radio-map scores
         monkeypatch.setattr(throughput, "fit_radio_maps", lambda *a: {})
         columns = {name: np.zeros(1) for name in
                    ("t_s", "pos_x_m", "pos_y_m", "rate_mbps")}
-        cells = {"c1": make_cell()}
+        loop = stub_loop(make_scenario(cells=[make_cell()]),
+                         warehouse=SimpleNamespace(read=lambda *a: columns),
+                         config_log=ConfigLog())
         rng = np.random.default_rng(0)
         for trial in range(50):
             bounds, steps = {}, {}
@@ -182,8 +186,8 @@ class TestGridSearchOracle:
                         for c in candidates]
 
             monkeypatch.setattr(throughput, "_candidate_throughputs", score)
-            fields, value = recommend_config(columns, cells, ConfigLog(),
-                                             "c1", bounds, 20.0, 3.5, steps)
+            monkeypatch.setattr(usecases, "GRID_STEPS", steps)
+            fields, value = deploy(GridSearch(bounds), loop)
             # independent oracle: enumerate every grid point
             best_v, best_f = -np.inf, None
             for combo in itertools.product(*axes.values()):
@@ -254,10 +258,12 @@ class TestEnergy:
     def test_recommendation_never_violates_qos_floor(self):
         cell = make_cell()
         for forecast in sample_forecasts(2000, 24, seed=1):
-            strategy, _, saving = recommend_strategy(cell, forecast)
-            assert CAPACITY_FRACTION[strategy] \
+            fields, saving = deploy(FixedForecast(forecast), stub_loop(
+                make_scenario(cells=[cell])))
+            deployed = cell.replace(**fields)
+            assert capacity(deployed) \
                 >= min(QOS_HEADROOM * forecast.max(), 1.0) - 1e-12 \
-                or strategy == "none"
+                or deployed == cell.replace(**STRATEGY_FIELDS["none"])
             assert saving >= 0.0
 
     def test_diurnal_loop_saves_energy_without_shedding_traffic(self):

@@ -14,16 +14,21 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # pipeline loaded through Warehouse.load, now the only write path; and the
 # radio kernel's name in the loop runner, whose one caller, the MIMO
 # coupling estimate, is gone: the MIMO search calls the kernel through
-# ranopt.ai.throughput, which the tracer wraps; and the one-candidate
-# throughput wrapper, whose callers were all tests (the system scores
-# candidates through build_surrogate_dataset, which the tracer wraps), so
-# its ai.predict_throughput.calls read 0 before it went
+# ranopt.ai.throughput, which the tracer wraps; the one-candidate
+# throughput wrapper, whose callers were all tests (the system then scored
+# candidates through build_surrogate_dataset), so its
+# ai.predict_throughput.calls read 0 before it went; and
+# build_surrogate_dataset, the grid builder and scorer, since the throughput
+# and MIMO use cases enumerate their own grid as candidates and score it
+# through predicted_throughputs: ai.surrogate_grid.* reads 0, and the
+# scoring time falls into loop.optimize.s
 GONE = {"ranopt.ai.throughput.fit_surrogate",
         "ranopt.ai.throughput.optimize_config",
         "ranopt.ai.surrogate._NormalizedSurrogate.predict",
         "ranopt.warehouse.store.Warehouse.append",
         "ranopt.loop.runner.best_beam_rsrp_dbm",
-        "ranopt.ai.throughput.predict_network_throughput"}
+        "ranopt.ai.throughput.predict_network_throughput",
+        "ranopt.ai.throughput.build_surrogate_dataset"}
 
 
 def test_tracer_installs_and_restores_every_wrap():

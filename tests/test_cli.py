@@ -196,43 +196,40 @@ class TestWarehouseQuery:
         assert lines[0] == "cell_id,mean(power_w)"
         assert len(lines) == 2
 
-    def test_bad_task_is_pipeline_error(self, scenario_file, tmp_path):
+    @pytest.mark.parametrize("task", [
+        {"aggregates": [["mean", "no_such_col"]]},
+        {"aggregates": [["mean", "cell_id"]]},
+        {"t0": "abc"},
+        {"t1": [1]},
+        {"filters": [["rbur", "<", "x"]]},
+        {"filters": [["rbur", "<", None]]},
+        {"filters": [["cell_id", "<", 3]]},
+    ], ids=["unknown-column", "mean-of-strings", "t0-text", "t1-list",
+            "number-column-text", "number-column-null",
+            "string-column-number"])
+    def test_bad_task_is_pipeline_error(self, task, scenario_file, tmp_path,
+                                        capsys):
         drops = tmp_path / "drops"
         run(["simulate", "--scenario", scenario_file, "--windows", "1",
              "--out", str(drops)])
-        task = tmp_path / "task.json"
-        task.write_text(json.dumps({"subject": "energy",
-                                    "aggregates": [["mean", "no_such_col"]]}))
-        assert run(["warehouse", "query", "--task", str(task), "--in",
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({"subject": "energy",
+                                    "aggregates": [["count", "*"]], **task}))
+        capsys.readouterr()
+        assert run(["warehouse", "query", "--task", str(path), "--in",
                     str(drops), "--scenario", scenario_file,
                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
-class TestOptimize:
-    def test_mimo_trains_nothing_to_write(self, scenario_file, tmp_path,
-                                          capsys):
-        # the MIMO use case searches the radio maps and has no model
-        out = tmp_path / "model.json"
-        with pytest.raises(SystemExit) as exc:
-            run(["optimize", "--usecase", "mimo", "--scenario",
-                 scenario_file, "--out", str(out)])
-        assert exc.value.code == 2
-        assert "invalid choice: 'mimo'" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_interference_export_is_the_loops_offline_training(
-            self, scenario_file, tmp_path):
-        out = tmp_path / "model.json"
-        assert run(["optimize", "--usecase", "interference", "--scenario",
-                    scenario_file, "--seed", "2", "--out", str(out)]) == 0
-        model = json.loads(out.read_text())
-        scenario = engine.load_scenario(scenario_file)
-        scenario.seed = 2
-        models = USE_CASES["interference"].offline(scenario, 2)
-        assert model["learning_curve"] == models["dqn_curve"]
-        agents = {cid: a.q.to_dict()
-                  for cid, a in models["dqn_agents"].items()}
-        assert model["agents"] == json.loads(json.dumps(agents))
+def test_optimize_is_no_command(capsys):
+    # the models the loop trains offline are not written out
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["optimize", "--usecase", "interference",
+                                   "--scenario", "s.json", "--out", "m.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'optimize'" in capsys.readouterr().err
 
 
 class TestLoopAndReport:
@@ -311,11 +308,18 @@ class TestMalformedInput:
         "report --from {empty}",
         "report --from {entries_not_list}",
         "report --from {objective_not_number}",
+        "ingest --watch {tmp}/missing --scenario {good}",
+        "ingest --watch {good} --scenario {good}",
+        "warehouse query --task {count_task} --in {tmp}/missing"
+        " --scenario {good} --out {tmp}/r.csv",
+        "warehouse query --task {count_task} --in {good} --scenario {good}"
+        " --out {tmp}/r.csv",
     ], ids=["socket-no-port", "socket-port-not-int", "socket-port-too-big",
             "scenario-not-json", "scenario-no-cells",
             "scenario-cell-no-id", "task-not-json", "task-no-subject",
             "report-not-json", "report-empty", "report-entries-not-list",
-            "report-objective-not-number"])
+            "report-objective-not-number", "watch-dir-missing",
+            "watch-dir-is-file", "query-dir-missing", "query-dir-is-file"])
     def test_is_one_error_line_and_exit_1(self, argv, scenario_file,
                                          tmp_path, capsys):
         good = json.loads(Path(scenario_file).read_text())
@@ -325,6 +329,8 @@ class TestMalformedInput:
                 {k: v for k, v in good["cells"][0].items()
                  if k != "cell_id"}]},
             "no_subject": {"aggregates": [["count", "*"]]},
+            "count_task": {"subject": "energy",
+                           "aggregates": [["count", "*"]]},
             "report_not_json": "{bad", "empty": {},
             "entries_not_list": {**REPORT, "entries": {}},
             "objective_not_number": {**REPORT, "entries": [{
@@ -349,6 +355,6 @@ def test_readme_cli_examples_parse():
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("ranopt ")]
     assert {argv[1] for argv in commands} == {
-        "simulate", "ingest", "warehouse", "optimize", "loop", "report"}
+        "simulate", "ingest", "warehouse", "loop", "report"}
     for argv in commands:
         build_parser().parse_args(argv[1:])  # exits on an unknown option

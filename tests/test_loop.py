@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranopt.ai import throughput
 from ranopt.errors import InsufficientHistory, ValidationError
@@ -17,7 +18,7 @@ from ranopt.simcore import engine
 from ranopt.simcore.energy import energy_step
 from ranopt.simcore.types import HotspotCluster
 
-from conftest import make_cell, make_scenario, two_cell_scenario
+from conftest import make_cell, make_scenario, stub_loop, two_cell_scenario
 
 DIURNAL = [0.1, 0.05, 0.05, 0.05, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0, 1.0, 0.9,
            0.8, 0.8, 0.9, 1.0, 1.0, 0.9, 0.7, 0.5, 0.4, 0.3, 0.2, 0.1]
@@ -300,6 +301,47 @@ class TestUseCases:
         for e in report.entries:
             f = e["command"]["fields"]
             assert set(f) == {"pattern_id", "cio_db"}
+
+
+class Scored(UseCase):
+    """A use case whose candidates and predictions are given."""
+
+    def __init__(self, fields: list, scores: list):
+        self.fields, self.scores = fields, scores
+
+    def candidates(self, loop, cell):
+        return self.fields
+
+    def predict(self, loop, target, candidates, before):
+        assert candidates == self.fields
+        return self.scores
+
+
+# few values, so that ties are common
+SCORES = st.sampled_from([-np.inf, -2.5, -1.0, 0.0, 1.0, 3.0]) \
+    | st.floats(-1e6, 1e6)
+
+
+class TestDecisionRule:
+    """`UseCase.optimize`, the one decision of every use case."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=st.lists(SCORES, min_size=1, max_size=12))
+    def test_deploys_the_first_maximum(self, scores):
+        fields = [{"tilt_deg": float(i), "cio_db": -float(i)}
+                  for i in range(len(scores))]
+        cmd = Scored(fields, scores).optimize(
+            stub_loop(make_scenario(), "stub"), None)
+        first_best = next(i for i, s in enumerate(scores)
+                          if s == max(scores))
+        assert (cmd.cell_id, cmd.issued_by) == ("c1", "stub")
+        assert cmd.fields == fields[first_best]
+
+    @given(scores=st.lists(SCORES, max_size=3))
+    def test_no_candidate_or_no_score_is_a_noop(self, scores):
+        loop = stub_loop(make_scenario())
+        assert Scored([], scores).optimize(loop, None).is_noop()
+        assert Scored([{"tilt_deg": 4.0}], []).optimize(loop, None).is_noop()
 
 
 def energy_snap(tput_mbps, users, rbur, cell):

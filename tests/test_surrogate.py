@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,14 +8,14 @@ from ranopt.ai import throughput
 from ranopt.ai.surrogate import build_grid_axes
 from ranopt.ai.throughput import (UNCAPPED_DEMAND_MBPS, ConfigLog,
                                   _candidate_throughputs,
-                                  build_surrogate_dataset,
                                   estimate_demand_cap, fit_radio_maps,
-                                  predicted_rsrp, recommend_config)
+                                  predicted_rsrp)
 from ranopt.errors import InsufficientHistory, InvalidBounds
+from ranopt.loop import usecases
 from ranopt.simcore import engine
 from ranopt.simcore.radio import (best_beam_rsrp_dbm, dbm_to_mw, noise_dbm)
 
-from conftest import make_cell, make_scenario
+from conftest import GridSearch, deploy, make_cell, make_scenario, stub_loop
 from naive_oracle import LinearConfigLog, draw_users, schedule_and_rate
 
 
@@ -58,6 +60,15 @@ def simulate_history(scenario, config_plan, window_len_s=3600.0):
                               else float)
                for name, values in columns.items()}
     return columns, log, state
+
+
+def search(bounds, meas, log, state):
+    """(fields, predicted throughput) of the command the throughput use
+    case deploys to the first cell of state on a grid over bounds, with
+    meas the whole beam history and log its config log."""
+    loop = stub_loop(state, warehouse=SimpleNamespace(read=lambda *a: meas),
+                     config_log=log)
+    return deploy(GridSearch(bounds), loop)
 
 
 def positions(columns, keep=slice(None)):
@@ -201,12 +212,10 @@ class TestRecommendConfig:
         cell = make_cell(azimuth_deg=30.0)
         sc = make_scenario(cells=[cell], shadow_sigma_db=0.0)
         meas, log, state = simulate_history(sc, [{}] * 3)
-        cells = {c.cell_id: c for c in state.cells}
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (4.0, 8.0),
                   "tx_power_dbm": (50.0, 50.0)}
-        fields, predicted = recommend_config(
-            meas, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
-            steps={"azimuth_deg": 10.0, "tilt_deg": 2.0})
+        # the loop's steps: 10 degrees of azimuth, 2 of tilt
+        fields, predicted = search(bounds, meas, log, state)
         assert abs(fields["azimuth_deg"]) <= 10.0  # hotspot sits at 0 degrees
         assert predicted > 0.0
 
@@ -226,9 +235,7 @@ class TestRecommendConfig:
                             lambda *args: [1.0] * len(args[6]))
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (4.0, 8.0),
                   "tx_power_dbm": (48.0, 50.0)}
-        fields, predicted = recommend_config(
-            meas, {c.cell_id: c for c in state.cells}, log, "c1", bounds,
-            sc.bandwidth_mhz, sc.carrier_ghz)
+        fields, predicted = search(bounds, meas, log, state)
         assert (fields, predicted) == ({"azimuth_deg": 0.0, "tilt_deg": 4.0,
                                         "tx_power_dbm": 48.0}, 1.0)
 
@@ -243,14 +250,15 @@ class TestRecommendConfig:
         pts = positions(meas, slice(-20, None))
         bounds = {"azimuth_deg": (0.0, 40.0), "tilt_deg": (2.0, 10.0),
                   "tx_power_dbm": (48.0, 50.0)}
-        X, y, names = build_surrogate_dataset(
-            cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz, "c2",
-            bounds, {"azimuth_deg": 10.0, "tilt_deg": 2.0}, demand_mbps=80.0)
+        # the loop's grid: 10 degrees of azimuth, 2 of tilt, 1 dB
+        grid = GridSearch(bounds).candidates(None, cells["c2"])
+        y = _candidate_throughputs(cells, maps, pts, sc.bandwidth_mhz,
+                                   sc.carrier_ghz, "c2", grid, 80.0)
         assert len(y) == 5 * 5 * 3
-        for x, score in zip(X, y):
+        for point, score in zip(grid, y):
             [want] = _candidate_throughputs(
                 cells, maps, pts, sc.bandwidth_mhz, sc.carrier_ghz, "c2",
-                [dict(zip(names, x))], 80.0)
+                [point], 80.0)
             assert score == pytest.approx(want, rel=1e-12)
 
     def test_large_grid_scored_exactly(self, monkeypatch):
@@ -274,9 +282,8 @@ class TestRecommendConfig:
             return score(*args)
 
         monkeypatch.setattr(throughput, "_candidate_throughputs", counted)
-        fields, predicted = recommend_config(
-            meas, cells, log, "c1", bounds, sc.bandwidth_mhz, sc.carrier_ghz,
-            steps)
+        monkeypatch.setattr(usecases, "GRID_STEPS", steps)
+        fields, predicted = search(bounds, meas, log, state)
         monkeypatch.undo()
         assert sum(batches) == 1755
 

@@ -198,6 +198,31 @@ class TestQuery:
         with pytest.raises(SchemaError, match="'bogus'"):
             wh.read("kpi", ["t_s", "bogus"])
 
+    def test_filter_value_must_fit_its_column(self):
+        wh = fresh()  # empty: the check reads no row
+        for bad in (("rbur", "<", "x"), ("rbur", "<", None),
+                    ("rbur", "==", True), ("rbur", "<", [1]),
+                    ("cell_id", "<", 3), ("cell_id", "==", None)):
+            with pytest.raises(SchemaError, match=bad[0]):
+                wh.query(QueryTask(subject="kpi", filters=[bad],
+                                   aggregates=[("count", "*")]))
+        put(wh, "kpi", [(0.0, "c1", 5.0, 0.25)])
+        for number in (1, 0.5, np.float64(0.5), np.float32(0.5),
+                       np.int64(1)):
+            task = QueryTask(subject="kpi", filters=[
+                ("rbur", "<", number), ("cell_id", "==", "c1")],
+                aggregates=[("count", "*")])
+            assert wh.query(task).rows == [(1,)]
+
+    def test_time_bounds_are_numbers_or_none(self):
+        for bad in ("abc", [1], True, {}):
+            with pytest.raises(SchemaError, match="t0"):
+                QueryTask(subject="kpi", t0=bad)
+            with pytest.raises(SchemaError, match="t1"):
+                QueryTask(subject="kpi", t1=bad)
+        for bound in (None, 0, 1.5, np.float64(1.5), np.int64(2)):
+            QueryTask(subject="kpi", t0=bound, t1=bound)
+
     def test_only_count_takes_a_string_column_or_star(self):
         wh = fresh()
         put(wh, "kpi", [(0.0, "c1", 5.0, 0.1)])
