@@ -6,6 +6,8 @@ learn to keep their broadcast beams out of each other's user clusters.
 Observations are built from the previous window's measurements, as arrays
 of serving cell ids and positions: octant counts of the cell's attached
 users plus a summary of the neighbor cells' current pattern and offset.
+The agents are one `DqnAgents`: every cell's networks, action mask and
+replay ring stacked on one agent axis, trained and queried in one pass.
 """
 from __future__ import annotations
 
@@ -32,104 +34,59 @@ def obs_dim(n_cells: int) -> int:
     return N_SECTORS + 2 * max(n_cells - 1, 1)
 
 
-OBS_DIM = obs_dim(2)
+# fixed by design: the discount, the exploration schedule's ends, the
+# Q-network's hidden layers and the environment's window
+GAMMA = 0.9
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+HIDDEN = (64, 64)
+WINDOW_LEN_S = 3600.0
 
 
 @dataclass
 class DqnConfig:
-    gamma: float = 0.9
     replay_capacity: int = 10_000
     target_sync_every: int = 200
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
     learning_rate: float = 0.005
     batch_size: int = 32
-    hidden: tuple = (64, 64)
     episode_len: int = 50
-    window_len_s: float = 3600.0
 
 
-class DqnAgent:
-    """One cell's Q-network, target network and replay ring.  A new agent
-    is the one row of its own `_Learner`; `dqn_train` joins the agents
-    into one learner, and each agent is then its row of that learner."""
+class DqnAgents:
+    """One Q-learning agent per cell, trained as one: their Q and target
+    networks stacked on a leading agent axis, their momentum, action masks
+    and replay rings, row j of every array being the agent of cell_ids[j].
+    Each call takes one observation per agent, (k, dim), and does every
+    agent's work in one pass, with each agent's arithmetic exactly that of
+    its own pass; the minibatches are drawn from the one rng in agent
+    order.  Agent j's network is seeded with seed + j, and it may take the
+    actions allowed_actions[cell_ids[j]], or all of them if not given."""
 
-    def __init__(self, obs_dim: int = OBS_DIM, allowed_actions=None,
+    def __init__(self, cell_ids, obs_dim: int,
+                 allowed_actions: dict[str, list[int]] | None = None,
                  config: DqnConfig | None = None, seed: int = 0):
+        self.cell_ids = list(cell_ids)
         self.config = config or DqnConfig()
-        self.allowed = tuple(allowed_actions) if allowed_actions is not None \
-            else tuple(range(N_ACTIONS))
-        self.q = Mlp([obs_dim, *self.config.hidden, N_ACTIONS], seed=seed)
-        self.target = self.q.copy()
-        self._learner = _Learner.of([self])
-
-    def act(self, obs, epsilon: float, rng) -> int:
-        return self._learner.act(np.asarray(obs)[None], epsilon, rng)[0]
-
-    def greedy(self, obs) -> int:
-        return self._learner.greedy(np.asarray(obs)[None])[0]
-
-    def q_values(self, obs) -> np.ndarray:
-        return self._learner.q_values(np.asarray(obs)[None])[0]
-
-    def remember(self, obs, action, reward, next_obs) -> None:
-        self._learner.remember(np.asarray(obs)[None], [action], reward,
-                               np.asarray(next_obs)[None])
-
-    def learn(self, rng) -> float | None:
-        """One TD(0) update on a replay minibatch; returns the loss."""
-        loss = self._learner.learn(rng)
-        return None if loss is None else float(loss[0])
-
-    def sync_target(self) -> None:
-        self._learner.sync_target()
-
-
-class _Learner:
-    """k agents trained as one: their Q and target networks stacked on a
-    leading agent axis (each agent's `Mlp` holds views into them), their
-    momentum, action masks and replay rings, row j of every array being
-    agent j's.  Each call does every agent's work in one pass, with each
-    agent's arithmetic exactly that of its own pass; the minibatches are
-    drawn from the one rng in agent order."""
-
-    def __init__(self, config: DqnConfig, q: Mlp, target: Mlp, allowed,
-                 masks, velocity: list, ring: dict):
-        self.config, self.q, self.target = config, q, target
-        self.allowed, self.masks = allowed, masks
-        self.velocity, self.ring = velocity, ring
-
-    @classmethod
-    def of(cls, agents: list[DqnAgent]) -> "_Learner":
-        """Stack the agents' networks; each agent then learns through its
-        row of the stack."""
-        config = agents[0].config
-        q = Mlp.stack([a.q for a in agents])
-        target = Mlp.stack([a.target for a in agents])
+        allowed_actions = allowed_actions or {}
+        self.allowed = [tuple(allowed_actions.get(cid, range(N_ACTIONS)))
+                        for cid in self.cell_ids]
+        self.q = Mlp.stack([Mlp([obs_dim, *HIDDEN, N_ACTIONS], seed=seed + j)
+                            for j in range(len(self.cell_ids))])
+        self.target = copy.deepcopy(self.q)
         # 0 on allowed actions and -inf elsewhere, added to Q-values
-        masks = np.full((len(agents), N_ACTIONS), -np.inf)
-        for mask, a in zip(masks, agents):
-            mask[list(a.allowed)] = 0.0
-        k, cap = len(agents), config.replay_capacity
-        obs_shape = (k, cap, q.layer_sizes[0])
+        self.masks = np.full((len(self.cell_ids), N_ACTIONS), -np.inf)
+        for mask, allowed in zip(self.masks, self.allowed):
+            mask[list(allowed)] = 0.0
+        self.velocity = [np.zeros_like(p)
+                         for p in self.q.weights + self.q.biases]
+        k, cap = len(self.cell_ids), self.config.replay_capacity
         # each row a ring of `size` transitions, the next written at `head`
-        ring = {"obs": np.empty(obs_shape), "next_obs": np.empty(obs_shape),
-                "actions": np.empty((k, cap), dtype=int),
-                "rewards": np.empty((k, cap)),
-                "size": np.zeros(k, dtype=int), "head": np.zeros(k, dtype=int)}
-        learner = cls(config, q, target, [a.allowed for a in agents], masks,
-                      [np.zeros_like(p) for p in q.weights + q.biases], ring)
-        for j, a in enumerate(agents):
-            a._learner = learner.row(j)
-        return learner
-
-    def row(self, j: int) -> "_Learner":
-        """Agent j's learner: views of row j of every array."""
-        rows = slice(j, j + 1)
-        return _Learner(self.config, _rows(self.q, rows),
-                        _rows(self.target, rows), self.allowed[rows],
-                        self.masks[rows], [v[rows] for v in self.velocity],
-                        {name: a[rows] for name, a in self.ring.items()})
+        self.ring = {"obs": np.empty((k, cap, obs_dim)),
+                     "next_obs": np.empty((k, cap, obs_dim)),
+                     "actions": np.empty((k, cap), dtype=int),
+                     "rewards": np.empty((k, cap)),
+                     "size": np.zeros(k, dtype=int),
+                     "head": np.zeros(k, dtype=int)}
 
     def q_values(self, obs) -> np.ndarray:
         """Each agent's Q-values for its row of obs (k, dim), -inf on the
@@ -150,7 +107,7 @@ class _Learner:
     def remember(self, obs, actions, reward: float, next_obs) -> None:
         """Each agent's transition, its row of obs and next_obs (k, dim)."""
         ring, cap = self.ring, self.config.replay_capacity
-        agent, head = np.arange(len(self.allowed)), ring["head"]
+        agent, head = np.arange(len(self.cell_ids)), ring["head"]
         ring["obs"][agent, head] = obs
         ring["next_obs"][agent, head] = next_obs
         ring["actions"][agent, head] = actions
@@ -169,14 +126,14 @@ class _Learner:
         idx = np.stack([rng.choice(n, size=batch, replace=False)
                         for n in ring["size"].tolist()])
         slot = (idx + (ring["head"] - ring["size"])[:, None]) % cap
-        agent = np.arange(len(self.allowed))[:, None]
+        agent = np.arange(len(self.cell_ids))[:, None]
         q_next = self.target.predict(ring["next_obs"][agent, slot])
         best_next = (q_next + self.masks[:, None, :]).max(axis=-1)
         # the forward pass that gives the gradient gives the targets too
         out, acts = self.q.forward(ring["obs"][agent, slot])
         targets = out.copy()
         targets[agent, np.arange(batch), ring["actions"][agent, slot]] = \
-            ring["rewards"][agent, slot] + config.gamma * best_next
+            ring["rewards"][agent, slot] + GAMMA * best_next
         loss, gw, gb = self.q.grads_at(out, acts, targets)
         momentum_step(self.q, self.velocity, gw, gb, -config.learning_rate)
         return loss
@@ -185,14 +142,6 @@ class _Learner:
         for t, q in zip(self.target.weights + self.target.biases,
                         self.q.weights + self.q.biases):
             t[...] = q
-
-
-def _rows(net: Mlp, rows: slice) -> Mlp:
-    """A stacked network's rows, as views."""
-    out = copy.copy(net)
-    out.weights = [W[rows] for W in net.weights]
-    out.biases = [b[rows] for b in net.biases]
-    return out
 
 
 def observe(scenario: Scenario, cell_index: int, cell_ids,
@@ -217,10 +166,10 @@ def observe(scenario: Scenario, cell_index: int, cell_ids,
     return np.concatenate([counts / USER_COUNT_SCALE, neighbor])
 
 
-def _observe_all(scenario: Scenario, w: engine.Window) -> np.ndarray:
-    """Every cell's observation of one window, (cells, obs_dim)."""
-    ids = w.serving_ids()
-    return np.stack([observe(scenario, i, ids, w.pos)
+def observe_all(scenario: Scenario, cell_ids, positions) -> np.ndarray:
+    """Every cell's observation of one window's measurements, given as for
+    `observe`: (cells, obs_dim)."""
+    return np.stack([observe(scenario, i, cell_ids, positions)
                      for i in range(len(scenario.cells))])
 
 
@@ -246,17 +195,13 @@ def dqn_train(scenario: Scenario, episodes: int,
               config: DqnConfig | None = None,
               allowed_actions: dict[str, list[int]] | None = None,
               seed: int = 0):
-    """Train one agent per cell; returns (agents, per-episode mean reward).
-
-    The agents learn as one `_Learner`: each step acts, remembers and
-    updates all of them in one pass."""
+    """Train one agent per cell; returns (DqnAgents, per-episode mean
+    reward).  Each step acts, remembers and updates every agent in one
+    pass."""
     config = config or DqnConfig()
-    allowed_actions = allowed_actions or {}
-    agents = {c.cell_id: DqnAgent(obs_dim(len(scenario.cells)),
-                                  allowed_actions.get(c.cell_id),
-                                  config, seed=seed + i)
-              for i, c in enumerate(scenario.cells)}
-    learner = _Learner.of(list(agents.values()))
+    agents = DqnAgents([c.cell_id for c in scenario.cells],
+                       obs_dim(len(scenario.cells)), allowed_actions, config,
+                       seed)
     rng = np.random.default_rng(seed)
     total_steps = episodes * config.episode_len
     explore_steps = max(1, total_steps // 2)
@@ -265,24 +210,24 @@ def dqn_train(scenario: Scenario, episodes: int,
     t = 0.0
     for _ in range(episodes):
         state = copy.deepcopy(scenario)
-        obs = _observe_all(state, engine.window(state, config.window_len_s, t))
+        w = engine.window(state, WINDOW_LEN_S, t)
+        obs = observe_all(state, w.serving_ids(), w.pos)
         ep_rewards = []
         for _ in range(config.episode_len):
             frac = min(global_step / explore_steps, 1.0)
-            eps = config.epsilon_start \
-                + frac * (config.epsilon_end - config.epsilon_start)
-            actions = learner.act(obs, eps, rng)
-            state = apply_actions(state, dict(zip(agents, actions)))
-            t += config.window_len_s
-            w = engine.window(state, config.window_len_s, t)
+            eps = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
+            actions = agents.act(obs, eps, rng)
+            state = apply_actions(state, dict(zip(agents.cell_ids, actions)))
+            t += WINDOW_LEN_S
+            w = engine.window(state, WINDOW_LEN_S, t)
             reward = -window_collision(w)
-            next_obs = _observe_all(state, w)
-            learner.remember(obs, actions, reward, next_obs)
-            learner.learn(rng)
+            next_obs = observe_all(state, w.serving_ids(), w.pos)
+            agents.remember(obs, actions, reward, next_obs)
+            agents.learn(rng)
             obs = next_obs
             ep_rewards.append(reward)
             global_step += 1
             if global_step % config.target_sync_every == 0:
-                learner.sync_target()
+                agents.sync_target()
         curve.append(float(np.mean(ep_rewards)))
     return agents, curve

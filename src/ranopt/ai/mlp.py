@@ -1,13 +1,13 @@
 """From-scratch multilayer perceptron with rectifier hidden layers.
 
 The output layer is linear and the loss is the mean squared error.  The
-network is the DQN's Q-network: its learner trains it, from the gradients
+network is the DQN's Q-network: `DqnAgents` trains it, from the gradients
 of `grads_at` and the updates of `momentum_step`.
 
 `stack` joins k networks of one shape into one whose parameters carry a
-leading network axis, and makes each network's parameters views into it.
-Forward and backward passes of the stack take (k, batch, features) inputs
-and give every network exactly what its own pass would.
+leading network axis.  Forward and backward passes of the stack take
+(k, batch, features) inputs and give every network exactly what its own
+pass would.
 """
 from __future__ import annotations
 
@@ -68,20 +68,13 @@ class Mlp:
                     * (acts[i] > 0.0)
         return loss, gw, gb
 
-    def copy(self) -> "Mlp":
-        return copy.deepcopy(self)
-
     @classmethod
     def stack(cls, models: list["Mlp"]) -> "Mlp":
-        """One network of the models' parameters stacked on a leading axis;
-        each model's parameters become views into it, so updating the stack
-        updates every model."""
+        """One network of the models' parameters stacked on a leading
+        axis."""
         out = copy.copy(models[0])
         out.weights = [np.stack(w) for w in zip(*(m.weights for m in models))]
         out.biases = [np.stack(b) for b in zip(*(m.biases for m in models))]
-        for j, m in enumerate(models):
-            m.weights = [W[j] for W in out.weights]
-            m.biases = [b[j] for b in out.biases]
         return out
 
 

@@ -156,7 +156,7 @@ class ClosedLoop:
         after = self.snapshot(v0, v1)
         decision = self.case.decide(self, before, after, prior_cells)
         if decision == "rolled_back" and not cmd.is_noop():
-            self.scenario = copy.deepcopy(self.scenario)
+            self.scenario = copy.copy(self.scenario)
             self.scenario.cells = [prior_cells[c.cell_id]
                                    for c in self.scenario.cells]
             self.config_log.record(self.t, self.cells())

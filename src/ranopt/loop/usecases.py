@@ -10,9 +10,10 @@ first candidate of the largest prediction.  Throughput and MIMO score a
 grid on the radio maps (`predicted_throughputs`) over different boxes:
 azimuth and tilt around the target's pointing for throughput, the
 target's transmit power alone for MIMO.  Interference scores the DQN
-actions by the target agent's Q-values, and energy scores the four
-shutdown strategies by their expected saving.  Only the interference use
-case trains models offline."""
+actions by the target's row of the stacked agents' Q-values, and energy
+scores the four shutdown strategies by their expected saving.  Only the
+interference use case trains models offline: its `DqnAgents`.  Energy
+judges QoS only for a command that lowers some cell's capacity."""
 from __future__ import annotations
 
 import copy
@@ -151,19 +152,18 @@ class Interference(UseCase):
     def predict(self, loop, target, candidates, before) -> list[float]:
         """The target agent's masked Q-values at the baseline window."""
         agents = loop.models.get("dqn_agents")
-        if not agents or target not in agents:
+        if agents is None or target not in agents.cell_ids:
             return []
-        cell_index = [c.cell_id for c in loop.scenario.cells].index(target)
-        obs = dqn_mod.observe(loop.scenario, cell_index,
-                              *_window_positions(loop, before))
-        return agents[target].q_values(obs).tolist()
+        obs = dqn_mod.observe_all(loop.scenario,
+                                  *_window_positions(loop, before))
+        return agents.q_values(obs)[agents.cell_ids.index(target)].tolist()
 
     def offline(self, scenario, seed: int) -> dict:
-        """The DQN agents and their learning curve."""
-        agents, curve = dqn_mod.dqn_train(
+        """The DQN agents."""
+        agents, _ = dqn_mod.dqn_train(
             copy.deepcopy(scenario), DQN_EPISODES,
             dqn_mod.DqnConfig(episode_len=DQN_EPISODE_LEN), seed=seed)
-        return {"dqn_agents": agents, "dqn_curve": curve}
+        return {"dqn_agents": agents}
 
 
 class Energy(UseCase):
@@ -196,12 +196,15 @@ class Energy(UseCase):
                                  self.forecast(loop, target))
 
     def decide(self, loop, before, after, prior_cells: dict) -> str:
-        if not _qos_holds(before, after):
+        change = [capacity(loop.scenario.cell(cid)) - capacity(prior)
+                  for cid, prior in prior_cells.items()]
+        # only a command that lowers some cell's capacity can shed traffic:
+        # the scheduler reads no other energy field
+        if min(change) < 0.0 and not _qos_holds(before, after):
             return "rolled_back"
         # a capacity-restoring command is driven by the QoS floor and
         # necessarily spends more energy; it must not be vetoed for that
-        if any(capacity(loop.scenario.cell(cid)) > capacity(prior)
-               for cid, prior in prior_cells.items()):
+        if max(change) > 0.0:
             return "accepted"
         # load-matched counterfactual: what the prior config would have
         # burned while serving the verification window's load

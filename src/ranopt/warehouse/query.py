@@ -31,6 +31,8 @@ class QueryTask:
             if bound is not None and not is_number(bound):
                 raise SchemaError(f"{name} {bound!r} is neither a number "
                                   f"nor null")
+            if bound != bound:
+                raise SchemaError(f"{name} is NaN, which bounds no time")
         for _, op, _lit in self.filters:
             if op not in OPS:
                 raise SchemaError(f"unknown filter operator {op!r}")

@@ -41,9 +41,10 @@ import numpy as np
 from ranopt.acquisition.pipeline import BATCH_ROWS
 from ranopt.acquisition.records import (RawRecord, RejectCode, RejectReason,
                                         SOURCE_TAGS, hash_user_id)
-from ranopt.ai.dqn import (N_ACTIONS, N_SECTORS, USER_COUNT_SCALE, DqnAgent,
-                           DqnConfig, _observe_all, apply_actions, obs_dim,
-                           window_collision)
+from ranopt.ai.dqn import (EPSILON_END, EPSILON_START, GAMMA, HIDDEN,
+                           N_ACTIONS, N_SECTORS, USER_COUNT_SCALE,
+                           WINDOW_LEN_S, DqnAgents, DqnConfig, apply_actions,
+                           obs_dim, observe_all, window_collision)
 from ranopt.ai.mlp import Mlp, momentum_step
 from ranopt.ai.strategy import STRATEGIES, STRATEGY_FIELDS
 from ranopt.simcore import energy as energy_model
@@ -378,7 +379,7 @@ def gradient_check(model: Mlp, X, Y, eps: float = 1e-6) -> float:
 
 # -- DQN: greedy policies and fixed joint actions -------------------------
 
-def greedy_actions(agents: dict[str, DqnAgent], scenario: Scenario,
+def greedy_actions(agents: DqnAgents, scenario: Scenario,
                    t_s: float, window_len_s: float = 3600.0) -> dict[str, int]:
     return _greedy(agents, scenario,
                    engine.window(scenario, window_len_s, t_s))
@@ -386,11 +387,11 @@ def greedy_actions(agents: dict[str, DqnAgent], scenario: Scenario,
 
 def _greedy(agents, scenario: Scenario, w: engine.Window) -> dict[str, int]:
     """Every agent's greedy action on its observation of window w."""
-    return {cid: agents[cid].greedy(obs)
-            for cid, obs in zip(w.cell_ids, _observe_all(scenario, w))}
+    obs = observe_all(scenario, w.serving_ids(), w.pos)
+    return dict(zip(agents.cell_ids, agents.greedy(obs)))
 
 
-def greedy_rollout(agents: dict[str, DqnAgent], scenario: Scenario,
+def greedy_rollout(agents: DqnAgents, scenario: Scenario,
                    n_windows: int, t0_s: float = 0.0,
                    window_len_s: float = 3600.0):
     """Run the greedy policies in closed loop for n_windows.
@@ -433,8 +434,8 @@ class PerAgentDqn:
             else tuple(range(N_ACTIONS))
         self._mask = np.full(N_ACTIONS, -np.inf)
         self._mask[list(self.allowed)] = 0.0
-        self.q = Mlp([obs_dim, *config.hidden, N_ACTIONS], seed=seed)
-        self.target = self.q.copy()
+        self.q = Mlp([obs_dim, *HIDDEN, N_ACTIONS], seed=seed)
+        self.target = copy.deepcopy(self.q)
         self.replay = deque(maxlen=config.replay_capacity)
         self._velocity: list = []
 
@@ -465,13 +466,13 @@ class PerAgentDqn:
         best_next = (q_next + self._mask).max(axis=1)
         targets = self.q.predict(obs).copy()
         targets[np.arange(len(batch)), actions] = \
-            rewards + self.config.gamma * best_next
+            rewards + GAMMA * best_next
         _, gw, gb = loss_and_grads(self.q, obs, targets)
         momentum_step(self.q, self._velocity, gw, gb,
                       -self.config.learning_rate)
 
     def sync_target(self) -> None:
-        self.target = self.q.copy()
+        self.target = copy.deepcopy(self.q)
 
 
 def dqn_train_per_agent(scenario, episodes: int, config=None,
@@ -494,18 +495,17 @@ def dqn_train_per_agent(scenario, episodes: int, config=None,
     curve, global_step, t = [], 0, 0.0
     for _ in range(episodes):
         state = copy.deepcopy(scenario)
-        meas, _ = step_per_user(state, config.window_len_s, t)
+        meas, _ = step_per_user(state, WINDOW_LEN_S, t)
         obs = observe_all(state, meas)
         ep_rewards = []
         for _ in range(config.episode_len):
             frac = min(global_step / explore_steps, 1.0)
-            eps = config.epsilon_start \
-                + frac * (config.epsilon_end - config.epsilon_start)
+            eps = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
             actions = {cid: agents[cid].act(obs[cid], eps, rng)
                        for cid in agents}
             state = apply_actions(state, actions)
-            t += config.window_len_s
-            meas, kpis = step_per_user(state, config.window_len_s, t)
+            t += WINDOW_LEN_S
+            meas, kpis = step_per_user(state, WINDOW_LEN_S, t)
             users = sum(k.num_users for k in kpis)
             reward = -(sum(k.collision_ratio * k.num_users for k in kpis)
                        / users if users else 0.0)

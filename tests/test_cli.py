@@ -201,11 +201,12 @@ class TestWarehouseQuery:
         {"aggregates": [["mean", "cell_id"]]},
         {"t0": "abc"},
         {"t1": [1]},
+        {"t0": float("nan")},
         {"filters": [["rbur", "<", "x"]]},
         {"filters": [["rbur", "<", None]]},
         {"filters": [["cell_id", "<", 3]]},
     ], ids=["unknown-column", "mean-of-strings", "t0-text", "t1-list",
-            "number-column-text", "number-column-null",
+            "t0-nan", "number-column-text", "number-column-null",
             "string-column-number"])
     def test_bad_task_is_pipeline_error(self, task, scenario_file, tmp_path,
                                         capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranopt.ai.dqn import (ACTION_TABLE, DqnAgent, DqnConfig, N_ACTIONS,
-                           OBS_DIM, apply_actions, dqn_train, observe,
+from ranopt.ai.dqn import (ACTION_TABLE, DqnAgents, DqnConfig, N_ACTIONS,
+                           apply_actions, dqn_train, obs_dim, observe,
                            window_collision)
 from ranopt.scenarios import load_bundled
 from ranopt.simcore import engine
@@ -53,7 +53,7 @@ class TestPrimitives:
               meas("other", (100.0, 0.0))]
         ids, pos = [m.cell_id for m in ms], [m.pos for m in ms]
         obs = observe(sc, 0, ids, pos)
-        assert obs.shape == (OBS_DIM,)
+        assert obs.shape == (obs_dim(1),)
         counts = obs[:8] * 10.0
         assert counts.sum() == pytest.approx(3.0)  # foreign cell ignored
         # rotating the cell rotates the octants
@@ -104,36 +104,45 @@ class TestPrimitives:
                                   observe_per_record(sc, i, ms))
 
 
+OBS_DIM = obs_dim(2)
+
+
+def one_agent(allowed=None, config=None, seed=0):
+    """The agents of a one-cell network."""
+    return DqnAgents(["c1"], OBS_DIM, {"c1": allowed} if allowed else None,
+                     config, seed)
+
+
 class TestAgent:
     def test_act_respects_allowed_actions(self):
-        agent = DqnAgent(allowed_actions=[2, 7], seed=0)
+        agent = one_agent(allowed=[2, 7], seed=0)
         rng = np.random.default_rng(0)
-        obs = np.zeros(OBS_DIM)
-        picks = {agent.act(obs, 1.0, rng) for _ in range(50)}
+        obs = np.zeros((1, OBS_DIM))
+        picks = {agent.act(obs, 1.0, rng)[0] for _ in range(50)}
         assert picks <= {2, 7}
-        assert agent.greedy(obs) in (2, 7)
+        assert agent.greedy(obs)[0] in (2, 7)
 
     def test_learn_moves_q_toward_reward(self):
         config = DqnConfig(batch_size=8, learning_rate=0.01)
-        agent = DqnAgent(config=config, seed=1)
+        agent = one_agent(config=config, seed=1)
         rng = np.random.default_rng(1)
-        obs = np.ones(OBS_DIM) * 0.3
+        obs = np.ones((1, OBS_DIM)) * 0.3
         for _ in range(20):
-            agent.remember(obs, 5, 1.0, obs)
-        q0 = agent.q.predict(obs[None, :])[0, 5]
+            agent.remember(obs, [5], 1.0, obs)
+        q0 = agent.q_values(obs)[0, 5]
         losses = []
         for _ in range(200):
-            losses.append(agent.learn(rng))
-        q1 = agent.q.predict(obs[None, :])[0, 5]
+            losses.append(float(agent.learn(rng)[0]))
+        q1 = agent.q_values(obs)[0, 5]
         assert q1 > q0
         assert losses[-1] < losses[0]
 
     def test_learn_requires_filled_buffer(self):
-        agent = DqnAgent(seed=2)
+        agent = one_agent(seed=2)
         assert agent.learn(np.random.default_rng(0)) is None
 
     def test_target_sync_copies_weights(self):
-        agent = DqnAgent(seed=3)
+        agent = one_agent(seed=3)
         agent.q.weights[0] += 1.0
         assert not np.allclose(agent.q.weights[0], agent.target.weights[0])
         agent.sync_target()
@@ -153,7 +162,7 @@ class TestTraining:
         sc = two_cell_scenario()
         config = DqnConfig(episode_len=5, target_sync_every=10)
         agents, curve = dqn_train(sc, episodes=3, config=config, seed=0)
-        assert set(agents) == {"c1", "c2"}
+        assert agents.cell_ids == ["c1", "c2"]
         assert len(curve) == 3
         assert all(-1.0 <= r <= 0.0 for r in curve)
 
@@ -183,13 +192,13 @@ def assert_same_training(scenario, episodes, config, allowed=None, seed=0):
     ref_agents, ref_curve = dqn_train_per_agent(scenario, episodes, config,
                                                 allowed, seed)
     assert repr(curve) == repr(ref_curve)
-    assert list(agents) == list(ref_agents)
-    for cid, agent in agents.items():
-        ref = ref_agents[cid]
-        for net, ref_net in ((agent.q, ref.q), (agent.target, ref.target)):
+    assert agents.cell_ids == list(ref_agents)
+    for j, ref in enumerate(ref_agents.values()):
+        # row j of the stacked networks is agent j's
+        for net, ref_net in ((agents.q, ref.q), (agents.target, ref.target)):
             for a, b in zip(net.weights + net.biases,
                             ref_net.weights + ref_net.biases):
-                assert np.array_equal(a, b)
+                assert np.array_equal(a[j], b)
 
 
 class TestStackedTrainerEqualsPerAgent:

@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranopt.ai import throughput
+from ranopt.ai.dqn import (HIDDEN, N_ACTIONS, DqnConfig, dqn_train, obs_dim,
+                           observe)
+from ranopt.ai.mlp import Mlp
 from ranopt.errors import InsufficientHistory, ValidationError
 from ranopt.loop import (USE_CASES, ClosedLoop, Command, CommandLog,
                          LoopReport, UseCase, rollback_if_worse,
                          run_closed_loop, validate_command)
 from ranopt.loop.runner import KpiSnapshot
 from ranopt.loop.usecases import Energy, Mimo
-from ranopt.scenarios import scenario_path
+from ranopt.scenarios import load_bundled, scenario_path
 from ranopt.simcore import engine
 from ranopt.simcore.energy import energy_step
 from ranopt.simcore.types import HotspotCluster
+from ranopt.warehouse.subjects import SUBJECT_BEAM
 
 from conftest import make_cell, make_scenario, stub_loop, two_cell_scenario
 
@@ -303,6 +307,38 @@ class TestUseCases:
             assert set(f) == {"pattern_id", "cio_db"}
 
 
+class TestInterferencePredict:
+    def test_scores_are_the_targets_row_of_the_stacked_agents(self):
+        sc = load_bundled("three_cell_hotspot")
+        ids = [c.cell_id for c in sc.cells]
+        allowed = {ids[1]: [1, 4, 7, 10]}
+        agents, _ = dqn_train(sc, 2, DqnConfig(episode_len=20), allowed,
+                              seed=3)
+        loop = ClosedLoop(sc, "interference", models={"dqn_agents": agents})
+        before = loop.snapshot(*loop._sense_window())
+        beam = loop.warehouse.read(SUBJECT_BEAM,
+                                   ("cell_id", "pos_x_m", "pos_y_m"),
+                                   before.t0_s, before.t1_s)
+        pos = np.column_stack([beam["pos_x_m"], beam["pos_y_m"]])
+        case = USE_CASES["interference"]
+        for j, target in enumerate(ids):
+            # a lone network holding row j of the stacked weights
+            lone = Mlp([obs_dim(len(ids)), *HIDDEN, N_ACTIONS])
+            lone.weights = [W[j] for W in agents.q.weights]
+            lone.biases = [b[j] for b in agents.q.biases]
+            mask = np.full(N_ACTIONS, -np.inf)
+            mask[list(allowed.get(target, range(N_ACTIONS)))] = 0.0
+            obs = observe(loop.scenario, j, beam["cell_id"], pos)
+            expected = lone.predict(obs[None])[0] + mask
+            candidates = case.candidates(loop, loop.scenario.cell(target))
+            scores = case.predict(loop, target, candidates, before)
+            assert np.array_equal(scores, expected)
+        # no agent for the target, or no agents: no score
+        assert case.predict(loop, "c9", candidates, before) == []
+        loop.models = {}
+        assert case.predict(loop, ids[0], candidates, before) == []
+
+
 class Scored(UseCase):
     """A use case whose candidates and predictions are given."""
 
@@ -358,6 +394,7 @@ class TestEnergyDecide:
 
     FULL = make_cell()
     ESS = make_cell(symbol_fraction=0.5)  # a shutdown: symbols switched off
+    ECS = make_cell(channel_fraction=0.5)  # half the channels switched off
 
     def decide(self, prior, deployed, before, after):
         loop = SimpleNamespace(scenario=make_scenario(cells=[deployed]),
@@ -367,11 +404,18 @@ class TestEnergyDecide:
     def test_qos_guard_rolls_back_a_per_user_drop(self):
         # energy fell at equal load, but each user gets 2% less
         before = energy_snap(100.0, 10, 0.4, self.FULL)
-        after = energy_snap(98.0, 10, 0.4, self.ESS)
-        assert self.decide(self.FULL, self.ESS, before, after) \
+        after = energy_snap(98.0, 10, 0.4, self.ECS)
+        assert self.decide(self.FULL, self.ECS, before, after) \
             == "rolled_back"
         # the guard is per user: 10% less throughput for 10% fewer users
-        after = energy_snap(90.0, 9, 0.4, self.ESS)
+        after = energy_snap(90.0, 9, 0.4, self.ECS)
+        assert self.decide(self.FULL, self.ECS, before, after) == "accepted"
+
+    def test_qos_guard_skips_a_command_that_keeps_capacity(self):
+        # ESS keeps full capacity, so it cannot shed traffic: a per-user
+        # drop is the two windows' different users, and energy decides
+        before = energy_snap(100.0, 10, 0.4, self.FULL)
+        after = energy_snap(98.0, 10, 0.4, self.ESS)
         assert self.decide(self.FULL, self.ESS, before, after) == "accepted"
 
     def test_capacity_restoring_command_accepted_though_energy_rose(self):

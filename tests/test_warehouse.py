@@ -223,6 +223,17 @@ class TestQuery:
         for bound in (None, 0, 1.5, np.float64(1.5), np.int64(2)):
             QueryTask(subject="kpi", t0=bound, t1=bound)
 
+    def test_time_bound_is_not_nan(self):
+        for nan in (float("nan"), np.float64("nan")):
+            with pytest.raises(SchemaError, match="t0 is NaN"):
+                QueryTask(subject="kpi", t0=nan)
+            with pytest.raises(SchemaError, match="t1 is NaN"):
+                QueryTask(subject="kpi", t1=nan)
+        with pytest.raises(SchemaError, match="t0 is NaN"):
+            QueryTask.from_json('{"subject": "kpi", "t0": NaN}')
+        # an infinite bound is still a bound
+        QueryTask(subject="kpi", t0=-float("inf"), t1=float("inf"))
+
     def test_only_count_takes_a_string_column_or_star(self):
         wh = fresh()
         put(wh, "kpi", [(0.0, "c1", 5.0, 0.1)])
