@@ -4,11 +4,14 @@ Inputs are rows with one column per length scale; the radio maps pass
 positions [pos_x m, pos_y m] with the first two default scales, and an RSRP
 residual in dB as the target. The prior mean is the training-target
 average, so predictions revert to that offset far from the data.
+
+scipy is imported inside `fit` and `predict`, not here: only the radio maps
+(throughput and MIMO) load it, at their first fit, and every other process
+never pays for it.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import NumericalFailure
 
@@ -52,15 +55,25 @@ class GprRegressor:
             raise ValueError("non-finite training data")
         if X.shape[1] != self.length_scales.size:
             raise ValueError(f"expected {self.length_scales.size} input dims")
+        # imported here, not at module level: scipy.linalg more than
+        # doubles the start-up of a process that never fits a radio map
+        from scipy.linalg import cho_factor, cho_solve
         K = self._kernel(X, X)
         K[np.diag_indices_from(K)] += self.noise_std ** 2 + JITTER
+        # X and y are finite, but their kernel can still overflow to NaN
+        # (tiny length scales); any NaN or inf of K reaches the factor's
+        # diagonal, so one O(n) check there replaces scipy's O(n^2) scans
         try:
-            self._chol = cho_factor(K, lower=True)
+            chol = cho_factor(K, lower=True, check_finite=False)
         except np.linalg.LinAlgError as e:
             raise NumericalFailure(f"kernel factorization failed: {e}")
+        if not np.isfinite(np.diagonal(chol[0])).all():
+            raise NumericalFailure("kernel factorization failed: "
+                                   "non-finite kernel")
+        self._chol = chol
         self._X = X
         self._y_mean = float(np.mean(y))
-        self._alpha = cho_solve(self._chol, y - self._y_mean)
+        self._alpha = cho_solve(chol, y - self._y_mean, check_finite=False)
         return self
 
     def predict(self, X_query, return_var: bool = False):
@@ -79,7 +92,9 @@ class GprRegressor:
             Ks = self._kernel(Xq[rows], self._X)
             mean[rows] = self._y_mean + Ks @ self._alpha
             if return_var:
-                v = cho_solve(self._chol, Ks.T)
+                # imported here for the reason given in `fit`
+                from scipy.linalg import cho_solve
+                v = cho_solve(self._chol, Ks.T, check_finite=False)
                 var[rows] = self.signal_std ** 2 - np.einsum("ij,ji->i",
                                                              Ks, v)
         if not return_var:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranopt.ai.gpr import PREDICT_CHUNK_ROWS, GprRegressor
+from ranopt.errors import NumericalFailure
 from ranopt.simcore import ShadowField
 from ranopt.simcore.types import PATTERN_CODEBOOK
 
@@ -58,6 +59,25 @@ class TestFitPredict:
         X = grid_inputs(4)[:10]
         with pytest.raises(ValueError, match="10 rows but y has 8 values"):
             GprRegressor().fit(X, np.full(8, -70.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_fit_rejects_non_finite_data(self, where, bad):
+        X = grid_inputs(3)
+        y = np.full(X.shape[0], -70.0)
+        (X if where == "X" else y)[4:5] = bad
+        with pytest.raises(ValueError, match="non-finite training data"):
+            GprRegressor().fit(X, y)
+
+    def test_overflowing_kernel_is_a_numerical_failure(self):
+        # finite inputs over tiny length scales overflow to an all-NaN
+        # kernel; the factor is not checked for NaN by scipy, but by fit
+        m = GprRegressor((1e-320, 1e-320))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="non-finite kernel"):
+                m.fit([[1, 1], [2, 2], [3, 1]], [1, 2, 3])
+        with pytest.raises(ValueError, match="not fitted"):
+            m.predict([[1, 1]])
 
     def test_predict_is_chunked_products_bit_for_bit(self):
         # the rows in each Ks @ alpha call can decide the last bits of the
